@@ -402,6 +402,17 @@ def mat_mul_omega(ring, A, B):
     return out
 
 
+def mat_vec_omega(ring, A, v):
+    """A v for an Omega matrix A and an Omega column vector v."""
+    out = []
+    for row in A:
+        acc = ring.zero
+        for a, b in zip(row, v):
+            acc = ring.add(acc, ring.mul(a, b))
+        out.append(acc)
+    return out
+
+
 def mat_identity_omega(ring, n):
     return [[ring.one if i == j else ring.zero for j in range(n)]
             for i in range(n)]

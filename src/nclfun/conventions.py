@@ -25,12 +25,3 @@ respected by every module; this file is the single statement of record.
 Changing any one of these without the matching compensation elsewhere
 breaks the interpolation identities; the test suite pins all four.
 """
-
-# T is the inverse of the distinguished topological generator
-T_IS_GAMMA_INVERSE = True
-
-# evaluation uses the transpose-inverse (contragredient) composite
-EVALUATION_IS_CONTRAGREDIENT = True
-
-# local factors are built from the inverse Frobenius
-LOCAL_FACTOR_USES_INVERSE_FROBENIUS = True

@@ -293,11 +293,6 @@ class CrossedLaurent:
         return "CrossedLaurent(" + (" + ".join(parts) or "0") + ")"
 
 
-def crossed_mul(x: CrossedLaurent, y: CrossedLaurent) -> CrossedLaurent:
-    """Product in the crossed algebra (method form is x * y)."""
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .coeffring import (
     mat_identity_omega,
     mat_mul_omega,
     mat_pow_omega,
+    mat_vec_omega,
     poly_det,
 )
 from .errors import InvariantViolation, PrecisionMismatch
@@ -88,17 +89,10 @@ class GammaModule:
                     "gamma does not preserve the relation module")
 
     def act(self, v):
-        return [self._dot(self.gamma[i], v) for i in range(self.rank)]
+        return mat_vec_omega(self.ring, self.gamma, v)
 
     def act_inv(self, v):
-        return [self._dot(self.gamma_inv[i], v) for i in range(self.rank)]
-
-    def _dot(self, row, v):
-        R = self.ring
-        acc = R.zero
-        for a, b in zip(row, v):
-            acc = R.add(acc, R.mul(a, b))
-        return acc
+        return mat_vec_omega(self.ring, self.gamma_inv, v)
 
     def size(self):
         """Number of elements of the quotient."""
@@ -221,23 +215,16 @@ KernelChainReport = namedtuple(
 def _kernel_rows(ring, A):
     """Canonical rows spanning {v : A v = 0}, via the left kernel of the
     transpose in flattened coordinates."""
-    s = len(A)
     # integer matrix of the map v -> A v in flattened coordinates: row u
     # is the image of the u-th flat basis vector
-    width = s * ring.deg
+    width = len(A) * ring.deg
     M = ring.modulus
     mat = []
     for u in range(width):
         basis = [0] * width
         basis[u] = 1
         v = ring.unflatten_vec(basis)
-        img = [None] * s
-        for i in range(s):
-            acc = ring.zero
-            for j in range(s):
-                acc = ring.add(acc, ring.mul(A[i][j], v[j]))
-            img[i] = acc
-        mat.append(ring.flatten_vec(img))
+        mat.append(ring.flatten_vec(mat_vec_omega(ring, A, v)))
     ker = left_kernel(mat, M)
     return howell_form([list(r) for r in ker], width, M)
 
@@ -254,7 +241,6 @@ def kernel_chain_report(ring, Phi, tower=None):
         tower = coker_tower(ring, Phi)
     s = len(Phi)
     ell = ring.ell
-    width = s * ring.deg
     ident = mat_identity_omega(ring, s)
     n_top = tower.stable_from + ring.m + 1
     P = [list(r) for r in Phi]
@@ -281,13 +267,7 @@ def kernel_chain_report(ring, Phi, tower=None):
                  for i in range(s)]
         traces.append(V)
         for r in kernels[n + 1]:
-            v = ring.unflatten_vec(list(r))
-            img = [ring.zero] * s
-            for i in range(s):
-                accv = ring.zero
-                for j in range(s):
-                    accv = ring.add(accv, ring.mul(V[i][j], v[j]))
-                img[i] = accv
+            img = mat_vec_omega(ring, V, ring.unflatten_vec(list(r)))
             if not in_span(ring.flatten_vec(img), kernels[n], ring.modulus):
                 raise InvariantViolation(
                     "trace transition leaves the kernel chain")
@@ -304,13 +284,7 @@ def kernel_chain_report(ring, Phi, tower=None):
         for r in kernels[stable_from]:
             v = ring.unflatten_vec(list(r))
             want = [ring.mul(ell_c, a) for a in v]
-            img = [ring.zero] * s
-            for i in range(s):
-                accv = ring.zero
-                for j in range(s):
-                    accv = ring.add(accv, ring.mul(V[i][j], v[j]))
-                img[i] = accv
-            if img != want:
+            if mat_vec_omega(ring, V, v) != want:
                 mult_ok = False
     # composite of m consecutive stabilized transitions, applied to the
     # stable kernel, must vanish identically
@@ -319,13 +293,9 @@ def kernel_chain_report(ring, Phi, tower=None):
         comp = mat_mul_omega(ring, traces[n], comp)
     vanished = True
     for r in kernels[stable_from]:
-        v = ring.unflatten_vec(list(r))
-        for i in range(s):
-            accv = ring.zero
-            for j in range(s):
-                accv = ring.add(accv, ring.mul(comp[i][j], v[j]))
-            if not ring.is_zero(accv):
-                vanished = False
+        img = mat_vec_omega(ring, comp, ring.unflatten_vec(list(r)))
+        if not all(map(ring.is_zero, img)):
+            vanished = False
     return KernelChainReport(ell, s, layers, stable_from, mult_ok, vanished)
 
 
@@ -334,52 +304,37 @@ def kernel_chain_report(ring, Phi, tower=None):
 # ---------------------------------------------------------------------------
 
 def ideal_canonical_form(ring, gens, prec):
-    """Canonical integer rows for the span of the generators as a module
-    over Omega[[T]] cut at T^prec.
+    """Canonical integer rows for the ideal the generators span in
+    Omega[[T]]/T^prec.
 
-    Starts from the plain generators, then closes under multiplying by
-    T and by x until nothing new reduces in, re-canonicalizing as it
-    goes.  The fixed point is the Howell form of the full shift orbit,
-    so equal ideals give literally equal row tuples."""
+    That ideal is the Z/M span of the rows x^u T^j g for g a generator,
+    0 <= u < D and 0 <= j < prec: x^D is a combination of lower powers
+    of x and T^prec vanishes, so the span is closed under both shifts by
+    construction.  One Howell form of those rows is canonical, so equal
+    ideals give literally equal row tuples.  A T-shift that truncates to
+    zero adds nothing, so each row's shifts stop there; a degree-1 ring
+    adds no x rows.
+
+    The basis is still checked to be closed under multiplying by T and
+    by x, and InvariantViolation is raised if it is not."""
     D = ring.deg
     width = prec * D
     M = ring.modulus
-
-    def flatten_poly(p):
-        out = []
-        for k in range(prec):
-            out.extend(ring.flatten_vec([p.coeff(k)]))
-        return out
-
-    def t_shift(flat):
-        return [0] * D + flat[:-D]
-
-    def x_shift(flat):
-        out = []
-        for k in range(prec):
-            blk = flat[k * D:(k + 1) * D]
-            out.extend(ring.x_shift_int_row(blk))
-        return out
-
-    rows = [flatten_poly(p) for p in gens]
+    xpows = [ring.pow(ring.gen(), u) for u in range(D)]
+    rows = []
+    for g in gens:
+        for xu in xpows:
+            p = g.scale(xu)
+            flat = ring.flatten_vec([p.coeff(k) for k in range(prec)])
+            lead = next((k for k, v in enumerate(flat) if v), width)
+            for j in range(prec - lead // D):
+                rows.append([0] * (j * D) + flat[:width - j * D])
     basis = howell_form(rows, width, M)
-    queue = list(basis)
-    while queue:
-        fresh = []
-        for r in queue:
-            for cand in (t_shift(list(r)), x_shift(list(r))):
-                rem = reduce_vector(cand, basis, M)
-                if any(rem):
-                    fresh.append(cand)
-        if not fresh:
-            break
-        basis = howell_form([list(r) for r in basis] + fresh, width, M)
-        queue = fresh
-    # the fixed point must really be shift-closed
     for r in basis:
-        for cand in (t_shift(list(r)), x_shift(list(r))):
+        for cand in ([0] * D + r[:-D], ring.x_shift_int_row(r)):
             if any(reduce_vector(cand, basis, M)):
-                raise InvariantViolation("shift closure failed to converge")
+                raise InvariantViolation(
+                    "ideal basis is not closed under T and x")
     return basis
 
 

@@ -23,16 +23,11 @@ __all__ = [
     "span_size",
     "reduce_vector",
     "in_span",
-    "spans_equal",
     "left_kernel",
     "solve_left",
-    "solve_right",
     "mat_identity",
     "mat_transpose",
-    "mat_add",
-    "mat_sub",
     "mat_mul",
-    "mat_vec",
     "mat_pow",
     "mat_inverse",
     "RingOps",
@@ -159,7 +154,7 @@ def reduce_vector(v: list[int], basis: list[list[int]], M: int,
     """
     v = [x % M for x in v]
     for i, row in enumerate(basis):
-        c = next(j for j, val in enumerate(row) if val)
+        c = row.index(next(filter(None, row)))
         if v[c]:
             q = v[c] // row[c]
             if q:
@@ -174,11 +169,6 @@ def in_span(v: list[int], basis: list[list[int]], M: int) -> bool:
     the span property guarantees greedy reduction finds a witness when
     one exists."""
     return not any(reduce_vector(v, basis, M))
-
-
-def spans_equal(rows_a: list[list[int]], rows_b: list[list[int]],
-                ncols: int, M: int) -> bool:
-    return howell_form(rows_a, ncols, M) == howell_form(rows_b, ncols, M)
 
 
 def left_kernel(A: list[list[int]], M: int) -> list[list[int]]:
@@ -217,11 +207,6 @@ def solve_left(A: list[list[int]], b: list[int], M: int) -> list[int] | None:
     return [(-t) % M for t in v[n:]]
 
 
-def solve_right(A: list[list[int]], b: list[int], M: int) -> list[int] | None:
-    """One solution x of A*x == b (b a column, given as a flat list)."""
-    return solve_left(mat_transpose(A), b, M)
-
-
 # ---------------------------------------------------------------------------
 # Plain matrix arithmetic over Z/M
 # ---------------------------------------------------------------------------
@@ -234,24 +219,12 @@ def mat_transpose(A: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*A)] if A else []
 
 
-def mat_add(A, B, M):
-    return [[(a + b) % M for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B, M):
-    return [[(a - b) % M for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_mul(A, B, M):
     n, k = len(A), len(B)
     cols = len(B[0]) if k else 0
     Bt = mat_transpose(B)
     return [[sum(ra[t] * ct[t] for t in range(k)) % M for ct in Bt]
             for ra in A]
-
-
-def mat_vec(A, v, M):
-    return [sum(a * x for a, x in zip(row, v)) % M for row in A]
 
 
 def mat_pow(A, e: int, M: int):

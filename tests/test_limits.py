@@ -10,6 +10,7 @@ from nclfun.coeffring import (
     mat_pow_omega,
 )
 from nclfun.errors import InvariantViolation, PrecisionMismatch
+from nclfun.linalg import howell_form, reduce_vector
 from nclfun.limits import (
     GammaModule,
     IdealClass,
@@ -34,10 +35,13 @@ def _mat(ring, ints):
     return [[ring.int_embed(v) for v in row] for row in ints]
 
 
+def _rand_elt(ring, rng):
+    return ring.element([rng.randrange(ring.modulus)
+                         for _ in range(ring.deg)])
+
+
 def _rand_mat(ring, rng, s):
-    return [[ring.element([rng.randrange(ring.modulus)
-                           for _ in range(ring.deg)])
-             for _ in range(s)] for _ in range(s)]
+    return [[_rand_elt(ring, rng) for _ in range(s)] for _ in range(s)]
 
 
 # --- GammaModule
@@ -206,6 +210,71 @@ def test_ideal_canonical_form_generator_order_irrelevant():
     shuffled = polys[::-1]
     assert (ideal_canonical_form(Z9, polys, 10)
             == ideal_canonical_form(Z9, shuffled, 10))
+
+
+def _closure_loop_form(ring, gens, prec):
+    """Reference for ideal_canonical_form: Howell form of the plain
+    generators, closed under T- and x-shifts by a fixed-point loop."""
+    D = ring.deg
+    width = prec * D
+    M = ring.modulus
+
+    def flatten_poly(p):
+        out = []
+        for k in range(prec):
+            out.extend(ring.flatten_vec([p.coeff(k)]))
+        return out
+
+    def t_shift(flat):
+        return [0] * D + flat[:-D]
+
+    def x_shift(flat):
+        out = []
+        for k in range(prec):
+            out.extend(ring.x_shift_int_row(flat[k * D:(k + 1) * D]))
+        return out
+
+    basis = howell_form([flatten_poly(p) for p in gens], width, M)
+    queue = list(basis)
+    while queue:
+        fresh = []
+        for r in queue:
+            for cand in (t_shift(list(r)), x_shift(list(r))):
+                if any(reduce_vector(cand, basis, M)):
+                    fresh.append(cand)
+        if not fresh:
+            break
+        basis = howell_form([list(r) for r in basis] + fresh, width, M)
+        queue = fresh
+    return basis
+
+
+def _rand_gens(ring, rng):
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        coeffs = [_rand_elt(ring, rng) for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.5:
+            while ring.is_unit(coeffs[0]):
+                coeffs[0] = _rand_elt(ring, rng)
+        gens.append(Poly(ring, coeffs))
+    if rng.random() < 0.2:
+        gens.append(Poly.zero(ring))
+    if rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_ideal_canonical_form_matches_closure_loop():
+    rings = (Z9, CoeffRing(3, 3), CoeffRing(5, 1), GAUSS9,
+             CoeffRing(5, 1, (4, 0, 1)))
+    rng = random.Random(2481)
+    for case in range(200):
+        ring = rings[case % len(rings)]
+        prec = 1 + case % 12
+        gens = _rand_gens(ring, rng)
+        assert (ideal_canonical_form(ring, gens, prec)
+                == _closure_loop_form(ring, gens, prec)), (ring, gens, prec)
 
 
 def test_ideal_class_validation_and_product():
