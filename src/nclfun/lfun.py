@@ -7,13 +7,14 @@ merges the two code paths; their agreement on overlapping inputs is a
 theorem, and the tests treat it as one.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .coeffring import (
     Poly,
     RationalFunction,
     Series,
     det_one_minus_scaled,
+    power,
     series_invert,
 )
 from .covering import CohomologySpec
@@ -27,15 +28,19 @@ def euler_product(cov, rho, prec):
 
     rho is any representation of the covering group (typically the
     sheaf, or the sheaf tensored with a twisting representation).
+
+    The local factor depends only on the point, so repeated points are
+    grouped: each distinct factor is inverted once and raised to its
+    multiplicity by repeated squaring.
     """
     if rho.group != cov.group:
         raise InvariantViolation("representation lives on a different group")
     ring = rho.ring
     acc = Series.one(ring, prec)
-    for pt in cov.points:
+    for pt, mult in Counter(cov.points).items():
         mat = rho.of(pt.frobenius())
         factor = det_one_minus_scaled(ring, mat, pt.degree)
-        acc = acc * series_invert(factor.truncate(prec))
+        acc = acc * power(series_invert(factor.truncate(prec)), mult)
     return acc
 
 

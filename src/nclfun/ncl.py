@@ -7,7 +7,16 @@ sends each matrix through the entrywise theta map and takes ordinary
 determinants, producing an exact rational function in T.
 """
 
-from .coeffring import Poly, RationalFunction, is_in_P, is_in_S, poly_det
+from collections import Counter
+
+from .coeffring import (
+    Poly,
+    RationalFunction,
+    is_in_P,
+    is_in_S,
+    poly_det,
+    power,
+)
 from .covering import SheafSpec, push_covering_quotient
 from .errors import (
     InvariantViolation,
@@ -77,12 +86,20 @@ def _augmentation_poly_matrix(ring, mat):
     return out
 
 
+def _matrix_key(mat):
+    """A hashable stand-in for a crossed matrix (CrossedLaurent defines
+    __eq__ and so is unhashable): the sorted terms of every entry."""
+    return tuple(tuple(tuple(sorted(x.terms.items())) for x in row)
+                 for row in mat)
+
+
 class K1Class:
     """Formal product prod det(A_i)^{e_i} with e_i = +1 or -1.
 
     Each factor must collapse, along the augmentation of H, to a matrix
     whose determinant lies in S; otherwise the factor has no business
-    being inverted and the constructor refuses with NotSQuasiIso.
+    being inverted and the constructor refuses with NotSQuasiIso.  The
+    check runs once per distinct factor matrix.
     """
 
     def __init__(self, ring, group, factors, check=True):
@@ -108,7 +125,8 @@ class K1Class:
             fs.append((tuple(rows), exp))
         self.factors = tuple(fs)
         if check:
-            for mat, _ in self.factors:
+            distinct = {_matrix_key(mat): mat for mat, _ in self.factors}
+            for mat in distinct.values():
                 pm = _augmentation_poly_matrix(ring, mat)
                 if not is_in_S(poly_det(pm, ring)):
                     raise NotSQuasiIso(
@@ -153,15 +171,18 @@ def ncl_from_points(cov, sheaf):
     """The product over points of the classes of Id - M_x, inverted,
     where M_x carries the sheaf matrix of Frobenius at the inverse group
     element.  Evaluating this class at a representation recovers the
-    Euler product of the tensored sheaf."""
+    Euler product of the tensored sheaf.
+
+    The class keeps one factor per point; the matrix is built once per
+    distinct point and shared by its repeats."""
     rep = sheaf.rep
     if rep.group != cov.group:
         raise InvariantViolation("sheaf group does not match the covering")
     ring = rep.ring
     gd = cov.group
     r = rep.dim
-    factors = []
-    for pt in cov.points:
+
+    def local_matrix(pt):
         sig = pt.frobenius()
         ginv = gd.g_inv(sig)
         A = rep.of(sig)
@@ -176,8 +197,10 @@ def ncl_from_points(cov, sheaf):
                     e = -e
                 row.append(e)
             mat.append(row)
-        factors.append((mat, -1))
-    return K1Class(ring, gd, factors)
+        return mat
+
+    mats = {pt: local_matrix(pt) for pt in set(cov.points)}
+    return K1Class(ring, gd, [(mats[pt], -1) for pt in cov.points])
 
 
 def ncl_from_cohomology(cov, coh):
@@ -214,23 +237,33 @@ def ncl_evaluate(k1, rho):
     """Exact rational function obtained by pushing every factor through
     theta at rho and multiplying determinants with their signs.
 
+    Repeated factors are grouped by (matrix, exponent): each distinct
+    determinant is taken once and raised to its multiplicity by repeated
+    squaring.
+
     Denominator determinants must have unit constant term; otherwise the
     inverse does not exist at the level of power series and we raise
     SingularEvaluation instead of returning a wrong answer."""
     if rho.group != k1.group:
         raise InvariantViolation("representation is on the wrong group")
     ring = rho.ring
+    mats = {}
+    mults = Counter()
+    for mat, exp in k1.factors:
+        key = (_matrix_key(mat), exp)
+        mats.setdefault(key, mat)
+        mults[key] += 1
     num = Poly.one(ring)
     den = Poly.one(ring)
-    for mat, exp in k1.factors:
-        det = poly_det(theta_matrix(mat, rho), ring)
-        if exp == 1:
-            num = num * det
+    for key, mult in mults.items():
+        det = poly_det(theta_matrix(mats[key], rho), ring)
+        if key[1] == 1:
+            num = num * power(det, mult)
         else:
             if not is_in_P(det):
                 raise SingularEvaluation(
                     "denominator determinant has non-unit constant term")
-            den = den * det
+            den = den * power(det, mult)
     return RationalFunction(num, den)
 
 

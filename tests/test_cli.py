@@ -1,7 +1,11 @@
 import json
 import pathlib
+import time
+
+import pytest
 
 from nclfun.cli import main
+from nclfun.covering import parse_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -167,3 +171,34 @@ def test_ncl_verify_small_fixture_all_pass(capsys):
     assert any(c.startswith("interpolation") for c in checks)
     assert any(c.startswith("artin") for c in checks)
     assert any(c.startswith("quotient") for c in checks)
+
+
+# Wall-clock budget for all ncl commands on one fixture: 10 s for ec_f5
+# and 5 s for the others, which measured about 2 s and under 0.5 s on
+# 2 vCPUs (CPython 3.11).  ec_f5 runs at precision 7, the most its
+# points (through degree 6) support.
+NCL_BUDGET_S = {"ec_f5": 10.0}
+NCL_PRECISION = {"ec_f5": ["--precision", "7"]}
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "z2xgamma", "z3_semidirect", "s3_gamma", "ec_f5"])
+def test_ncl_commands_finish_within_budget(capsys, name):
+    path = str(FIXTURES / f"{name}.inst")
+    reps = sorted(parse_instance(pathlib.Path(path).read_text()).reps)
+    extra = ["--fixture", path, "--format", "json-lines"] \
+        + NCL_PRECISION.get(name, [])
+    t0 = time.perf_counter()
+    code, out, _ = _run(capsys, ["ncl", "compute"] + extra)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "ok"
+    for rep in reps:
+        code, out, _ = _run(capsys, ["ncl", "evaluate", "--rep", rep] + extra)
+        assert code == 0, rep
+        assert json.loads(out)["verdict"] == "ok"
+    code, out, _ = _run(capsys, ["ncl", "verify"] + extra)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records and all(r["verdict"] == "pass" for r in records), records
+    assert elapsed < NCL_BUDGET_S.get(name, 5.0), elapsed

@@ -26,6 +26,7 @@ Z9 = CoeffRing(3, 2)
 Z8 = CoeffRing(2, 3)
 GAUSS9 = CoeffRing(3, 2, [1, 0, 1])          # x^2 + 1, irreducible mod 3
 SPLIT3 = CoeffRing(3, 1, [2, 0, 1])          # x^2 + 2 = (x+1)(x+2) mod 3
+CUBIC = CoeffRing(5, 2, [2, 0, 0, 1])
 
 
 def _rand_elem(rng, ring):
@@ -133,6 +134,67 @@ def test_poly_degree_and_zero():
     p = Poly.from_ints(Z9, [1, 2])
     q = Poly.from_ints(Z9, [1, 7])
     assert (p + q).coeffs == ((2,),)          # 2 + 9T collapses
+
+
+def _schoolbook_mul(p, q):
+    """The quadratic product loop, as the reference for Poly.__mul__."""
+    R = p.ring
+    if p.is_zero() or q.is_zero():
+        return Poly.zero(R)
+    out = [R.zero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = R.add(out[i + j], R.mul(a, b))
+    return Poly(R, out)
+
+
+def _rand_poly(rng, ring, n, style):
+    """A polynomial with exactly n coefficients: random, with about a
+    third of the inner ones zero, or with every coordinate at M - 1, which
+    fills the widest Kronecker slot."""
+    top = ring.element([ring.modulus - 1] * ring.deg)
+    cs = []
+    for k in range(n):
+        if style == "full":
+            c = top
+        elif style == "sparse" and 0 < k < n - 1 and rng.randrange(3) == 0:
+            c = ring.zero
+        else:
+            c = _rand_elem(rng, ring)
+        cs.append(c)
+    if ring.is_zero(cs[-1]):
+        cs[-1] = ring.one
+    return Poly(ring, cs)
+
+
+def test_poly_mul_matches_schoolbook():
+    rng = random.Random(131)
+    for ring in [Z9, Z8, CoeffRing(5, 3), GAUSS9, SPLIT3, CUBIC]:
+        pairs = [(1, 1), (2, 3), (3, 2), (3, 3), (2, 40), (40, 3)]
+        for la in range(1, 41):
+            pairs += [(la, rng.randrange(1, 41)), (la, 41 - la)]
+        for k, (la, lb) in enumerate(pairs):
+            style = ("random", "sparse", "full")[k % 3]
+            p = _rand_poly(rng, ring, la, style)
+            q = _rand_poly(rng, ring, lb, rng.choice(["random", style]))
+            assert p * q == _schoolbook_mul(p, q), (ring, la, lb, style)
+            assert (p * Poly.zero(ring)).is_zero()
+            assert (Poly.zero(ring) * q).is_zero()
+
+
+def test_poly_mul_leading_coefficients_cancel():
+    three_t = Poly.from_ints(Z9, [0, 3])
+    assert three_t * three_t == Poly.zero(Z9)
+    threes = Poly.from_ints(Z9, [3, 6, 0, 3])
+    assert threes * Poly.from_ints(Z9, [3, 3, 3]) == Poly.zero(Z9)
+    p = Poly.from_ints(Z9, [1, 2, 3])
+    q = Poly.from_ints(Z9, [4, 5, 3])
+    assert p * q == _schoolbook_mul(p, q)
+    assert (p * q).degree == 3                 # 3 * 3 = 0 drops T^4
+    g = Poly(GAUSS9, [GAUSS9.one, GAUSS9.zero, GAUSS9.element([3, 3])])
+    h = Poly(GAUSS9, [GAUSS9.one, GAUSS9.one, GAUSS9.element([3, 6])])
+    assert g * h == _schoolbook_mul(g, h)
+    assert (g * h).degree == 3
 
 
 def test_is_in_P():

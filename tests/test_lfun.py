@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -8,9 +9,12 @@ from nclfun.coeffring import (
     PolyOps,
     Series,
     det_one_minus_scaled,
+    mat_identity_omega,
+    mat_inverse_omega,
     render_poly_terms,
+    series_invert,
 )
-from nclfun.covering import CohomologySpec, CoveringSpec, Point
+from nclfun.covering import CohomologySpec, CoveringSpec, Point, parse_instance
 from nclfun.errors import InvariantViolation
 from nclfun.groupalg import GroupData, Rep, trivial_rep
 from nclfun.lfun import (
@@ -24,7 +28,13 @@ from nclfun.lfun import (
 )
 from nclfun.linalg import berkowitz_charpoly
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
 Z9 = CoeffRing(3, 2)
+Z8 = CoeffRing(2, 3)
+GAUSS9 = CoeffRing(3, 2, [1, 0, 1])          # x^2 + 1, irreducible mod 3
+SPLIT3 = CoeffRing(3, 1, [2, 0, 1])          # x^2 + 2 = (x+1)(x+2) mod 3
+CUBIC = CoeffRing(5, 2, [2, 0, 0, 1])
 
 
 def _cyclic(n, action=None, e=1):
@@ -79,6 +89,63 @@ def test_euler_rejects_rep_on_wrong_group():
     with pytest.raises(InvariantViolation):
         euler_product(_cov(_cyclic(2), [Point(1, 0, 1)]),
                       trivial_rep(Z9, _cyclic(3)), 4)
+
+
+# --- grouped Euler product against the per-point loop
+
+
+def _euler_per_point(cov, rho, prec):
+    """The ungrouped product: one inverted local factor per listed point."""
+    ring = rho.ring
+    acc = Series.one(ring, prec)
+    for pt in cov.points:
+        factor = det_one_minus_scaled(ring, rho.of(pt.frobenius()), pt.degree)
+        acc = acc * series_invert(factor.truncate(prec))
+    return acc
+
+
+def _rand_elt(rng, ring):
+    return ring.element([rng.randrange(ring.modulus) for _ in range(ring.deg)])
+
+
+def _repeated_covering(rng, ring):
+    """A covering of C1 or C2 whose five distinct points repeat with the
+    multiplicities 1, 2, 3, 7 and 8, shuffled together, and a rep whose
+    gamma has random entries of the ring."""
+    n = rng.choice([1, 2])
+    dim = rng.choice([1, 2])
+    while True:
+        gamma = [[_rand_elt(rng, ring) for _ in range(dim)]
+                 for _ in range(dim)]
+        if mat_inverse_omega(ring, gamma) is not None:
+            break
+    ident = mat_identity_omega(ring, dim)
+    minus = [[ring.neg(c) for c in row] for row in ident]
+    rho = Rep(ring, _cyclic(n), dim, [ident, minus][:n], gamma)
+    distinct = rng.sample([(d, h) for d in range(1, 7) for h in range(n)], 5)
+    pts = []
+    for (d, h), mult in zip(distinct, (1, 2, 3, 7, 8)):
+        pts += [Point(d, h, d)] * mult
+    rng.shuffle(pts)
+    cov = CoveringSpec(7, ring.ell, ring.m, ring, _cyclic(n), pts)
+    return cov, rho
+
+
+def test_grouped_euler_product_matches_per_point_loop():
+    rng = random.Random(41)
+    rings = [Z9, Z8, GAUSS9, SPLIT3, CUBIC]
+    for prec in range(1, 33):
+        for ring in (rings[prec % 5], rings[(prec + 2) % 5]):
+            cov, rho = _repeated_covering(rng, ring)
+            assert euler_product(cov, rho, prec) == \
+                _euler_per_point(cov, rho, prec), (prec, ring)
+
+
+def test_grouped_euler_product_matches_per_point_loop_on_ec_f5():
+    inst = parse_instance((FIXTURES / "ec_f5.inst").read_text())
+    cov, rho = inst.covering, inst.sheaf.rep
+    assert len(cov.points) == 3362 and len(set(cov.points)) == 6
+    assert euler_product(cov, rho, 32) == _euler_per_point(cov, rho, 32)
 
 
 # --- determinant helpers

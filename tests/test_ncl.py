@@ -1,9 +1,17 @@
+import pathlib
 import random
 
 import pytest
 
-from nclfun.coeffring import CoeffRing, Poly, RationalFunction, mat_mul_omega
-from nclfun.covering import CoveringSpec, Point, SheafSpec
+from nclfun.coeffring import (
+    CoeffRing,
+    Poly,
+    RationalFunction,
+    is_in_P,
+    mat_mul_omega,
+    poly_det,
+)
+from nclfun.covering import CoveringSpec, Point, SheafSpec, parse_instance
 from nclfun.errors import (
     InvariantViolation,
     NotSQuasiIso,
@@ -27,11 +35,14 @@ from nclfun.ncl import (
     ncl_from_points,
     ncl_push_quotient,
     ncl_twist,
+    theta_matrix,
     verify_artin_induction,
     verify_interpolation,
     verify_quotient,
     verify_twist,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 Z9 = CoeffRing(3, 2)
 
@@ -269,3 +280,118 @@ def test_evaluate_rejects_wrong_group_rep():
     k1 = ncl_from_points(cov, SheafSpec(trivial_rep(Z9, g)))
     with pytest.raises(InvariantViolation):
         ncl_evaluate(k1, trivial_rep(Z9, _cyclic(2)))
+
+
+# --- grouped class paths against their per-factor and per-point loops
+
+
+def _evaluate_per_factor(k1, rho):
+    """One determinant per listed factor, multiplied in order."""
+    ring = rho.ring
+    num = den = Poly.one(ring)
+    for mat, exp in k1.factors:
+        det = poly_det(theta_matrix(mat, rho), ring)
+        if exp == 1:
+            num = num * det
+        else:
+            if not is_in_P(det):
+                raise SingularEvaluation("singular denominator")
+            den = den * det
+    return num, den
+
+
+def _class_per_point(cov, sheaf):
+    """One crossed matrix built per listed point."""
+    rep, gd = sheaf.rep, cov.group
+    ring = rep.ring
+    factors = []
+    for pt in cov.points:
+        sig = pt.frobenius()
+        ginv = gd.g_inv(sig)
+        A = rep.of(sig)
+        mat = []
+        for i in range(rep.dim):
+            row = []
+            for j in range(rep.dim):
+                e = CrossedLaurent.monomial(ring, gd, ginv, A[i][j])
+                row.append(CrossedLaurent.one(ring, gd) - e if i == j else -e)
+            mat.append(row)
+        factors.append((mat, -1))
+    return K1Class(ring, gd, factors)
+
+
+def _k1_rendering(k1):
+    return repr([(exp, [[sorted(x.terms.items()) for x in row]
+                        for row in mat])
+                 for mat, exp in k1.factors])
+
+
+def _assert_grouped_evaluation(k1, rho):
+    rf = ncl_evaluate(k1, rho)
+    assert (rf.num, rf.den) == _evaluate_per_factor(k1, rho)
+
+
+def test_grouped_evaluation_matches_per_factor_with_mixed_exponents():
+    g = _cyclic(2)
+    cov = _cov(g, [Point(1, 1, 1), Point(2, 0, 2), Point(1, 1, 1),
+                   Point(3, 1, 3), Point(1, 1, 1), Point(2, 0, 2)])
+    k1 = ncl_from_points(cov, SheafSpec(_char_rep(Z9, g, -1, 2)))
+    for k in (k1, k1 * k1 * k1.inverse(), k1.inverse() * k1 * k1.inverse()):
+        for rho in (trivial_rep(Z9, g), _char_rep(Z9, g, -1, 4)):
+            _assert_grouped_evaluation(k, rho)
+    gd = _s3()
+    cov = _cov(gd, [Point(1, 3, 1), Point(2, 1, 2), Point(1, 3, 1),
+                    Point(1, 0, 1), Point(2, 1, 2), Point(1, 3, 1)])
+    k1 = ncl_from_points(cov, SheafSpec(_s3_sign(gd)))
+    _assert_grouped_evaluation(k1 * k1 * k1.inverse(), _s3_std2(gd))
+
+
+def test_grouped_evaluation_on_s3_gamma_two_dim_reps():
+    inst = parse_instance((FIXTURES / "s3_gamma.inst").read_text())
+    pts = inst.covering.points
+    cov = CoveringSpec(inst.covering.q, inst.covering.ell, inst.covering.m,
+                       inst.covering.ring, inst.covering.group,
+                       pts + pts[:2] + pts[:1])
+    k1 = ncl_from_points(cov, inst.sheaf)
+    assert len(k1.factors) == len(pts) + 3
+    for name in ("std2", "std2tw"):
+        rho = inst.reps[name]
+        assert rho.dim == 2
+        _assert_grouped_evaluation(k1 * k1 * k1.inverse(), rho)
+
+
+def test_k1_check_rejects_repeated_bad_factor():
+    g = _cyclic(2)
+    e0 = CrossedLaurent.monomial(Z9, g, GElement(0, 0))
+    h1 = CrossedLaurent.monomial(Z9, g, GElement(1, 0))
+    good = [[e0 + h1]]
+    bad = [[e0 - h1]]
+    for factors in ([(bad, -1), (bad, -1)],
+                    [(good, -1), (good, 1), (bad, -1)],
+                    [(good, -1), (bad, 1), (good, -1), (bad, -1)]):
+        with pytest.raises(NotSQuasiIso):
+            K1Class(Z9, g, factors)
+    assert len(K1Class(Z9, g, [(good, -1)] * 3).factors) == 3
+
+
+def test_singular_evaluation_raises_for_repeated_denominator():
+    g = _cyclic(2)
+    e0 = CrossedLaurent.monomial(Z9, g, GElement(0, 0))
+    h1 = CrossedLaurent.monomial(Z9, g, GElement(1, 0))
+    sign = _char_rep(Z9, g, -1, 1)
+    with pytest.raises(SingularEvaluation):
+        ncl_evaluate(K1Class(Z9, g, [([[e0 + h1]], -1)] * 3), sign)
+    k2 = K1Class(Z9, g, [([[e0 + h1]], 1)] * 2 + [([[e0 + h1]], -1)])
+    with pytest.raises(SingularEvaluation):
+        ncl_evaluate(k2, sign)
+    assert ncl_evaluate(K1Class(Z9, g, [([[e0 + h1]], 1)] * 3),
+                        sign).num.is_zero()
+
+
+def test_class_from_points_on_ec_f5_matches_per_point_build():
+    inst = parse_instance((FIXTURES / "ec_f5.inst").read_text())
+    k1 = ncl_from_points(inst.covering, inst.sheaf)
+    assert len(k1.factors) == 3362
+    ref = _class_per_point(inst.covering, inst.sheaf)
+    assert _k1_rendering(k1) == _k1_rendering(ref)
+    assert k1 == ref
