@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 from .coeffring import CoeffRing, Poly, render_poly_terms
 from .covering import instance_digest, parse_instance
@@ -36,12 +35,14 @@ ResultRecord = namedtuple(
 
 _COMPUTE_ERRORS = (NotSQuasiIso, SingularEvaluation, PrecisionMismatch,
                    WrongGroup, ConventionOverflow, InvariantViolation)
-_INPUT_ERRORS = (ParseError, InvalidGroup, NotASubgroup, OSError,
-                 ValueError, SyntaxError, KeyError)
 
 
 class InputProblem(Exception):
     pass
+
+
+_INPUT_ERRORS = (InputProblem, ParseError, InvalidGroup, NotASubgroup,
+                 OSError, ValueError, SyntaxError, KeyError)
 
 
 def _note(msg):
@@ -392,13 +393,7 @@ def _suite_case(seed, i, prec):
 
 def cmd_suite_run(args):
     count = args.count
-    _note(f"suite: {count} cases, seed {args.seed}, "
-          f"{args.parallel} worker(s)")
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            futures = [pool.submit(_suite_case, args.seed, i, args.precision)
-                       for i in range(count)]
-            return [f.result() for f in futures]
+    _note(f"suite: {count} cases, seed {args.seed}")
     return [_suite_case(args.seed, i, args.precision) for i in range(count)]
 
 
@@ -475,7 +470,6 @@ def build_parser():
     sr = sts.add_parser("run", parents=[common])
     sr.add_argument("--seed", type=int, default=0)
     sr.add_argument("--count", type=int, default=9)
-    sr.add_argument("--parallel", type=int, default=1)
     sr.set_defaults(func=cmd_suite_run)
     return top
 
@@ -484,9 +478,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         records = args.func(args)
-    except InputProblem as exc:
-        _note(f"input error: {exc}")
-        return 2
     except _INPUT_ERRORS as exc:
         _note(f"input error: {exc}")
         return 2

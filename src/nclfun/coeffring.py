@@ -17,11 +17,13 @@ through that product.
 
 from .errors import InvariantViolation, NonUnitConstantTerm
 from .linalg import (
-    RingOps,
     berkowitz_charpoly,
     charpoly_reversal,
     det_from_charpoly,
     left_kernel,
+    mat_identity,
+    mat_mul,
+    mat_pow,
     solve_left,
     split_components,
 )
@@ -257,23 +259,8 @@ class CoeffRing:
                         out[t] += c * row[t]
         return tuple(v % M for v in out)
 
-    def scalar_mul(self, n, a):
-        M = self.modulus
-        n %= M
-        return tuple(n * u % M for u in a)
-
     def is_zero(self, a):
         return not any(a)
-
-    def pow(self, a, e):
-        out, base = self.one, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return out
 
     # --- units and residue components -----------------------------------
 
@@ -348,24 +335,6 @@ class CoeffRing:
             [self._shift_reduce(a) for a in self.unflatten_vec(flat)])
 
 
-class OmegaOps(RingOps):
-    """RingOps view of a CoeffRing, for the generic determinant code."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero = ring.zero
-        self.one = ring.one
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Omega-linear systems, through flattening
 # ---------------------------------------------------------------------------
@@ -388,68 +357,32 @@ def solve_left_omega(ring, A, b):
     return [ring.element(sol[i * D:(i + 1) * D]) for i in range(len(A))]
 
 
-def mat_mul_omega(ring, A, B):
-    rows, inner = len(A), len(B)
-    cols = len(B[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero
-            for t in range(inner):
-                acc = ring.add(acc, ring.mul(A[i][t], B[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec_omega(ring, A, v):
-    """A v for an Omega matrix A and an Omega column vector v."""
-    out = []
-    for row in A:
-        acc = ring.zero
-        for a, b in zip(row, v):
-            acc = ring.add(acc, ring.mul(a, b))
-        out.append(acc)
-    return out
-
-
-def mat_identity_omega(ring, n):
-    return [[ring.one if i == j else ring.zero for j in range(n)]
-            for i in range(n)]
-
-
-def mat_pow_omega(ring, A, e):
-    out = mat_identity_omega(ring, len(A))
-    base = [row[:] for row in A]
-    while e:
-        if e & 1:
-            out = mat_mul_omega(ring, out, base)
-        e >>= 1
-        if e:
-            base = mat_mul_omega(ring, base, base)
-    return out
+# A CoeffRing is itself an ops object of the generic matrix layer in
+# linalg.  These names stay because perfbench/ imports and traces them.
+mat_identity_omega = mat_identity
+mat_mul_omega = mat_mul
+mat_pow_omega = mat_pow
 
 
 def mat_inverse_omega(ring, A):
     """Inverse of a square Omega matrix, or None if not invertible."""
     n = len(A)
-    At = [list(col) for col in zip(*A)] if A else []
+    At = [list(col) for col in zip(*A)]
+    ident = mat_identity(ring, n)
     cols = []
-    for j in range(n):
-        e = [ring.one if i == j else ring.zero for i in range(n)]
+    for e in ident:
         x = solve_left_omega(ring, At, e)     # A x == e_j
         if x is None:
             return None
         cols.append(x)
-    X = [[cols[j][i] for j in range(n)] for i in range(n)]
-    if mat_mul_omega(ring, X, A) != mat_identity_omega(ring, n):
+    X = [list(row) for row in zip(*cols)]
+    if mat_mul(ring, X, A) != ident:
         return None
     return X
 
 
 def omega_det(ring, A):
-    return det_from_charpoly(OmegaOps(ring), berkowitz_charpoly(OmegaOps(ring), A))
+    return det_from_charpoly(ring, berkowitz_charpoly(ring, A))
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +471,6 @@ class Poly:
     def scale(self, c):
         return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
 
-    def shift(self, k):
-        """Multiply by T^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.ring, [self.ring.zero] * k + list(self.coeffs))
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.coeffs == other.coeffs)
@@ -618,8 +545,9 @@ def power(x, e):
         x = x * x
 
 
-class PolyOps(RingOps):
-    """RingOps view of Poly arithmetic, for determinants of T-matrices."""
+class PolyOps:
+    """Ops object of Omega[T], for the generic matrix layer: matrices of
+    Poly and their determinants."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -634,6 +562,9 @@ class PolyOps(RingOps):
 
     def mul(self, a, b):
         return a * b
+
+    def neg(self, a):
+        return -a
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +734,7 @@ def det_one_minus_scaled(ring, A, d):
     Computed from the characteristic polynomial of A by coefficient
     reversal, then spreading coefficient k to degree d*k.
     """
-    rev = charpoly_reversal(berkowitz_charpoly(OmegaOps(ring), A))
+    rev = charpoly_reversal(berkowitz_charpoly(ring, A))
     coeffs = []
     for k, c in enumerate(rev):
         while len(coeffs) < d * k:
@@ -840,17 +771,11 @@ def eq_up_to_unit(a, b, prec=32):
     if a.prec != prec or b.prec != prec:
         raise InvariantViolation("operands shorter than requested precision")
     D, M, ell = ring.deg, ring.modulus, ring.ell
-    n = prec * D
     # unknown u as prec Omega coefficients; u * b == a coefficientwise.
-    # build the flattened system row by row: the (j, t) unknown row is
+    # the flattened system has one row per unknown: the (j, t) row is
     # x^t T^j b truncated, flattened.
-    rows = []
-    shifted = list(b.coeffs)
-    for j in range(prec):
-        cur = [ring.zero] * j + shifted[:prec - j]
-        for _ in range(D):
-            rows.append(ring.flatten_vec(cur))
-            cur = [ring._shift_reduce(c) for c in cur]
+    rows = ring.omega_rows_to_int_rows(
+        [[ring.zero] * j + list(b.coeffs[:prec - j]) for j in range(prec)])
     target = ring.flatten_vec(a.coeffs)
     part = solve_left(rows, target, M)
     if part is None:

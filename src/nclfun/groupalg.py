@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffring import (
-    CoeffRing,
-    OmegaOps,
-    Poly,
-    mat_identity_omega,
-    mat_inverse_omega,
-    mat_mul_omega,
-    omega_det,
-)
+from .coeffring import CoeffRing, Poly, mat_inverse_omega
 from .errors import (
     ConventionOverflow,
     InvalidGroup,
@@ -28,6 +20,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
 )
+from .linalg import mat_identity, mat_mul, mat_pow
 
 __all__ = [
     "GroupData",
@@ -88,12 +81,6 @@ class GroupData:
     def act(self, k, h):
         """alpha^k(h), any integer k."""
         return self._action_pows[k % self.action_order][h]
-
-    def mul_h(self, i, j):
-        return self.table[i][j]
-
-    def inv_h(self, i):
-        return self.inv[i]
 
     def g_mul(self, g1: "GElement", g2: "GElement") -> "GElement":
         return GElement(self.table[g1.h][self.act(g1.a, g2.h)], g1.a + g2.a)
@@ -332,12 +319,12 @@ class Rep:
         for mat in self.h_images + (self.gamma,):
             if len(mat) != r or any(len(row) != r for row in mat):
                 raise InvariantViolation("matrix dimensions disagree with dim")
-        ident = tuple(tuple(row) for row in mat_identity_omega(R, r))
+        ident = tuple(tuple(row) for row in mat_identity(R, r))
         if self.h_images[0] != ident:
             raise InvariantViolation("identity element must map to identity")
         for i in range(gd.order):
             for j in range(gd.order):
-                prod = mat_mul_omega(R, self.h_images[i], self.h_images[j])
+                prod = mat_mul(R, self.h_images[i], self.h_images[j])
                 if tuple(tuple(row) for row in prod) != self.h_images[gd.table[i][j]]:
                     raise InvariantViolation(
                         f"matrices break the table at ({i},{j})")
@@ -345,8 +332,7 @@ class Rep:
             raise InvariantViolation("gamma image is not invertible")
         gi = self.gamma_inv()
         for i in range(gd.order):
-            conj = mat_mul_omega(R, mat_mul_omega(R, self.gamma,
-                                                  list(map(list, self.h_images[i]))), gi)
+            conj = mat_mul(R, mat_mul(R, self.gamma, self.h_images[i]), gi)
             if tuple(tuple(row) for row in conj) != self.h_images[gd.act(1, i)]:
                 raise InvariantViolation(
                     f"gamma conjugation disagrees with the action at {i}")
@@ -363,24 +349,18 @@ class Rep:
     def gamma_pow(self, a):
         if a in self._gamma_pows:
             return self._gamma_pows[a]
-        R = self.ring
-        if a >= 0:
-            out = mat_identity_omega(R, self.dim)
-            for _ in range(a):
-                out = mat_mul_omega(R, out, [list(r) for r in self.gamma])
-        else:
-            gi = self.gamma_inv()
-            if gi is None:
+        base = self.gamma
+        if a < 0:
+            base = self.gamma_inv()
+            if base is None:
                 raise InvariantViolation("gamma image is not invertible")
-            out = mat_identity_omega(R, self.dim)
-            for _ in range(-a):
-                out = mat_mul_omega(R, out, gi)
+        out = mat_pow(self.ring, base, abs(a))
         self._gamma_pows[a] = out
         return out
 
     def of(self, g: GElement):
         """Matrix of the group element h * gamma^a."""
-        return mat_mul_omega(self.ring, self.h_mat(g.h), self.gamma_pow(g.a))
+        return mat_mul(self.ring, self.h_mat(g.h), self.gamma_pow(g.a))
 
     def character(self, g: GElement):
         mat = self.of(g)
@@ -626,7 +606,7 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
             if u.h not in amb_to_loc:
                 raise InvariantViolation("little element escaped the subgroup")
             lu = amb_to_loc[u.h]
-            block = mat_mul_omega(R, rho_sub.h_mat(lu), rho_sub.gamma_pow(k))
+            block = mat_mul(R, rho_sub.h_mat(lu), rho_sub.gamma_pow(k))
             for rr in range(w):
                 for ss in range(w):
                     out[j * w + rr][i * w + ss] = block[rr][ss]

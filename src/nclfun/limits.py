@@ -9,20 +9,17 @@ instead of leaking through as a wrong boolean.
 
 from collections import namedtuple
 
-from .coeffring import (
-    Poly,
-    is_in_P,
-    mat_identity_omega,
-    mat_mul_omega,
-    mat_pow_omega,
-    mat_vec_omega,
-    poly_det,
-)
+from .coeffring import Poly, is_in_P, poly_det
 from .errors import InvariantViolation, PrecisionMismatch
 from .linalg import (
+    berkowitz_charpoly,
     howell_form,
     in_span,
     left_kernel,
+    mat_identity,
+    mat_mul,
+    mat_pow,
+    mat_vec,
     reduce_vector,
     span_size,
 )
@@ -70,13 +67,13 @@ class GammaModule:
 
     def _check(self):
         R = self.ring
-        ident = mat_identity_omega(R, self.rank)
+        ident = mat_identity(R, self.rank)
         flat = R.omega_rows_to_int_rows(self.relations)
         width = self.rank * R.deg
         basis = howell_form(flat, width, R.modulus)
         # gamma_inv only needs to invert gamma on the quotient, so the
         # defect columns of the product must land in the relation span
-        prod = mat_mul_omega(R, self.gamma, self.gamma_inv)
+        prod = mat_mul(R, self.gamma, self.gamma_inv)
         for j in range(self.rank):
             col = [R.sub(prod[i][j], ident[i][j]) for i in range(self.rank)]
             if not in_span(R.flatten_vec(col), basis, R.modulus):
@@ -89,10 +86,10 @@ class GammaModule:
                     "gamma does not preserve the relation module")
 
     def act(self, v):
-        return mat_vec_omega(self.ring, self.gamma, v)
+        return mat_vec(self.ring, self.gamma, v)
 
     def act_inv(self, v):
-        return mat_vec_omega(self.ring, self.gamma_inv, v)
+        return mat_vec(self.ring, self.gamma_inv, v)
 
     def size(self):
         """Number of elements of the quotient."""
@@ -133,7 +130,7 @@ def coker_tower(ring, Phi, n_max=48):
     image equals that limit value."""
     s = len(Phi)
     ell = ring.ell
-    ident = mat_identity_omega(ring, s)
+    ident = mat_identity(ring, s)
     powers = []
     seen = {}
     P = [list(r) for r in Phi]
@@ -147,7 +144,7 @@ def coker_tower(ring, Phi, n_max=48):
             break
         seen[key] = n
         powers.append(key)
-        P = mat_pow_omega(ring, P, ell)
+        P = mat_pow(ring, P, ell)
         n += 1
     if repeat_at is None:
         raise InvariantViolation(
@@ -194,9 +191,7 @@ def limit_module(ring, Phi, tower=None):
     rows = tower.layers[n0].image_rows
     s = len(Phi)
     relations = [ring.unflatten_vec(list(r)) for r in rows]
-    e = ring.ell ** n0 - 1
-    gamma_inv = (mat_identity_omega(ring, s) if e == 0
-                 else mat_pow_omega(ring, Phi, e))
+    gamma_inv = mat_pow(ring, Phi, ring.ell ** n0 - 1)
     return GammaModule(ring, s, relations, Phi, gamma_inv)
 
 
@@ -224,7 +219,7 @@ def _kernel_rows(ring, A):
         basis = [0] * width
         basis[u] = 1
         v = ring.unflatten_vec(basis)
-        mat.append(ring.flatten_vec(mat_vec_omega(ring, A, v)))
+        mat.append(ring.flatten_vec(mat_vec(ring, A, v)))
     ker = left_kernel(mat, M)
     return howell_form([list(r) for r in ker], width, M)
 
@@ -241,13 +236,13 @@ def kernel_chain_report(ring, Phi, tower=None):
         tower = coker_tower(ring, Phi)
     s = len(Phi)
     ell = ring.ell
-    ident = mat_identity_omega(ring, s)
+    ident = mat_identity(ring, s)
     n_top = tower.stable_from + ring.m + 1
     P = [list(r) for r in Phi]
     pows = []
     for n in range(n_top + 1):
         pows.append(P)
-        P = mat_pow_omega(ring, P, ell)
+        P = mat_pow(ring, P, ell)
     layers = []
     kernels = []
     for n in range(n_top + 1):
@@ -259,15 +254,15 @@ def kernel_chain_report(ring, Phi, tower=None):
     # transitions: trace from level n+1 to level n
     traces = []
     for n in range(n_top):
-        V = mat_identity_omega(ring, s)
-        acc = mat_identity_omega(ring, s)
+        V = mat_identity(ring, s)
+        acc = mat_identity(ring, s)
         for _ in range(ell - 1):
-            acc = mat_mul_omega(ring, acc, pows[n])
+            acc = mat_mul(ring, acc, pows[n])
             V = [[ring.add(V[i][j], acc[i][j]) for j in range(s)]
                  for i in range(s)]
         traces.append(V)
         for r in kernels[n + 1]:
-            img = mat_vec_omega(ring, V, ring.unflatten_vec(list(r)))
+            img = mat_vec(ring, V, ring.unflatten_vec(list(r)))
             if not in_span(ring.flatten_vec(img), kernels[n], ring.modulus):
                 raise InvariantViolation(
                     "trace transition leaves the kernel chain")
@@ -284,16 +279,16 @@ def kernel_chain_report(ring, Phi, tower=None):
         for r in kernels[stable_from]:
             v = ring.unflatten_vec(list(r))
             want = [ring.mul(ell_c, a) for a in v]
-            if mat_vec_omega(ring, V, v) != want:
+            if mat_vec(ring, V, v) != want:
                 mult_ok = False
     # composite of m consecutive stabilized transitions, applied to the
     # stable kernel, must vanish identically
-    comp = mat_identity_omega(ring, s)
+    comp = mat_identity(ring, s)
     for n in range(stable_from, min(stable_from + ring.m, n_top)):
-        comp = mat_mul_omega(ring, traces[n], comp)
+        comp = mat_mul(ring, traces[n], comp)
     vanished = True
     for r in kernels[stable_from]:
-        img = mat_vec_omega(ring, comp, ring.unflatten_vec(list(r)))
+        img = mat_vec(ring, comp, ring.unflatten_vec(list(r)))
         if not all(map(ring.is_zero, img)):
             vanished = False
     return KernelChainReport(ell, s, layers, stable_from, mult_ok, vanished)
@@ -320,15 +315,12 @@ def ideal_canonical_form(ring, gens, prec):
     D = ring.deg
     width = prec * D
     M = ring.modulus
-    xpows = [ring.pow(ring.gen(), u) for u in range(D)]
     rows = []
-    for g in gens:
-        for xu in xpows:
-            p = g.scale(xu)
-            flat = ring.flatten_vec([p.coeff(k) for k in range(prec)])
-            lead = next((k for k, v in enumerate(flat) if v), width)
-            for j in range(prec - lead // D):
-                rows.append([0] * (j * D) + flat[:width - j * D])
+    for flat in ring.omega_rows_to_int_rows(
+            [[g.coeff(k) for k in range(prec)] for g in gens]):
+        lead = next((k for k, v in enumerate(flat) if v), width)
+        for j in range(prec - lead // D):
+            rows.append([0] * (j * D) + flat[:width - j * D])
     basis = howell_form(rows, width, M)
     for r in basis:
         for cand in ([0] * D + r[:-D], ring.x_shift_int_row(r)):
@@ -457,9 +449,7 @@ def fitting_ideal(module):
 def char_element(ring, Phi):
     """det((1+Y) I - Phi), the characteristic polynomial of the gamma
     matrix evaluated at 1 + Y."""
-    from .coeffring import OmegaOps
-    from .linalg import berkowitz_charpoly
-    cp = berkowitz_charpoly(OmegaOps(ring), Phi)
+    cp = berkowitz_charpoly(ring, Phi)
     one_plus_y = Poly(ring, [ring.one, ring.one])
     acc = Poly.one(ring)
     out = Poly.zero(ring)

@@ -7,9 +7,12 @@ submodule of (Z/M)^n if and only if their Howell forms are identical
 lists.  That is what makes span equality, membership, kernels and
 solving decidable here without any fraction-field tricks.
 
-Also hosts the Berkowitz characteristic polynomial, which is division
-free and therefore runs unchanged over any commutative coefficient ring
-supplied through a small ops object.
+Also hosts dense matrix arithmetic (identity, mat-vec, product, power)
+and the Berkowitz characteristic polynomial, written once for any
+commutative ring supplied through an ops object: `zero`, `one` and
+`add`, `sub`, `mul`, `neg`.  A CoeffRing is such an object, so Omega
+matrices pass the ring itself; coeffring.PolyOps is the one for
+Omega[T].  Berkowitz is division free, so it runs unchanged over both.
 """
 
 from __future__ import annotations
@@ -26,12 +29,9 @@ __all__ = [
     "left_kernel",
     "solve_left",
     "mat_identity",
-    "mat_transpose",
+    "mat_vec",
     "mat_mul",
     "mat_pow",
-    "mat_inverse",
-    "RingOps",
-    "IntModOps",
     "berkowitz_charpoly",
     "det_from_charpoly",
     "charpoly_reversal",
@@ -195,112 +195,58 @@ def solve_left(A: list[list[int]], b: list[int], M: int) -> list[int] | None:
            for i in range(r)]
     H = howell_form(aug, n + r, M)
     main = [row for row in H if any(row[:n])]
-    v = [x % M for x in b] + [0] * r
-    for row in main:
-        c = next(j for j, val in enumerate(row[:n]) if val)
-        if v[c]:
-            q = v[c] // row[c]
-            if q:
-                v = [(u - q * w) % M for u, w in zip(v, row)]
+    v = reduce_vector(list(b) + [0] * r, main, M)
     if any(v[:n]):
         return None
     return [(-t) % M for t in v[n:]]
 
 
 # ---------------------------------------------------------------------------
-# Plain matrix arithmetic over Z/M
+# Dense matrices over a commutative ring given by an ops object
 # ---------------------------------------------------------------------------
 
-def mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def mat_identity(ops, n: int) -> list[list]:
+    return [[ops.one if i == j else ops.zero for j in range(n)]
+            for i in range(n)]
 
 
-def mat_transpose(A: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*A)] if A else []
-
-
-def mat_mul(A, B, M):
-    n, k = len(A), len(B)
-    cols = len(B[0]) if k else 0
-    Bt = mat_transpose(B)
-    return [[sum(ra[t] * ct[t] for t in range(k)) % M for ct in Bt]
-            for ra in A]
-
-
-def mat_pow(A, e: int, M: int):
-    n = len(A)
-    out = mat_identity(n)
-    base = [row[:] for row in A]
-    while e:
-        if e & 1:
-            out = mat_mul(out, base, M)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base, M)
+def mat_vec(ops, A, v) -> list:
+    """A v for a matrix A and a column vector v."""
+    add, mul = ops.add, ops.mul
+    out = []
+    for row in A:
+        acc = ops.zero
+        for a, b in zip(row, v):
+            acc = add(acc, mul(a, b))
+        out.append(acc)
     return out
 
 
-def mat_inverse(A: list[list[int]], M: int) -> list[list[int]] | None:
-    """Two-sided inverse of a square matrix over Z/M, or None."""
-    n = len(A)
-    At = mat_transpose(A)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_left(At, e, M)   # A * x == e_j
-        if x is None:
-            return None
-        cols.append(x)
-    X = mat_transpose(cols)
-    if mat_mul(X, A, M) != mat_identity(n):
-        return None
-    return X
+def mat_mul(ops, A, B) -> list[list]:
+    """The product A B.  Row i is computed as B^t times row i of A,
+    which multiplies each pair of entries in the other order; the ring
+    is commutative, so the result is the same."""
+    cols = list(zip(*B))
+    return [mat_vec(ops, cols, row) for row in A]
+
+
+def mat_pow(ops, A, e: int) -> list[list]:
+    """A^e for e >= 0, by repeated squaring."""
+    out = mat_identity(ops, len(A))
+    while e:
+        if e & 1:
+            out = mat_mul(ops, out, A)
+        e >>= 1
+        if e:
+            A = mat_mul(ops, A, A)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Berkowitz characteristic polynomial, generic over a commutative ring
 # ---------------------------------------------------------------------------
 
-class RingOps:
-    """Minimal commutative-ring interface used by the generic routines.
-
-    Subclasses provide `zero`, `one`, and the three binary maps.  All
-    routines below use only these, so they stay division free.
-    """
-
-    zero = None
-    one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        return self.sub(self.zero, a)
-
-
-class IntModOps(RingOps):
-    def __init__(self, M: int):
-        self.M = M
-        self.zero = 0
-        self.one = 1 % M
-
-    def add(self, a, b):
-        return (a + b) % self.M
-
-    def sub(self, a, b):
-        return (a - b) % self.M
-
-    def mul(self, a, b):
-        return (a * b) % self.M
-
-
-def berkowitz_charpoly(ops: RingOps, mat) -> list:
+def berkowitz_charpoly(ops, mat) -> list:
     """Coefficients of det(lambda*I - A), ascending in lambda.
 
     Division free (Samuelson / Berkowitz recursion), so valid over any
@@ -323,11 +269,8 @@ def berkowitz_charpoly(ops: RingOps, mat) -> list:
         col = [ops.one, ops.neg(a)]
         w = C
         for _ in range(s):
-            dot = ops.zero
-            for rr, ww in zip(R, w):
-                dot = ops.add(dot, ops.mul(rr, ww))
-            col.append(ops.neg(dot))
-            w = [_generic_dot(ops, row, w) for row in A1]
+            col.append(ops.neg(mat_vec(ops, [R], w)[0]))
+            w = mat_vec(ops, A1, w)
         new = []
         for i in range(s + 2):
             acc = ops.zero
@@ -340,14 +283,7 @@ def berkowitz_charpoly(ops: RingOps, mat) -> list:
     return vec
 
 
-def _generic_dot(ops, row, v):
-    acc = ops.zero
-    for a, b in zip(row, v):
-        acc = ops.add(acc, ops.mul(a, b))
-    return acc
-
-
-def det_from_charpoly(ops: RingOps, cp: list):
+def det_from_charpoly(ops, cp: list):
     """det(A) from the ascending charpoly of A: (-1)^n * constant term."""
     n = len(cp) - 1
     return cp[0] if n % 2 == 0 else ops.neg(cp[0])

@@ -33,6 +33,7 @@ from .groupalg import (
     theta_rho,
 )
 from .lfun import compare_series, euler_product, series_spread
+from .linalg import mat_identity
 
 __all__ = [
     "K1Class",
@@ -292,8 +293,7 @@ def ncl_push_quotient(cov, sheaf, members):
     are returned alongside so callers can rebuild independently."""
     rep = sheaf.rep
     ring = rep.ring
-    ident = [[ring.one if i == j else ring.zero for j in range(rep.dim)]
-             for i in range(rep.dim)]
+    ident = mat_identity(ring, rep.dim)
     for k in sorted(set(members)):
         if [list(r) for r in rep.h_mat(k)] != ident:
             raise InvariantViolation(

@@ -13,6 +13,7 @@ from collections import namedtuple
 from .coeffring import CoeffRing, Poly, is_in_S, poly_det
 from .covering import CoveringSpec, Point, SheafSpec
 from .groupalg import GroupData, Rep
+from .linalg import mat_identity
 
 __all__ = [
     "CatalogEntry",
@@ -166,8 +167,7 @@ def _scalar_rep(rng, ring, group, rank):
         gamma = _int_mat(ring, rng.choice(_COMPANIONS_2))
     else:
         gamma = _int_mat(ring, _CYCLE_3)
-    ident = [[ring.one if i == j else ring.zero for j in range(rank)]
-             for i in range(rank)]
+    ident = mat_identity(ring, rank)
     return Rep(ring, group, rank, [ident] * group.order, gamma)
 
 

@@ -8,8 +8,9 @@ cyclic block matrices to their small companions by explicit row and
 column operations.
 """
 
-from .coeffring import Poly, is_in_S, poly_det, render_poly_terms
+from .coeffring import Poly, PolyOps, is_in_S, poly_det, render_poly_terms
 from .errors import InvariantViolation, NotSQuasiIso
+from .linalg import mat_identity, mat_mul
 from .limits import (
     IdealClass,
     fitting_ideal,
@@ -64,18 +65,7 @@ def d_connecting(ring, alpha):
 
 
 def poly_mat_mul(ring, A, B):
-    n = len(A)
-    k = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(k):
-            acc = Poly.zero(ring)
-            for t in range(len(B)):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return mat_mul(PolyOps(ring), A, B)
 
 
 def verify_d_multiplicative(ring, alpha, beta, prec):
@@ -139,7 +129,6 @@ def verify_d_fitting_consistency(ring, Phi, prec):
     must reproduce."""
     s = len(Phi)
     one = Poly.one(ring)
-    zero = Poly.zero(ring)
     mat = []
     for i in range(s):
         row = []
@@ -174,14 +163,14 @@ def block_reduction_check(ring, A, b):
     n = _check_poly_matrix(ring, A)
     if b < 1:
         raise InvariantViolation("block count must be positive")
-    one = Poly.one(ring)
-    zero = Poly.zero(ring)
+    ops = PolyOps(ring)
+    one, zero = ops.one, ops.zero
 
     def blk_zero():
         return [[zero] * n for _ in range(n)]
 
     def blk_ident():
-        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+        return mat_identity(ops, n)
 
     E = [[blk_zero() for _ in range(b)] for _ in range(b)]
     for i in range(b):

@@ -1,8 +1,9 @@
 import itertools
 import random
 
+from nclfun.coeffring import CoeffRing, Poly, PolyOps, mat_inverse_omega
+from nclfun.groupalg import GroupData, Rep
 from nclfun.linalg import (
-    IntModOps,
     berkowitz_charpoly,
     charpoly_reversal,
     det_from_charpoly,
@@ -10,10 +11,9 @@ from nclfun.linalg import (
     in_span,
     left_kernel,
     mat_identity,
-    mat_inverse,
     mat_mul,
     mat_pow,
-    mat_transpose,
+    mat_vec,
     solve_left,
     span_size,
     split_components,
@@ -21,6 +21,14 @@ from nclfun.linalg import (
 )
 
 MODULI = [5, 8, 9, 27, 125]
+
+Z9 = CoeffRing(3, 2)
+Z27 = CoeffRing(3, 3)
+GAUSS9 = CoeffRing(3, 2, [1, 0, 1])          # x^2 + 1, irreducible mod 3
+SPLIT5 = CoeffRing(5, 1, [4, 0, 1])          # x^2 + 4 = (x - 1)(x + 1) mod 5
+# Z/M for every modulus above, then the two degree-2 rings
+RINGS = [CoeffRing(2, 3), CoeffRing(5, 1), Z9, Z27, CoeffRing(5, 3),
+         GAUSS9, SPLIT5]
 
 
 def _rand_rows(rng, r, n, M):
@@ -154,114 +162,178 @@ def test_solve_left_roundtrip_and_failure():
     assert solve_left(A, [1, 0], M) is None
 
 
+def _rand_elem(rng, ring):
+    return ring.element([rng.randrange(ring.modulus) for _ in range(ring.deg)])
+
+
+def _rand_mat(rng, ring, n):
+    return [[_rand_elem(rng, ring) for _ in range(n)] for _ in range(n)]
+
+
+def _rand_unit(rng, ring):
+    while True:
+        a = _rand_elem(rng, ring)
+        if ring.is_unit(a):
+            return a
+
+
+def _rand_invertible(rng, ring, n):
+    # unit diagonal lower triangular times upper triangular with a unit
+    # diagonal: invertible by construction
+    L = [[_rand_elem(rng, ring) if i > j else (ring.one if i == j else ring.zero)
+          for j in range(n)] for i in range(n)]
+    U = [[_rand_elem(rng, ring) if i < j else
+          (_rand_unit(rng, ring) if i == j else ring.zero)
+          for j in range(n)] for i in range(n)]
+    return mat_mul(ring, L, U)
+
+
 def test_mat_inverse():
     rng = random.Random(61)
-    M = 27
-    for _ in range(20):
-        n = rng.randrange(1, 4)
-        # invertible by construction: unit diagonal triangular product
-        L = [[rng.randrange(M) if i > j else (1 if i == j else 0)
-              for j in range(n)] for i in range(n)]
-        U = [[rng.randrange(M) if i < j else
-              (rng.choice([1, 2, 4, 5]) if i == j else 0)
-              for j in range(n)] for i in range(n)]
-        A = mat_mul(L, U, M)
-        X = mat_inverse(A, M)
-        assert X is not None
-        assert mat_mul(A, X, M) == mat_identity(n)
-        assert mat_mul(X, A, M) == mat_identity(n)
-    assert mat_inverse([[3]], 9) is None
+    for ring in (Z27, GAUSS9, SPLIT5):
+        for _ in range(20):
+            n = rng.randrange(1, 4)
+            A = _rand_invertible(rng, ring, n)
+            X = mat_inverse_omega(ring, A)
+            assert X is not None
+            assert mat_mul(ring, A, X) == mat_identity(ring, n)
+            assert mat_mul(ring, X, A) == mat_identity(ring, n)
+    assert mat_inverse_omega(Z9, [[(3,)]]) is None
+    assert mat_inverse_omega(GAUSS9, [[(3, 0)]]) is None
+    assert mat_inverse_omega(SPLIT5, [[(4, 1)]]) is None     # x - 1
 
 
-def _cofactor_det(A, M):
+def _cofactor_det(ring, A):
     n = len(A)
     if n == 0:
-        return 1 % M
+        return ring.one
     if n == 1:
-        return A[0][0] % M
-    total = 0
+        return A[0][0]
+    total = ring.zero
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in A[1:]]
-        term = A[0][j] * _cofactor_det(minor, M)
-        total = (total - term if j % 2 else total + term) % M
+        term = ring.mul(A[0][j], _cofactor_det(ring, minor))
+        total = ring.sub(total, term) if j % 2 else ring.add(total, term)
     return total
 
 
-def _polymul(p, q, M):
-    out = [0] * (len(p) + len(q) - 1)
+def _polymul(ring, p, q):
+    out = [ring.zero] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
-            out[i + j] = (out[i + j] + a * b) % M
+            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
     return out
 
 
 def test_berkowitz_det_matches_cofactor():
     rng = random.Random(71)
-    for M in MODULI:
-        ops = IntModOps(M)
+    for ring in RINGS:
         for n in range(4):
             for _ in range(12):
-                A = _rand_rows(rng, n, n, M) if n else []
-                cp = berkowitz_charpoly(ops, A)
+                A = _rand_mat(rng, ring, n)
+                cp = berkowitz_charpoly(ring, A)
                 assert len(cp) == n + 1
-                assert cp[-1] == 1 % M
-                assert det_from_charpoly(ops, cp) == _cofactor_det(A, M)
+                assert cp[-1] == ring.one
+                assert det_from_charpoly(ring, cp) == _cofactor_det(ring, A)
 
 
 def test_berkowitz_on_diagonal_and_companion():
-    M = 27
-    ops = IntModOps(M)
     rng = random.Random(73)
-    for _ in range(10):
-        d = [rng.randrange(M) for _ in range(4)]
-        A = [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
-        expect = [1]
-        for di in d:
-            expect = _polymul(expect, [(-di) % M, 1], M)
-        assert berkowitz_charpoly(ops, A) == expect
-    # companion matrix of x^3 + 2x + 5
-    p = [5, 2, 0, 1]
-    C = [[0, 0, (-p[0]) % M],
-         [1, 0, (-p[1]) % M],
-         [0, 1, (-p[2]) % M]]
-    assert berkowitz_charpoly(ops, C) == p
+    for ring in (Z27, GAUSS9, SPLIT5):
+        zero = ring.zero
+        for _ in range(10):
+            d = [_rand_elem(rng, ring) for _ in range(4)]
+            A = [[d[i] if i == j else zero for j in range(4)]
+                 for i in range(4)]
+            expect = [ring.one]
+            for di in d:
+                expect = _polymul(ring, expect, [ring.neg(di), ring.one])
+            assert berkowitz_charpoly(ring, A) == expect
+        # companion matrix of a random monic cubic
+        p = [_rand_elem(rng, ring) for _ in range(3)] + [ring.one]
+        C = [[zero, zero, ring.neg(p[0])],
+             [ring.one, zero, ring.neg(p[1])],
+             [zero, ring.one, ring.neg(p[2])]]
+        assert berkowitz_charpoly(ring, C) == p
 
 
 def test_charpoly_reversal_evaluates_correctly():
     rng = random.Random(79)
-    M = 125
-    ops = IntModOps(M)
-    for _ in range(15):
-        n = rng.randrange(1, 4)
-        A = _rand_rows(rng, n, n, M)
-        rev = charpoly_reversal(berkowitz_charpoly(ops, A))
-        assert rev[0] == 1
-        for y in [0, 1, rng.randrange(M)]:
-            lhs = sum(c * pow(y, k, M) for k, c in enumerate(rev)) % M
-            B = [[(int(i == j) - y * A[i][j]) % M for j in range(n)]
-                 for i in range(n)]
-            assert lhs == _cofactor_det(B, M)
+    for ring in (CoeffRing(5, 3), GAUSS9, SPLIT5):
+        for _ in range(15):
+            n = rng.randrange(1, 4)
+            A = _rand_mat(rng, ring, n)
+            rev = charpoly_reversal(berkowitz_charpoly(ring, A))
+            assert rev[0] == ring.one
+            for y in [ring.zero, ring.one, _rand_elem(rng, ring)]:
+                lhs, yk = ring.zero, ring.one
+                for c in rev:
+                    lhs = ring.add(lhs, ring.mul(c, yk))
+                    yk = ring.mul(yk, y)
+                B = [[ring.sub(ring.one if i == j else ring.zero,
+                               ring.mul(y, A[i][j])) for j in range(n)]
+                     for i in range(n)]
+                assert lhs == _cofactor_det(ring, B)
 
 
 def test_split_components_recovers_blocks():
-    M = 9
     # indices 0 and 2 hold one block, index 1 the other
-    A = [[0] * 3 for _ in range(3)]
-    A[0][0], A[0][2], A[2][0], A[2][2] = 2, 1, 0, 4
-    A[1][1] = 5
-    comps = split_components(3, lambda i, j: A[i][j] != 0)
+    A = [[Z9.zero] * 3 for _ in range(3)]
+    A[0][0], A[0][2], A[2][0], A[2][2] = (Z9.int_embed(c) for c in (2, 1, 0, 4))
+    A[1][1] = Z9.int_embed(5)
+    comps = split_components(3, lambda i, j: not Z9.is_zero(A[i][j]))
     assert comps == [[0, 2], [1]]
-    det_whole = _cofactor_det(A, M)
-    det_split = 1
+    det_whole = _cofactor_det(Z9, A)
+    det_split = Z9.one
     for comp in comps:
         sub = [[A[i][j] for j in comp] for i in comp]
-        det_split = det_split * _cofactor_det(sub, M) % M
+        det_split = Z9.mul(det_split, _cofactor_det(Z9, sub))
     assert det_whole == det_split
 
 
+def _transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
 def test_mat_pow_and_transpose():
-    M = 9
-    A = [[1, 2], [0, 1]]
-    assert mat_pow(A, 0, M) == mat_identity(2)
-    assert mat_pow(A, 3, M) == [[1, 6], [0, 1]]
-    assert mat_transpose(A) == [[1, 0], [2, 1]]
+    A = [[Z9.int_embed(c) for c in row] for row in ([1, 2], [0, 1])]
+    assert mat_pow(Z9, A, 0) == mat_identity(Z9, 2)
+    assert mat_pow(Z9, A, 3) == [[(1,), (6,)], [(0,), (1,)]]
+    # (A B)^t == B^t A^t over a commutative ring, also for non-square
+    # factors and for a factor with no columns
+    rng = random.Random(83)
+    for ring in (Z9, GAUSS9, SPLIT5):
+        A = [[_rand_elem(rng, ring) for _ in range(3)] for _ in range(2)]
+        B = [[_rand_elem(rng, ring) for _ in range(4)] for _ in range(3)]
+        AB = mat_mul(ring, A, B)
+        assert [len(r) for r in AB] == [4, 4]
+        assert _transpose(AB) == mat_mul(ring, _transpose(B), _transpose(A))
+        assert mat_vec(ring, A, [row[0] for row in B]) == [r[0] for r in AB]
+        assert mat_mul(ring, A, [[] for _ in range(3)]) == [[], []]
+
+
+def _poly_mat(rng, n):
+    return [[Poly.from_ints(Z9, [rng.randrange(9) for _ in range(2)])
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_mat_pow_equals_repeated_product():
+    rng = random.Random(89)
+    cases = [(ring, _rand_mat(rng, ring, 3)) for ring in (Z9, GAUSS9, SPLIT5)]
+    cases.append((PolyOps(Z9), _poly_mat(rng, 2)))
+    for ops, A in cases:
+        acc = mat_identity(ops, len(A))
+        for e in range(10):
+            assert mat_pow(ops, A, e) == acc
+            acc = mat_mul(ops, acc, A)
+    # Rep.gamma_pow is the same power, of gamma_inv() for negative a
+    trivial = GroupData(1, [[0]], [0], 1)
+    for ring in (Z9, GAUSS9, SPLIT5):
+        gamma = _rand_invertible(rng, ring, 3)
+        rho = Rep(ring, trivial, 3, [mat_identity(ring, 3)], gamma)
+        for a in range(-4, 7):
+            factor = gamma if a >= 0 else rho.gamma_inv()
+            want = mat_identity(ring, 3)
+            for _ in range(abs(a)):
+                want = mat_mul(ring, want, factor)
+            assert rho.gamma_pow(a) == want
