@@ -8,6 +8,7 @@ instead of leaking through as a wrong boolean.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .coeffring import Poly, is_in_P, poly_det
 from .errors import InvariantViolation, PrecisionMismatch
@@ -20,6 +21,7 @@ from .linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
+    pivot_columns,
     reduce_vector,
     span_size,
 )
@@ -322,9 +324,10 @@ def ideal_canonical_form(ring, gens, prec):
         for j in range(prec - lead // D):
             rows.append([0] * (j * D) + flat[:width - j * D])
     basis = howell_form(rows, width, M)
+    pivots = pivot_columns(basis)
     for r in basis:
         for cand in ([0] * D + r[:-D], ring.x_shift_int_row(r)):
-            if any(reduce_vector(cand, basis, M)):
+            if any(reduce_vector(cand, basis, M, pivots=pivots)):
                 raise InvariantViolation(
                     "ideal basis is not closed under T and x")
     return basis
@@ -390,13 +393,36 @@ def ideal_classes_equal(a, b, prec, guard=8):
 # Fitting ideal and the characteristic element
 # ---------------------------------------------------------------------------
 
-def _poly_entry(ring, c):
-    return Poly(ring, [c])
-
-
 def ngens(k):
     """Render a generator count for report strings."""
     return "1 generator" if k == 1 else f"{k} generators"
+
+
+def _presentation(module):
+    """Rows of the presentation over Omega[Y]: the stored relations,
+    then Y e_j - (gamma - 1) e_j for each generator j."""
+    R = module.ring
+    s = module.rank
+    rows = [[Poly(R, [c]) for c in rel] for rel in module.relations]
+    Y = Poly(R, [R.zero, R.one])
+    for j in range(s):
+        row = []
+        for i in range(s):
+            gm1 = R.sub(module.gamma[i][j], R.one if i == j else R.zero)
+            p = Poly(R, [R.neg(gm1)])
+            row.append(p + Y if i == j else p)
+        rows.append(row)
+    return rows
+
+
+def _unit_pivot(ring, rows):
+    """(row, column) of the first constant entry, in row-major order,
+    whose coefficient is a unit of Omega; None if there is none."""
+    for k, row in enumerate(rows):
+        for c, p in enumerate(row):
+            if p.degree == 0 and ring.is_unit(p.coeffs[0]):
+                return k, c
+    return None
 
 
 def fitting_ideal(module):
@@ -410,30 +436,41 @@ def fitting_ideal(module):
     unit ideal.
 
     The presentation stacks the stored Omega-relations on top of the
-    rows Y e_j - (gamma - 1) e_j; generators are all maximal minors of
-    the stack, taken in lexicographic row-subset order, deduplicated,
-    and sorted for a deterministic result."""
+    rows Y e_j - (gamma - 1) e_j.  It is reduced first: while some
+    entry is a constant unit u of Omega (the first in row-major order),
+    every other row r has r[c] u^-1 times the pivot row subtracted, so
+    column c is zero outside the pivot row; then the pivot row and
+    column go, and so do rows that became zero.  Row operations over
+    Omega[Y] and dropping a generator that one relation solves for
+    keep the Fitting ideal exactly, and the only division is by a
+    unit.  Generators are the maximal minors of what remains, taken in
+    lexicographic row-subset order, deduplicated, and sorted for a
+    deterministic result: (1) when no column remains, (0) when fewer
+    rows than columns do."""
     R = module.ring
-    s = module.rank
-    rows = []
-    for rel in module.relations:
-        rows.append([_poly_entry(R, c) for c in rel])
-    Y = Poly(R, [R.zero, R.one])
-    for j in range(s):
-        row = []
-        for i in range(s):
-            gm1 = R.sub(module.gamma[i][j], R.one if i == j else R.zero)
-            p = _poly_entry(R, R.neg(gm1))
-            if i == j:
-                p = p + Y
-            row.append(p)
-        rows.append(row)
-    from itertools import combinations
+    rows = _presentation(module)
+    ncols = module.rank
+    while True:
+        pivot = _unit_pivot(R, rows)
+        if pivot is None:
+            break
+        k, c = pivot
+        prow = rows.pop(k)
+        u_inv = R.inv(prow[c].coeffs[0])
+        reduced = []
+        for row in rows:
+            if not row[c].is_zero():
+                mult = row[c].scale(u_inv)
+                row = [a - mult * b for a, b in zip(row, prow)]
+            row = row[:c] + row[c + 1:]
+            if not all(p.is_zero() for p in row):
+                reduced.append(row)
+        rows = reduced
+        ncols -= 1
     gens = []
     seen = set()
-    for subset in combinations(range(len(rows)), s):
-        sub = [rows[k] for k in subset]
-        d = poly_det(sub, R)
+    for subset in combinations(range(len(rows)), ncols):
+        d = poly_det([rows[k] for k in subset], R)
         if d.is_zero():
             continue
         key = d.coeffs

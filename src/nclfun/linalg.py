@@ -24,6 +24,7 @@ __all__ = [
     "unit_lifting_gcd",
     "howell_form",
     "span_size",
+    "pivot_columns",
     "reduce_vector",
     "in_span",
     "left_kernel",
@@ -91,6 +92,8 @@ def howell_form(rows: list[list[int]], ncols: int, M: int) -> list[list[int]]:
             raise ValueError(f"row length {len(rr)} != ncols {ncols}")
         if any(rr):
             work.append(rr)
+    # every row in work is zero before column c, and so is each basis
+    # row before its pivot, so row operations only touch columns c on
     basis: list[list[int]] = []
     for c in range(ncols):
         pivot = None
@@ -104,35 +107,36 @@ def howell_form(rows: list[list[int]], ncols: int, M: int) -> list[list[int]]:
                     g, xx, yy = xgcd(a_, b_)
                     # the 2x2 transform [[xx, yy], [-b/g, a/g]] has det 1,
                     # so the span of the pair is preserved exactly
-                    new_p = [(xx * u + yy * v) % M for u, v in zip(pivot, r)]
+                    tail = list(zip(pivot[c:], r[c:]))
                     new_r = [((a_ // g) * v - (b_ // g) * u) % M
-                             for u, v in zip(pivot, r)]
-                    pivot = new_p
+                             for u, v in tail]
+                    pivot = r[:c] + [(xx * u + yy * v) % M for u, v in tail]
                     if any(new_r):
-                        rest.append(new_r)
+                        rest.append(r[:c] + new_r)
             else:
                 rest.append(r)
         work = rest
         if pivot is not None:
             u = unit_lifting_gcd(pivot[c], M)
             if u != 1:
-                pivot = [(u * v) % M for v in pivot]
+                pivot[c:] = [(u * v) % M for v in pivot[c:]]
             basis.append(pivot)
             ann = M // gcd(pivot[c], M)
             if ann > 1:
-                ann_row = [(ann * v) % M for v in pivot]
+                ann_row = [(ann * v) % M for v in pivot[c:]]
                 if any(ann_row):
-                    work.append(ann_row)
+                    work.append(pivot[:c] + ann_row)
     # normalise entries above each pivot; ascending order is required,
     # since reducing at a pivot only touches columns at or past it
-    for i in range(len(basis)):
+    for i, c in enumerate(pivot_columns(basis)):
         row = basis[i]
-        c = next(j for j, v in enumerate(row) if v)
         p = row[c]
         for k in range(i):
-            q = basis[k][c] // p
+            above = basis[k]
+            q = above[c] // p
             if q:
-                basis[k] = [(u - q * v) % M for u, v in zip(basis[k], row)]
+                above[c:] = [(u - q * v) % M
+                             for u, v in zip(above[c:], row[c:])]
     return basis
 
 
@@ -145,22 +149,31 @@ def span_size(basis: list[list[int]], M: int) -> int:
     return total
 
 
+def pivot_columns(basis: list[list[int]]) -> list[int]:
+    """Column of the first nonzero entry of each row of a Howell basis."""
+    return [row.index(next(filter(None, row))) for row in basis]
+
+
 def reduce_vector(v: list[int], basis: list[list[int]], M: int,
-                  coeffs: list[int] | None = None) -> list[int]:
+                  coeffs: list[int] | None = None,
+                  pivots: list[int] | None = None) -> list[int]:
     """Greedy reduction of v against a Howell basis; returns the residual.
 
     If `coeffs` is passed (a zeroed list, one slot per basis row), the
-    multiple of each row that was subtracted is recorded there.
+    multiple of each row that was subtracted is recorded there.  A
+    caller that reduces many vectors against one basis can pass its
+    `pivots` (from pivot_columns) so that they are found once.
     """
     v = [x % M for x in v]
-    for i, row in enumerate(basis):
-        c = row.index(next(filter(None, row)))
-        if v[c]:
-            q = v[c] // row[c]
-            if q:
-                v = [(u - q * w) % M for u, w in zip(v, row)]
-                if coeffs is not None:
-                    coeffs[i] = (coeffs[i] + q) % M
+    if pivots is None:
+        pivots = pivot_columns(basis)
+    for i, (row, c) in enumerate(zip(basis, pivots)):
+        q = v[c] // row[c]
+        if q:
+            # the row is zero before its pivot, so only v[c:] changes
+            v[c:] = [(u - q * w) % M for u, w in zip(v[c:], row[c:])]
+            if coeffs is not None:
+                coeffs[i] = (coeffs[i] + q) % M
     return v
 
 

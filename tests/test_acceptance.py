@@ -50,13 +50,27 @@ def _load(name):
     return parse_instance((FIXTURES / f"{name}.inst").read_text())
 
 
+# degree-2 coefficient rings: x^2 + 1 is irreducible mod 3, and
+# x^2 - 1 = (x - 1)(x + 1) splits Omega into two copies of Z/9
+GAUSS9 = CoeffRing(3, 2, (1, 0, 1))
+SPLIT9 = CoeffRing(3, 2, (8, 0, 1))
+
+
 def _mc_cases():
-    """The shared 50-matrix suite for the limit criteria."""
+    """The shared suite for the limit criteria: 50 matrices over Z/l^m,
+    then 10 over each degree-2 ring with entries anywhere in Omega."""
     rng = random.Random(77001)
     cases = []
     for _ in range(50):
         ring = CoeffRing(rng.choice((3, 5)), rng.randrange(1, 4))
         cases.append((ring, random_phi(rng, ring, 4)))
+    rng = random.Random(77002)
+    for ring in (GAUSS9, SPLIT9):
+        for _ in range(10):
+            s = rng.randrange(1, 5)
+            cases.append((ring, [[ring.element(
+                [rng.randrange(ring.modulus) for _ in range(ring.deg)])
+                for _ in range(s)] for _ in range(s)]))
     return cases
 
 
@@ -130,8 +144,10 @@ def test_criterion_3():
 
 def test_criterion_4():
     """Fitting ideal of the limit module equals the characteristic
-    ideal, on 50 seeded matrices and the worked unit-certificate case."""
+    ideal, on 70 seeded matrices (20 over degree-2 rings) and the worked
+    unit-certificate case."""
     cases = _mc_cases()
+    assert sum(ring.deg == 2 for ring, _ in cases) == 20
     for ring, Phi in cases:
         out = verify_mc_commutative(ring, Phi, prec=32)
         assert out["ok"], (ring, Phi, out)
@@ -152,7 +168,7 @@ def test_criterion_4():
 
 def test_criterion_5():
     """Kernel towers stabilize with certified vanishing limits on the
-    same 50 matrices, and the cokernel towers never drop."""
+    same 70 matrices, and the cokernel towers never drop."""
     cases = _mc_cases()
     for ring, Phi in cases:
         tower = coker_tower(ring, Phi)

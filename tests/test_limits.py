@@ -1,4 +1,7 @@
 import random
+import time
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -7,7 +10,10 @@ from nclfun.coeffring import (
     Poly,
     det_one_minus_scaled,
     eq_up_to_unit,
+    mat_inverse_omega,
+    mat_mul_omega,
     mat_pow_omega,
+    poly_det,
 )
 from nclfun.errors import InvariantViolation, PrecisionMismatch
 from nclfun.linalg import howell_form, reduce_vector
@@ -307,15 +313,163 @@ def test_precision_mismatch_is_loud():
 # --- Fitting ideal and characteristic element
 
 
+def _all_minors_fitting(module):
+    """Reference for fitting_ideal: every maximal minor of the full
+    presentation, C(r + s, s) determinants, with no reduction."""
+    R = module.ring
+    s = module.rank
+    rows = [[Poly(R, [c]) for c in rel] for rel in module.relations]
+    for j in range(s):
+        row = []
+        for i in range(s):
+            gm1 = R.sub(module.gamma[i][j], R.one if i == j else R.zero)
+            p = Poly(R, [R.neg(gm1)])
+            row.append(p + _y(R) if i == j else p)
+        rows.append(row)
+    gens = {}
+    for subset in combinations(range(len(rows)), s):
+        d = poly_det([rows[k] for k in subset], R)
+        if not d.is_zero():
+            gens.setdefault(d.coeffs, d)
+    return IdealClass(R, list(gens.values()) or [Poly.zero(R)])
+
+
+def _unitriangular(ring, rng, s, lower):
+    out = [[ring.one if i == j else ring.zero for j in range(s)]
+           for i in range(s)]
+    for i in range(s):
+        for j in range(s):
+            if (j < i) if lower else (j > i):
+                out[i][j] = _rand_elt(ring, rng)
+    return out
+
+
+def _structured_phi(ring, rng, s):
+    """P J P^-1 with J upper triangular and half of its diagonal
+    congruent to 1 mod ell, so the limit module is never trivial."""
+    J = _unitriangular(ring, rng, s, lower=False)
+    for i in range(s):
+        residue = 1 if i < (s + 1) // 2 else rng.choice(
+            [r for r in range(ring.ell) if r != 1])
+        J[i][i] = ring.int_embed(
+            residue + ring.ell * rng.randrange(ring.modulus // ring.ell))
+    P = mat_mul_omega(ring, _unitriangular(ring, rng, s, lower=True),
+                      _unitriangular(ring, rng, s, lower=False))
+    return mat_mul_omega(ring, mat_mul_omega(ring, P, J),
+                         mat_inverse_omega(ring, P))
+
+
+def _fitting_prec(module):
+    return max(12, 2 * module.rank * (module.ring.m + 1))
+
+
+def _assert_matches_all_minors(module):
+    fit = fitting_ideal(module)
+    want = _all_minors_fitting(module)
+    assert ideal_classes_equal(fit, want, _fitting_prec(module)), (
+        module.ring, module.gamma, module.relations)
+    return fit
+
+
 def test_fitting_ideal_frozen_oracles():
-    fit = fitting_ideal(limit_module(Z9, _mat(Z9, [[4]])))
+    fit = _assert_matches_all_minors(limit_module(Z9, _mat(Z9, [[4]])))
     assert [p.coeffs for p in fit.num_gens] == [
         Poly.from_ints(Z9, [6, 1]).coeffs]
+    # the non-unit relation 3 leaves nothing to eliminate: (3, Y)
     hand = GammaModule(Z9, 1, [(Z9.int_embed(3),)], _mat(Z9, [[1]]),
                        _mat(Z9, [[1]]))
-    fit2 = fitting_ideal(hand)
+    fit2 = _assert_matches_all_minors(hand)
     assert [p.coeffs for p in fit2.num_gens] == [
         Poly.from_ints(Z9, [3]).coeffs, Poly.from_ints(Z9, [0, 1]).coeffs]
+
+
+def test_fitting_ideal_matches_all_minors_on_seeded_phi():
+    """Every (ring, size) pair for sizes 1-6, once with a random Phi
+    and once with P J P^-1.  The oracle runs where it takes at most 100
+    minors; it would take 18 564 for a random size-6 Phi over a
+    quadratic ring, so the larger cases are compared with the
+    characteristic element instead."""
+    rng = random.Random(5150)
+    rings = (Z9, CoeffRing(3, 3), CoeffRing(5, 1), GAUSS9, SPLIT3)
+    oracle_sizes = set()
+    for case in range(60):
+        ring = rings[case % len(rings)]
+        s = 1 + case % 6
+        if case < 30:
+            Phi = _rand_mat(ring, rng, s)
+        else:
+            Phi = _structured_phi(ring, rng, s)
+        module = limit_module(ring, Phi)
+        if comb(len(module.relations) + s, s) <= 100:
+            _assert_matches_all_minors(module)
+            oracle_sizes.add((ring.deg, s))
+        else:
+            assert ideal_classes_equal(
+                fitting_ideal(module),
+                IdealClass(ring, [char_element(ring, Phi)]),
+                _fitting_prec(module)), (ring, Phi)
+    assert {s for d, s in oracle_sizes if d == 1} == set(range(1, 7))
+    assert {s for d, s in oracle_sizes if d == 2} == set(range(1, 5))
+
+
+def test_fitting_ideal_hand_presentations():
+    ident = _mat(Z9, [[1, 0], [0, 1]])
+    y = _y(Z9)
+    # a unit relation solves for the only generator: the unit ideal
+    zero = GammaModule(Z9, 1, [(Z9.int_embed(2),)], _mat(Z9, [[1]]),
+                       _mat(Z9, [[1]]))
+    assert [p.coeffs for p in _assert_matches_all_minors(zero).num_gens] \
+        == [Poly.one(Z9).coeffs]
+    # the same from a limit module: 1 - 2 is a unit, nothing survives
+    fit = _assert_matches_all_minors(limit_module(Z9, _mat(Z9, [[2]])))
+    assert [p.coeffs for p in fit.num_gens] == [Poly.one(Z9).coeffs]
+    # free with gamma = 1: no unit entry, one minor, Y^s
+    for s in (1, 2, 3):
+        ident_s = _mat(Z9, [[int(i == j) for j in range(s)]
+                            for i in range(s)])
+        free = GammaModule(Z9, s, [], ident_s, ident_s)
+        fit = _assert_matches_all_minors(free)
+        assert [p.coeffs for p in fit.num_gens] == [
+            Poly(Z9, [Z9.zero] * s + [Z9.one]).coeffs]
+    # the relation 3 e1 and the row Y e1 both vanish once e1 = 0 is
+    # used, leaving Omega e2 with gamma = 1
+    vanish = GammaModule(Z9, 2, [(Z9.one, Z9.zero),
+                                 (Z9.int_embed(3), Z9.zero)],
+                         ident, ident)
+    fit = _assert_matches_all_minors(vanish)
+    assert [p.coeffs for p in fit.num_gens] == [y.coeffs]
+    # non-unit relations of a twisted action over a quadratic ring
+    x = GAUSS9.gen()
+    three = GAUSS9.int_embed(3)
+    twist = GammaModule(GAUSS9, 2, [(three, GAUSS9.zero),
+                                    (GAUSS9.zero, three)],
+                        [[GAUSS9.one, x], [GAUSS9.zero, GAUSS9.one]],
+                        [[GAUSS9.one, GAUSS9.neg(x)],
+                         [GAUSS9.zero, GAUSS9.one]])
+    _assert_matches_all_minors(twist)
+
+
+def test_fitting_ideal_size_budget():
+    """A size-6 Fitting ideal takes well under half a second and size 8
+    finishes; the all-minors route takes seconds at size 6."""
+    rng = random.Random(6006)
+    for ring in (Z9, CoeffRing(3, 3), GAUSS9):
+        for Phi in (_rand_mat(ring, rng, 6), _structured_phi(ring, rng, 6)):
+            module = limit_module(ring, Phi)
+            t0 = time.perf_counter()
+            fit = fitting_ideal(module)
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 0.5, (ring, elapsed)
+            assert ideal_classes_equal(
+                fit, IdealClass(ring, [char_element(ring, Phi)]),
+                _fitting_prec(module))
+    for ring in (Z9, GAUSS9):
+        Phi = _structured_phi(ring, rng, 8)
+        module = limit_module(ring, Phi)
+        fit = fitting_ideal(module)
+        assert ideal_classes_equal(
+            fit, IdealClass(ring, [char_element(ring, Phi)]),
+            _fitting_prec(module))
 
 
 def test_char_element_against_products():

@@ -14,6 +14,8 @@ from nclfun.linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
+    pivot_columns,
+    reduce_vector,
     solve_left,
     span_size,
     split_components,
@@ -124,6 +126,27 @@ def test_membership_agrees_with_enumeration():
     S = _brute_span(rows, 3, M)
     for v in itertools.product(range(M), repeat=3):
         assert in_span(list(v), H, M) == (v in S)
+
+
+def test_reduce_vector_records_the_combination():
+    # residual + sum coeffs[i] * basis[i] == v, with or without the
+    # pivots passed in
+    rng = random.Random(61)
+    for M in MODULI:
+        for _ in range(20):
+            n = rng.randrange(1, 7)
+            H = howell_form(_rand_rows(rng, rng.randrange(1, 5), n, M), n, M)
+            for _ in range(5):
+                v = [rng.randrange(M) for _ in range(n)]
+                coeffs = [0] * len(H)
+                res = reduce_vector(v, H, M, coeffs)
+                again = [0] * len(H)
+                assert reduce_vector(v, H, M, again,
+                                     pivots=pivot_columns(H)) == res
+                assert again == coeffs
+                back = [(r + sum(c * row[j] for c, row in zip(coeffs, H)))
+                        % M for j, r in enumerate(res)]
+                assert back == v
 
 
 def test_left_kernel_complete_and_sound():
