@@ -286,17 +286,18 @@ def cmd_imc_fitting(args):
 
 
 def cmd_imc_verify(args):
-    from .limits import kernel_chain_report, verify_mc_commutative
+    from .limits import coker_tower, kernel_chain_report, verify_mc_commutative
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
     digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
                              args.phi)
     t0 = time.perf_counter()
-    out = verify_mc_commutative(ring, Phi, prec=args.precision)
+    tower = coker_tower(ring, Phi)
+    out = verify_mc_commutative(ring, Phi, prec=args.precision, tower=tower)
     rec1 = _record("imc.verify", digest, out["check"], out["left"],
                    out["right"], out["ok"], t0)
     t0 = time.perf_counter()
-    chain = kernel_chain_report(ring, Phi)
+    chain = kernel_chain_report(ring, Phi, tower=tower)
     ok = chain.trace_is_mult_by_ell and chain.vanishing_certified
     rec2 = _record("imc.verify", digest, "kernel-vanishing",
                    f"stable from n = {chain.stable_from}",

@@ -21,7 +21,6 @@ from .linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
-    pivot_columns,
     reduce_vector,
     span_size,
 )
@@ -300,46 +299,94 @@ def kernel_chain_report(ring, Phi, tower=None):
 # ideals in the truncated power series ring
 # ---------------------------------------------------------------------------
 
-def ideal_canonical_form(ring, gens, prec):
-    """Canonical integer rows for the ideal the generators span in
+def _without_identity_tail(rows, d, n):
+    """(j0, rows) from Howell rows of an ideal of Omega[[T]]/T^n, Omega
+    of degree d over Z/M: the rows are first cut to width n*d.  j0 is
+    the least j such that every column from j*d on carries a pivot 1,
+    that is the least j with T^j in the ideal; the rows kept are those
+    with pivot before j0*d, cut there, which is the Howell form mod
+    T^j0."""
+    width = n * d
+    rows = [r[:width] for r in rows if any(r[:width])]
+    pivots = [next(k for k, v in enumerate(r) if v) for r in rows]
+    unit_cols = {k for r, k in zip(rows, pivots) if r[k] == 1}
+    j0 = n
+    while j0 and all(k in unit_cols for k in range((j0 - 1) * d, j0 * d)):
+        j0 -= 1
+    cut = j0 * d
+    return j0, tuple(tuple(r[:cut]) for r, k in zip(rows, pivots)
+                     if k < cut)
+
+
+def _certified_power(ring, gens, prec):
+    """A b <= prec with T^b in the ideal the generators span in
     Omega[[T]]/T^prec.
 
-    That ideal is the Z/M span of the rows x^u T^j g for g a generator,
-    0 <= u < D and 0 <= j < prec: x^D is a combination of lower powers
-    of x and T^prec vanishes, so the span is closed under both shifts by
-    construction.  One Howell form of those rows is canonical, so equal
-    ideals give literally equal row tuples.  A T-shift that truncates to
-    zero adds nothing, so each row's shifts stop there; a degree-1 ring
-    adds no x rows.
+    Omega is the product of one Galois ring GR_i per residue factor g_i
+    of the minimal polynomial.  Let c_i be the least T-degree at which
+    some generator is nonzero mod (l, g_i).  In GR_i that generator is
+    g = l a + T^c_i u with u a unit, and (T^c_i u)^m = (g - l a)^m lies
+    in (g) because l^m = 0, so the image of the ideal in GR_i[[T]]
+    holds T^(m c_i).  An ideal holds T^b when each image does, so b is
+    the largest min(prec, m c_i)."""
+    b = 0
+    for g in ring.components:
+        c = next((k for k in range(prec)
+                  if any(any(ring.project_component(gen.coeff(k), g))
+                         for gen in gens)), prec)
+        b = max(b, min(prec, ring.m * c))
+    return b
 
-    The basis is still checked to be closed under multiplying by T and
-    by x, and InvariantViolation is raised if it is not."""
+
+def ideal_canonical_form(ring, gens, prec):
+    """Canonical form of the ideal the generators span in
+    Omega[[T]]/T^prec: equal ideals give equal forms, and only they do.
+
+    The form is a pair (j0, rows): j0 the least j with T^j in the ideal,
+    and rows the Howell form over Z/M of the ideal mod T^j0, the Z/M
+    span of the rows x^u T^j g for g a generator.  Since T^b lies in the
+    ideal for the b that _certified_power reads off the generators, the
+    ideal is fixed by its image mod T^b, and one Howell form of those
+    rows cut to width b D finds the pair; the rows at and past j0 are
+    the identity and are dropped.  For m = 1 the residue fields see
+    every nonzero coefficient, so over a single residue factor no row
+    remains and j0 is the T-order.
+
+    The rows are checked to be closed under multiplying by T and by x,
+    and InvariantViolation is raised if they are not."""
     D = ring.deg
-    width = prec * D
-    M = ring.modulus
+    b = _certified_power(ring, gens, prec)
+    width = b * D
     rows = []
     for flat in ring.omega_rows_to_int_rows(
-            [[g.coeff(k) for k in range(prec)] for g in gens]):
+            [[g.coeff(k) for k in range(b)] for g in gens]):
         lead = next((k for k, v in enumerate(flat) if v), width)
-        for j in range(prec - lead // D):
+        for j in range(b - lead // D):
             rows.append([0] * (j * D) + flat[:width - j * D])
-    basis = howell_form(rows, width, M)
-    pivots = pivot_columns(basis)
+    j0, basis = _without_identity_tail(
+        howell_form(rows, width, ring.modulus), D, b)
     for r in basis:
-        for cand in ([0] * D + r[:-D], ring.x_shift_int_row(r)):
-            if any(reduce_vector(cand, basis, M, pivots=pivots)):
+        for cand in ((0,) * D + r[:-D], ring.x_shift_int_row(r)):
+            if any(reduce_vector(cand, basis, ring.modulus)):
                 raise InvariantViolation(
                     "ideal basis is not closed under T and x")
-    return basis
+    return j0, basis
+
+
+def _truncate_form(ring, form, prec):
+    """The canonical form at a lower precision, read off a form: the
+    image mod T^prec of an ideal keeps the rows that pivot before
+    prec, cut there."""
+    j0, rows = form
+    return _without_identity_tail(rows, ring.deg, min(j0, prec))
 
 
 class IdealClass:
     """A fractional ideal written as numerator and denominator
     generator lists over Omega[T].
 
-    Equality is decided by cross multiplying and comparing canonical
-    forms of the resulting honest ideals at a stated precision; the
-    guarded comparison at two precisions lives in ideal_classes_equal.
+    Equality is decided in ideal_classes_equal, by cross multiplying and
+    comparing canonical forms of the resulting honest ideals.
     """
 
     def __init__(self, ring, num_gens, den_gens=None):
@@ -362,14 +409,6 @@ class IdealClass:
             [a * b for a in self.num_gens for b in other.num_gens],
             [a * b for a in self.den_gens for b in other.den_gens])
 
-    def equals_at(self, other, prec):
-        if self.ring != other.ring:
-            raise InvariantViolation("ideal classes over different rings")
-        left = [a * d for a in self.num_gens for d in other.den_gens]
-        right = [b * d for b in other.num_gens for d in self.den_gens]
-        return (ideal_canonical_form(self.ring, left, prec)
-                == ideal_canonical_form(self.ring, right, prec))
-
     def __repr__(self):
         return (f"IdealClass(num={len(self.num_gens)} gens, "
                 f"den={len(self.den_gens)} gens)")
@@ -380,9 +419,17 @@ def ideal_classes_equal(a, b, prec, guard=8):
 
     Agreement at both precisions is the answer; disagreement between
     them means the smaller precision was lying, and that is reported as
-    PrecisionMismatch rather than as a boolean."""
-    first = a.equals_at(b, prec)
-    second = a.equals_at(b, prec + guard)
+    PrecisionMismatch rather than as a boolean.  The classes are equal
+    when num(a) den(b) and num(b) den(a) are; each side's form is
+    computed once, at prec + guard, and cut to prec."""
+    if a.ring != b.ring:
+        raise InvariantViolation("ideal classes over different rings")
+    wide = [ideal_canonical_form(a.ring, gens, prec + guard) for gens in (
+        [x * d for x in a.num_gens for d in b.den_gens],
+        [y * d for y in b.num_gens for d in a.den_gens])]
+    first = _truncate_form(a.ring, wide[0], prec) == _truncate_form(
+        a.ring, wide[1], prec)
+    second = wide[0] == wide[1]
     if first != second:
         raise PrecisionMismatch(
             f"ideal comparison flips between T^{prec} and T^{prec + guard}")
@@ -515,20 +562,22 @@ def iwasawa_transform(ring, f, s):
     return out
 
 
-def verify_mc_commutative(ring, Phi, prec=32, guard=8):
+def verify_mc_commutative(ring, Phi, prec=32, guard=8, tower=None):
     """Fitting ideal of the limit module against the ideal generated by
     the characteristic element, as a guarded comparison, together with
     the exact bridge from the Frobenius-variable determinant.
 
     The precision floor 2 (rank * m + rank) keeps maximal minors from
-    being truncated into agreement."""
+    being truncated into agreement.  A caller that also needs the
+    coinvariant tower of Phi may pass it in."""
     from .coeffring import det_one_minus_scaled
     s = len(Phi)
     floor = 2 * (s * ring.m + s)
     if prec < floor:
         raise InvariantViolation(
             f"precision {prec} below the safe floor {floor}")
-    tower = coker_tower(ring, Phi)
+    if tower is None:
+        tower = coker_tower(ring, Phi)
     module = limit_module(ring, Phi, tower=tower)
     fit = fitting_ideal(module)
     ch = char_element(ring, Phi)

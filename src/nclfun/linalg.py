@@ -24,7 +24,6 @@ __all__ = [
     "unit_lifting_gcd",
     "howell_form",
     "span_size",
-    "pivot_columns",
     "reduce_vector",
     "in_span",
     "left_kernel",
@@ -128,7 +127,7 @@ def howell_form(rows: list[list[int]], ncols: int, M: int) -> list[list[int]]:
                     work.append(pivot[:c] + ann_row)
     # normalise entries above each pivot; ascending order is required,
     # since reducing at a pivot only touches columns at or past it
-    for i, c in enumerate(pivot_columns(basis)):
+    for i, c in enumerate(_pivot_columns(basis)):
         row = basis[i]
         p = row[c]
         for k in range(i):
@@ -149,25 +148,20 @@ def span_size(basis: list[list[int]], M: int) -> int:
     return total
 
 
-def pivot_columns(basis: list[list[int]]) -> list[int]:
+def _pivot_columns(basis: list[list[int]]) -> list[int]:
     """Column of the first nonzero entry of each row of a Howell basis."""
     return [row.index(next(filter(None, row))) for row in basis]
 
 
 def reduce_vector(v: list[int], basis: list[list[int]], M: int,
-                  coeffs: list[int] | None = None,
-                  pivots: list[int] | None = None) -> list[int]:
+                  coeffs: list[int] | None = None) -> list[int]:
     """Greedy reduction of v against a Howell basis; returns the residual.
 
     If `coeffs` is passed (a zeroed list, one slot per basis row), the
-    multiple of each row that was subtracted is recorded there.  A
-    caller that reduces many vectors against one basis can pass its
-    `pivots` (from pivot_columns) so that they are found once.
+    multiple of each row that was subtracted is recorded there.
     """
     v = [x % M for x in v]
-    if pivots is None:
-        pivots = pivot_columns(basis)
-    for i, (row, c) in enumerate(zip(basis, pivots)):
+    for i, (row, c) in enumerate(zip(basis, _pivot_columns(basis))):
         q = v[c] // row[c]
         if q:
             # the row is zero before its pivot, so only v[c:] changes

@@ -255,8 +255,27 @@ def test_criterion_7():
              for _ in range(2)]
         out = block_reduction_check(Z9, A, b)
         assert out["ok"], (b, out)
+    # degree-2 rings with m = 2: irreducible, split with the trivial
+    # lift, and split with a non-trivial one (x + 7)(x + 5)
+    rng = random.Random(88124)
+    for ring in (GAUSS9, SPLIT9, CoeffRing(3, 2, (8, 3, 1))):
+        for _ in range(10):
+            size = rng.randrange(1, 5)
+            alpha = _square_s(rng, ring, size)
+            beta = _square_s(rng, ring, size)
+            out = verify_d_multiplicative(ring, alpha, beta, prec=24)
+            assert out["ok"], (ring, alpha, beta, out)
+        for _ in range(5):
+            n, k = rng.randrange(1, 3), rng.randrange(1, 3)
+            alpha = _square_s(rng, ring, n)
+            gamma = _square_s(rng, ring, k)
+            off = [[random_poly(rng, ring, 2) for _ in range(k)]
+                   for _ in range(n)]
+            out = verify_d_exactness(ring, alpha, gamma, off, prec=24)
+            assert out["ok"], (ring, alpha, gamma, out)
     print("criterion 7: PASS - 100 multiplicative pairs and 50 triangles "
-          "exact; cyclic reductions hold up to 5 blocks")
+          "exact over Z/9, 30 and 15 over three degree-2 rings; cyclic "
+          "reductions hold up to 5 blocks")
 
 
 def _square_s(rng, ring, size):

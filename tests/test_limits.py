@@ -20,6 +20,7 @@ from nclfun.linalg import howell_form, reduce_vector
 from nclfun.limits import (
     GammaModule,
     IdealClass,
+    _truncate_form,
     char_element,
     coker_tower,
     fitting_ideal,
@@ -218,8 +219,24 @@ def test_ideal_canonical_form_generator_order_irrelevant():
             == ideal_canonical_form(Z9, shuffled, 10))
 
 
+def _howell_ideal_form(ring, gens, prec):
+    """Reference for ideal_canonical_form: one Howell form over Z/M of
+    the rows x^u T^j g for every generator g, 0 <= u < D, 0 <= j < prec,
+    the whole ideal of Omega[[T]]/T^prec, with no cut at a certified
+    power of T.  Equal ideals give equal row lists."""
+    D = ring.deg
+    width = prec * D
+    rows = []
+    for flat in ring.omega_rows_to_int_rows(
+            [[g.coeff(k) for k in range(prec)] for g in gens]):
+        lead = next((k for k, v in enumerate(flat) if v), width)
+        for j in range(prec - lead // D):
+            rows.append([0] * (j * D) + flat[:width - j * D])
+    return howell_form(rows, width, ring.modulus)
+
+
 def _closure_loop_form(ring, gens, prec):
-    """Reference for ideal_canonical_form: Howell form of the plain
+    """Reference for _howell_ideal_form: Howell form of the plain
     generators, closed under T- and x-shifts by a fixed-point loop."""
     D = ring.deg
     width = prec * D
@@ -279,8 +296,133 @@ def test_ideal_canonical_form_matches_closure_loop():
         ring = rings[case % len(rings)]
         prec = 1 + case % 12
         gens = _rand_gens(ring, rng)
-        assert (ideal_canonical_form(ring, gens, prec)
+        assert (_howell_ideal_form(ring, gens, prec)
                 == _closure_loop_form(ring, gens, prec)), (ring, gens, prec)
+
+
+# Z/l^m; degree-2 rings over Z/9 and Z/25, irreducible mod l or split
+# into factors with trivial or non-trivial lifts (x^2 + 3x + 8 =
+# (x + 7)(x + 5) over Z/9, x^2 + 4 = (x + 11)(x + 14) over Z/25), the
+# same over Z/3, and Z/8[x]/(x^2 + x + 1); degree 3 over Z/4 and Z/9,
+# irreducible, with two factors and with three (x^3 + 3x^2 + 8x =
+# x (x + 7)(x + 5) over Z/9)
+IDEAL_RINGS = (
+    Z9, CoeffRing(3, 3), CoeffRing(5, 1), Z25,
+    GAUSS9, CoeffRing(3, 2, (8, 0, 1)), CoeffRing(3, 2, (8, 3, 1)),
+    CoeffRing(5, 2, (4, 0, 1)), CoeffRing(3, 1, (1, 0, 1)), SPLIT3,
+    CoeffRing(2, 3, (1, 1, 1)), CoeffRing(2, 2, (1, 1, 0, 1)),
+    CoeffRing(3, 2, (1, 2, 0, 1)), CoeffRing(3, 2, (3, 1, 0, 1)),
+    CoeffRing(3, 2, (0, 8, 3, 1)),
+)
+
+
+def _rand_ideal_gen(ring, rng):
+    """A polynomial led by a random power of T, with coefficients
+    divisible by random powers of ell, so that proper ideals of every
+    shape come up."""
+    coeffs = [ring.zero] * rng.randrange(4)
+    for _ in range(rng.randrange(1, 5)):
+        scale = ring.ell ** rng.randrange(ring.m + 1)
+        coeffs.append(ring.element([scale * rng.randrange(ring.modulus)
+                                    for _ in range(ring.deg)]))
+    return Poly(ring, coeffs)
+
+
+def _rand_series_unit(ring, rng):
+    while True:
+        head = _rand_elt(ring, rng)
+        if ring.is_unit(head):
+            return Poly(ring, [head] + [_rand_elt(ring, rng)
+                                        for _ in range(rng.randrange(3))])
+
+
+def _ideal_pair(ring, rng):
+    """Two generator lists.  Half the time the second spans the same
+    ideal: unit multiples of the first, one generator plus a multiple of
+    another, an extra multiple, shuffled.  Otherwise it is drawn afresh,
+    or is the first plus one fresh generator, and usually differs."""
+    A = [_rand_ideal_gen(ring, rng) for _ in range(rng.randrange(1, 4))]
+    if rng.random() < 0.5:
+        B = [g * _rand_series_unit(ring, rng) for g in A]
+        if len(B) > 1:
+            i, j = rng.sample(range(len(B)), 2)
+            B[j] = B[j] + B[i] * _rand_ideal_gen(ring, rng)
+        B.append(A[0] * _rand_ideal_gen(ring, rng))
+        rng.shuffle(B)
+    else:
+        B = [_rand_ideal_gen(ring, rng) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.5:
+            B = A + B[:1]
+    return A, B
+
+
+def test_ideal_canonical_form_decides_as_howell():
+    """The cut form calls two ideals equal exactly when the Howell form
+    of the whole ideal does, over every ring of IDEAL_RINGS."""
+    rng = random.Random(6006)
+    verdicts = {True: 0, False: 0}
+    for case in range(900):
+        ring = IDEAL_RINGS[case % len(IDEAL_RINGS)]
+        prec = rng.randrange(1, 13)
+        A, B = _ideal_pair(ring, rng)
+        want = (_howell_ideal_form(ring, A, prec)
+                == _howell_ideal_form(ring, B, prec))
+        got = (ideal_canonical_form(ring, A, prec)
+               == ideal_canonical_form(ring, B, prec))
+        assert got == want, (ring, A, B, prec)
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 200, verdicts
+
+
+def test_truncated_form_equals_direct_form():
+    rng = random.Random(7117)
+    for case in range(150):
+        ring = IDEAL_RINGS[case % len(IDEAL_RINGS)]
+        prec = rng.randrange(1, 15)
+        gens, _ = _ideal_pair(ring, rng)
+        form = ideal_canonical_form(ring, gens, prec)
+        for low in range(prec + 1):
+            assert (_truncate_form(ring, form, low)
+                    == ideal_canonical_form(ring, gens, low)), (
+                ring, gens, prec, low)
+
+
+def test_howell_width_is_the_certified_bound(monkeypatch):
+    """One Howell form of width b D, b the largest min(prec, m c_i) over
+    the residue factors g_i, c_i the least T-degree at which some
+    generator is nonzero mod (l, g_i)."""
+    import nclfun.limits as limits
+    widths = []
+
+    def recording(rows, ncols, M):
+        widths.append(ncols)
+        return howell_form(rows, ncols, M)
+
+    monkeypatch.setattr(limits, "howell_form", recording)
+    split9 = CoeffRing(3, 2, (8, 0, 1))
+    x = split9.gen()
+    # x - 1 is a unit where x = -1 (c = 0) and vanishes where x = 1,
+    # where the T coefficient 1 gives c = 1, so b = m c = 2
+    g = Poly(split9, [split9.sub(x, split9.one), split9.one])
+    ideal_canonical_form(split9, [g], 10)
+    assert widths == [4]
+    # (x - 1) + (x + 1) T has no coefficient that is a unit of the whole
+    # ring, yet each residue factor sees one by T^1
+    widths.clear()
+    g = Poly(split9, [split9.sub(x, split9.one), split9.add(x, split9.one)])
+    ideal_canonical_form(split9, [g], 10)
+    assert widths == [4]
+    # over Z/27, 3 + T has c = 1, so T^3 lies in (3 + T)
+    widths.clear()
+    assert ideal_canonical_form(CoeffRing(3, 3), [Poly.from_ints(
+        CoeffRing(3, 3), [3, 1])], 10)[0] == 3
+    assert widths == [3]
+    # over a field the T-order is the whole form and no row survives
+    widths.clear()
+    z5 = CoeffRing(5, 1)
+    assert ideal_canonical_form(
+        z5, [Poly.from_ints(z5, [0, 0, 2, 1])], 10) == (2, ())
+    assert widths == [2]
 
 
 def test_ideal_class_validation_and_product():

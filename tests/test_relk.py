@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
 
-from nclfun.coeffring import CoeffRing, Poly, poly_det
+from nclfun.coeffring import CoeffRing, Poly, is_in_S, poly_det
 from nclfun.errors import InvariantViolation, NotSQuasiIso
+from nclfun.limits import ideal_classes_equal
+from nclfun.randcases import random_poly
 from nclfun.relk import (
     TorsionClass,
     block_reduction_check,
@@ -30,7 +33,6 @@ def _rand_poly(rng, ring, deg):
 
 def _rand_s_matrix(rng, ring, size, deg):
     """Random polynomial matrix, resampled until the determinant is in S."""
-    from nclfun.coeffring import is_in_S
     while True:
         mat = [[_rand_poly(rng, ring, deg) for _ in range(size)]
                for _ in range(size)]
@@ -73,7 +75,7 @@ def test_torsion_class_product_concatenates_generator_products():
     b = TorsionClass(Z9, [_p(Z9, 2)])
     ab = a * b
     assert ab.num_gens == (_p(Z9, 1, 1) * _p(Z9, 2),)
-    assert ab.equals_at(ab, 16)
+    assert ideal_classes_equal(ab, ab, 16)
 
 
 def test_poly_mat_mul_identity():
@@ -115,6 +117,29 @@ def test_d_multiplicative_random():
             beta = _rand_s_matrix(rng, ring, size, 2)
             out = verify_d_multiplicative(ring, alpha, beta, prec=24)
             assert out["ok"], (ring, alpha, beta)
+
+
+def test_d_multiplicative_size_four_budget():
+    """Size-4 S-matrices over a degree-2 ring with m = 2 and a split one
+    with m = 1 take well under a quarter second each at T^24."""
+    def s_matrix(rng, ring):
+        # entries anywhere in Omega, not only its integers
+        while True:
+            mat = [[random_poly(rng, ring, 2) for _ in range(4)]
+                   for _ in range(4)]
+            if is_in_S(poly_det(mat, ring)):
+                return mat
+
+    rng = random.Random(4242)
+    for ring in (CoeffRing(3, 2, (1, 0, 1)), CoeffRing(5, 1, (4, 0, 1))):
+        for _ in range(3):
+            alpha = s_matrix(rng, ring)
+            beta = s_matrix(rng, ring)
+            t0 = time.perf_counter()
+            out = verify_d_multiplicative(ring, alpha, beta, prec=24)
+            elapsed = time.perf_counter() - t0
+            assert out["ok"], (ring, alpha, beta)
+            assert elapsed < 0.25, (ring, elapsed)
 
 
 def test_d_exactness_hand_triangle():
