@@ -81,6 +81,17 @@ def _load_fixture(path):
     return inst, instance_digest(inst)
 
 
+def _check_points_precision(inst, prec):
+    """Refuse a precision the fixture's point list cannot support: a
+    series mod T^prec needs every closed point of degree below prec."""
+    n = inst.covering.complete_through
+    if n is not None and prec > n + 1:
+        raise InputProblem(
+            f"--precision {prec} needs every closed point of degree up to "
+            f"{prec - 1}, but the fixture has points.complete_through = {n}; "
+            f"use --precision {n + 1} or less")
+
+
 def _inline_ring(args):
     if args.ell is None:
         raise InputProblem("--ell is required for inline inputs")
@@ -136,6 +147,7 @@ def _poly_matrix(ring, raw, flag):
 def cmd_lfun_euler(args):
     from .lfun import euler_product
     inst, digest = _load_fixture(args.fixture)
+    _check_points_precision(inst, args.precision)
     t0 = time.perf_counter()
     series = euler_product(inst.covering, inst.sheaf.rep, args.precision)
     return [_record("lfun.euler", digest, "euler-product", series, "",
@@ -157,6 +169,7 @@ def cmd_lfun_check(args):
     from .lfun import (cohomology_from_points, compare_series,
                        euler_product, trace_formula_L)
     inst, digest = _load_fixture(args.fixture)
+    _check_points_precision(inst, args.precision)
     t0 = time.perf_counter()
     left = euler_product(inst.covering, inst.sheaf.rep, args.precision)
     coh = inst.cohomology
@@ -203,6 +216,7 @@ def cmd_ncl_verify(args):
     from .ncl import (verify_artin_induction, verify_interpolation,
                       verify_quotient, verify_twist)
     inst, digest = _load_fixture(args.fixture)
+    _check_points_precision(inst, args.precision)
     cov, sheaf = inst.covering, inst.sheaf
     prec = args.precision
     records = []

@@ -259,6 +259,23 @@ class CoeffRing:
                         out[t] += c * row[t]
         return tuple(v % M for v in out)
 
+    def dot(self, xs, ys):
+        """The sum of a * b over the pairs (a, b) of zip(xs, ys).
+
+        The x-convolutions of all pairs add up in 2D - 1 unreduced
+        integers, which are reduced once, through the powers of x and
+        mod M: one tuple and one reduction per sum, not per product."""
+        if self.deg == 1:
+            return (sum([a[0] * b[0] for a, b in zip(xs, ys)])
+                    % self.modulus,)
+        conv = [0] * (2 * self.deg - 1)
+        for a, b in zip(xs, ys):
+            for i, u in enumerate(a):
+                if u:
+                    for k, v in enumerate(b, i):
+                        conv[k] += u * v
+        return _reduce_slots(self, conv)[0]
+
     def is_zero(self, a):
         return not any(a)
 
@@ -381,10 +398,6 @@ def mat_inverse_omega(ring, A):
     return X
 
 
-def omega_det(ring, A):
-    return det_from_charpoly(ring, berkowitz_charpoly(ring, A))
-
-
 # ---------------------------------------------------------------------------
 # polynomials in T over Omega
 # ---------------------------------------------------------------------------
@@ -450,23 +463,7 @@ class Poly:
 
     def __mul__(self, other):
         self._need_same_ring(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ring)
-        R = self.ring
-        # From 3x3 coefficients up Kronecker substitution takes at most
-        # 0.6x the schoolbook time (0.01x at 200x200): the long exact
-        # products of class evaluation.  The 1-2 coefficient entries of
-        # Berkowitz minors (Fitting ideals, connecting maps) stay on the
-        # schoolbook loop, where packing would cost more than it saves.
-        if len(self.coeffs) >= 3 and len(other.coeffs) >= 3:
-            return Poly(R, _kronecker_mul(R, self.coeffs, other.coeffs))
-        out = [R.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if R.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
-        return Poly(R, out)
+        return _poly_dot(self.ring, (self,), (other,))
 
     def scale(self, c):
         return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
@@ -489,21 +486,20 @@ class Poly:
         return f"Poly({self})"
 
 
-def _kronecker_mul(ring, a, b):
-    """Coefficients of the product of two nonempty coefficient tuples,
-    by Kronecker substitution.
+def _kronecker_slots(ring, a, b):
+    """The product of two nonempty coefficient tuples by Kronecker
+    substitution, unreduced: slot k (2D - 1) + t holds the integer
+    coefficient of x^t T^k.
 
     Each T-coefficient, read as a polynomial in x of degree below D,
     fills 2D - 1 slots of w bits in one integer; one integer product then
-    holds in slot (k, t) the exact coefficient of x^t T^k before
-    reduction.  That coefficient sums at most min(len) * D products of
+    holds the slots.  Each sums at most min(len) * D products of
     residues below M, so w = 2 bitlen(M - 1) + bitlen(min(len) * D) bits
     hold it and no carry crosses a slot.  The slots are read back through
     binary strings, which CPython converts in linear time.
     """
     D, M = ring.deg, ring.modulus
     w = 2 * (M - 1).bit_length() + (min(len(a), len(b)) * D).bit_length()
-    slots = 2 * D - 1
     fmt = f"0{w}b"
     top = (0,) * (D - 1)
 
@@ -511,23 +507,67 @@ def _kronecker_mul(ring, a, b):
         return int("".join([format(u, fmt) for c in reversed(cs)
                             for u in top + c[::-1]]), 2)
 
-    total = (len(a) + len(b) - 1) * slots * w
+    total = (len(a) + len(b) - 1) * (2 * D - 1) * w
     bits = format(pack(a) * pack(b), "b").zfill(total)
     vals = [int(bits[i:i + w], 2) for i in range(0, total, w)]
     vals.reverse()
+    return vals
+
+
+def _reduce_slots(ring, vals):
+    """Ring elements from unreduced x-coefficients in blocks of 2D - 1,
+    one element per block, through the powers of x and mod M."""
+    D, M = ring.deg, ring.modulus
     if D == 1:
         return [(v % M,) for v in vals]
-    xpow = ring._xpow
+    slots = 2 * D - 1
     out = []
     for k in range(0, len(vals), slots):
-        acc = [0] * D
-        for t in range(slots):
-            c = vals[k + t]
+        acc = vals[k:k + D]
+        for c, row in zip(vals[k + D:k + slots], ring._xpow[D:]):
             if c:
-                for s, r in enumerate(xpow[t]):
-                    acc[s] += c * r
-        out.append(tuple(v % M for v in acc))
+                acc = [u + c * r for u, r in zip(acc, row)]
+        out.append(tuple([u % M for u in acc]))
     return out
+
+
+# A pair whose operands both have at least this many coefficients is
+# multiplied by Kronecker substitution, a shorter one by the schoolbook
+# loop over integer coordinates.  Timed per pair over Z/9, Z/3[x]/(x^2+1)
+# and Z/25[x]/(x^3+2), Kronecker costs 1.2-3.6x the loop up to 5x5
+# coefficients, breaks even between 6x6 and 8x8, and costs 0.5-0.7x at
+# 10x10 and 0.25-0.4x at 20x20: the long exact products of class
+# evaluation.  The 1-5 coefficient entries of Berkowitz minors (Fitting
+# ideals, connecting maps) stay on the loop.
+_KRONECKER_MIN_LEN = 8
+
+
+def _poly_dot(ring, xs, ys):
+    """The sum of a * b over the pairs (a, b) of Poly in zip(xs, ys),
+    as one Poly.
+
+    All products add up in one unreduced integer array, 2D - 1 slots
+    per power of T, reduced once at the end."""
+    S = 2 * ring.deg - 1
+    acc = []
+    for a, b in zip(xs, ys):
+        ac, bc = a.coeffs, b.coeffs
+        if not ac or not bc:
+            continue
+        need = (len(ac) + len(bc) - 1) * S
+        if len(acc) < need:
+            acc.extend([0] * (need - len(acc)))
+        if len(ac) >= _KRONECKER_MIN_LEN and len(bc) >= _KRONECKER_MIN_LEN:
+            for k, v in enumerate(_kronecker_slots(ring, ac, bc)):
+                acc[k] += v
+            continue
+        for i, u in enumerate(ac):
+            for j, v in enumerate(bc, i):
+                for s, us in enumerate(u, j * S):
+                    if us:
+                        for k, vt in enumerate(v, s):
+                            acc[k] += us * vt
+    return Poly(ring, _reduce_slots(ring, acc))
 
 
 def power(x, e):
@@ -565,6 +605,10 @@ class PolyOps:
 
     def neg(self, a):
         return -a
+
+    def dot(self, xs, ys):
+        """The sum of a * b over the pairs of zip(xs, ys), as one Poly."""
+        return _poly_dot(self.ring, xs, ys)
 
 
 # ---------------------------------------------------------------------------

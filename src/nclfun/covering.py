@@ -53,15 +53,21 @@ class Point:
 
 
 class CoveringSpec:
-    """Base field size, coefficient ring, group chop, and closed points."""
+    """Base field size, coefficient ring, group chop, and closed points.
 
-    def __init__(self, q, ell, m, ring, group, points):
+    complete_through = N states that the points include every closed
+    point of degree at most N, so products over them are right mod
+    T^(N + 1); None states nothing."""
+
+    def __init__(self, q, ell, m, ring, group, points,
+                 complete_through=None):
         self.q = int(q)
         self.ell = int(ell)
         self.m = int(m)
         self.ring = ring
         self.group = group
         self.points = tuple(points)
+        self.complete_through = complete_through
         if self.q < 2:
             raise InvariantViolation("base field size must be at least 2")
         if gcd(self.q, self.ell) != 1:
@@ -259,8 +265,12 @@ def parse_instance(text):
         if not 0 <= h < group.order:
             raise ParseError(f"points[{i}]: H-part {h} out of range")
         points.append(Point(d, h, a))
+    complete = _take(fields, "points.complete_through", required=False)
+    if complete is not None and (not isinstance(complete, int)
+                                 or complete < 1):
+        raise ParseError("points.complete_through must be a positive integer")
 
-    covering = CoveringSpec(q, ell, m, ring, group, points)
+    covering = CoveringSpec(q, ell, m, ring, group, points, complete)
     sheaf = SheafSpec(_build_rep(fields, "sheaf", ring, ell, m, group))
 
     coh = None
@@ -341,6 +351,8 @@ def render_instance(inst):
         f"group.action_order = {cov.group.action_order}",
         f"points = {_fmt([[p.degree, p.h, p.gamma_exp] for p in cov.points])}",
     ]
+    if cov.complete_through is not None:
+        lines.append(f"points.complete_through = {cov.complete_through}")
 
     def rep_lines(prefix, rep):
         out = [f"{prefix}.rank = {rep.dim}"]

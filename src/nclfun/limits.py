@@ -29,6 +29,7 @@ __all__ = [
     "GammaModule",
     "IdealClass",
     "coker_tower",
+    "tower_power",
     "limit_module",
     "kernel_chain_report",
     "fitting_ideal",
@@ -107,10 +108,12 @@ class GammaModule:
 
 TowerLayer = namedtuple("TowerLayer", ["n", "image_rows", "coker_size"])
 
+# powers[n] is Phi^(ell^n) for n < repeat_at + period; the sequence
+# cycles from repeat_at on, so tower_power reads off any later one
 TowerReport = namedtuple(
     "TowerReport",
     ["ell", "rank", "layers", "stable_from", "first_stall",
-     "repeat_at", "period"])
+     "repeat_at", "period", "powers"])
 
 
 def _image_rows(ring, A):
@@ -177,7 +180,15 @@ def coker_tower(ring, Phi, n_max=48):
         # shown two equal consecutive layers inside the computed range
         first_stall = stable_from
     return TowerReport(ell, s, layers, stable_from, first_stall,
-                       repeat_at, period)
+                       repeat_at, period, powers)
+
+
+def tower_power(tower, n):
+    """Phi^(ell^n) from the powers the tower stored: past the repeat
+    the sequence cycles with the tower's period."""
+    if n >= tower.repeat_at:
+        n = tower.repeat_at + (n - tower.repeat_at) % tower.period
+    return tower.powers[n]
 
 
 def limit_module(ring, Phi, tower=None):
@@ -212,15 +223,11 @@ def _kernel_rows(ring, A):
     """Canonical rows spanning {v : A v = 0}, via the left kernel of the
     transpose in flattened coordinates."""
     # integer matrix of the map v -> A v in flattened coordinates: row u
-    # is the image of the u-th flat basis vector
+    # is the image of the u-th flat basis vector x^t e_c (u = c D + t),
+    # that is x^t times column c of A
     width = len(A) * ring.deg
     M = ring.modulus
-    mat = []
-    for u in range(width):
-        basis = [0] * width
-        basis[u] = 1
-        v = ring.unflatten_vec(basis)
-        mat.append(ring.flatten_vec(mat_vec(ring, A, v)))
+    mat = ring.omega_rows_to_int_rows([list(col) for col in zip(*A)])
     ker = left_kernel(mat, M)
     return howell_form([list(r) for r in ker], width, M)
 
@@ -239,11 +246,7 @@ def kernel_chain_report(ring, Phi, tower=None):
     ell = ring.ell
     ident = mat_identity(ring, s)
     n_top = tower.stable_from + ring.m + 1
-    P = [list(r) for r in Phi]
-    pows = []
-    for n in range(n_top + 1):
-        pows.append(P)
-        P = mat_pow(ring, P, ell)
+    pows = [tower_power(tower, n) for n in range(n_top + 1)]
     layers = []
     kernels = []
     for n in range(n_top + 1):
@@ -252,13 +255,15 @@ def kernel_chain_report(ring, Phi, tower=None):
         rows = _kernel_rows(ring, A)
         kernels.append(rows)
         layers.append(KernelLayer(n, rows, span_size(rows, ring.modulus)))
-    # transitions: trace from level n+1 to level n
+    # transitions: trace from level n+1 to level n, the sum of P^k over
+    # k < ell for P = Phi^(ell^n)
     traces = []
     for n in range(n_top):
-        V = mat_identity(ring, s)
-        acc = mat_identity(ring, s)
-        for _ in range(ell - 1):
-            acc = mat_mul(ring, acc, pows[n])
+        P = acc = pows[n]
+        V = [[ring.add(ident[i][j], P[i][j]) for j in range(s)]
+             for i in range(s)]
+        for _ in range(ell - 2):
+            acc = mat_mul(ring, acc, P)
             V = [[ring.add(V[i][j], acc[i][j]) for j in range(s)]
                  for i in range(s)]
         traces.append(V)
@@ -275,17 +280,16 @@ def kernel_chain_report(ring, Phi, tower=None):
     # at a stabilized level the transition is multiplication by ell
     mult_ok = True
     ell_c = ring.int_embed(ell)
-    V = traces[stable_from] if stable_from < len(traces) else None
-    if V is not None:
-        for r in kernels[stable_from]:
-            v = ring.unflatten_vec(list(r))
-            want = [ring.mul(ell_c, a) for a in v]
-            if mat_vec(ring, V, v) != want:
-                mult_ok = False
+    V = traces[stable_from]
+    for r in kernels[stable_from]:
+        v = ring.unflatten_vec(list(r))
+        want = [ring.mul(ell_c, a) for a in v]
+        if mat_vec(ring, V, v) != want:
+            mult_ok = False
     # composite of m consecutive stabilized transitions, applied to the
     # stable kernel, must vanish identically
-    comp = mat_identity(ring, s)
-    for n in range(stable_from, min(stable_from + ring.m, n_top)):
+    comp = traces[stable_from]
+    for n in range(stable_from + 1, stable_from + ring.m):
         comp = mat_mul(ring, traces[n], comp)
     vanished = True
     for r in kernels[stable_from]:

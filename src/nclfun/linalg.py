@@ -10,9 +10,13 @@ solving decidable here without any fraction-field tricks.
 Also hosts dense matrix arithmetic (identity, mat-vec, product, power)
 and the Berkowitz characteristic polynomial, written once for any
 commutative ring supplied through an ops object: `zero`, `one` and
-`add`, `sub`, `mul`, `neg`.  A CoeffRing is such an object, so Omega
-matrices pass the ring itself; coeffring.PolyOps is the one for
-Omega[T].  Berkowitz is division free, so it runs unchanged over both.
+`add`, `sub`, `mul`, `neg`, and `dot(xs, ys)`, the sum of a * b over
+the pairs of zip(xs, ys).  Every matrix entry, and every coefficient
+of Berkowitz's Toeplitz product, is one `dot`, so a ring can add up a
+whole inner product before it reduces.  A CoeffRing is such an
+object, so Omega matrices pass the ring itself; coeffring.PolyOps is
+the one for Omega[T].  Berkowitz is division free, so it runs
+unchanged over both.
 """
 
 from __future__ import annotations
@@ -219,33 +223,32 @@ def mat_identity(ops, n: int) -> list[list]:
 
 def mat_vec(ops, A, v) -> list:
     """A v for a matrix A and a column vector v."""
-    add, mul = ops.add, ops.mul
-    out = []
-    for row in A:
-        acc = ops.zero
-        for a, b in zip(row, v):
-            acc = add(acc, mul(a, b))
-        out.append(acc)
-    return out
+    dot = ops.dot
+    return [dot(row, v) for row in A]
 
 
 def mat_mul(ops, A, B) -> list[list]:
-    """The product A B.  Row i is computed as B^t times row i of A,
-    which multiplies each pair of entries in the other order; the ring
-    is commutative, so the result is the same."""
+    """The product A B, one dot per entry."""
+    dot = ops.dot
     cols = list(zip(*B))
-    return [mat_vec(ops, cols, row) for row in A]
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def mat_pow(ops, A, e: int) -> list[list]:
-    """A^e for e >= 0, by repeated squaring."""
-    out = mat_identity(ops, len(A))
+    """A^e for e >= 0, by repeated squaring.  The result is a new
+    matrix, never A itself, and no product has an identity factor."""
+    if e == 0:
+        return mat_identity(ops, len(A))
+    while not e & 1:
+        A = mat_mul(ops, A, A)
+        e >>= 1
+    out = [list(row) for row in A]
+    e >>= 1
     while e:
+        A = mat_mul(ops, A, A)
         if e & 1:
             out = mat_mul(ops, out, A)
         e >>= 1
-        if e:
-            A = mat_mul(ops, A, A)
     return out
 
 
@@ -276,16 +279,11 @@ def berkowitz_charpoly(ops, mat) -> list:
         col = [ops.one, ops.neg(a)]
         w = C
         for _ in range(s):
-            col.append(ops.neg(mat_vec(ops, [R], w)[0]))
+            col.append(ops.neg(ops.dot(R, w)))
             w = mat_vec(ops, A1, w)
-        new = []
-        for i in range(s + 2):
-            acc = ops.zero
-            for j in range(s + 1):
-                if 0 <= i - j < len(col):
-                    acc = ops.add(acc, ops.mul(col[i - j], vec[j]))
-            new.append(acc)
-        vec = new
+        # the Toeplitz matrix of col times vec: entry i is the sum of
+        # col[i - j] vec[j] over j <= min(i, s)
+        vec = [ops.dot(vec, col[i::-1]) for i in range(s + 2)]
     vec.reverse()
     return vec
 

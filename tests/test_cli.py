@@ -128,6 +128,24 @@ def test_input_error_exits_two(capsys):
     assert code == 2
 
 
+def test_precision_beyond_complete_points_is_refused(capsys):
+    # ec_f5 lists every closed point through degree 6, which supports
+    # series mod T^7 and no further: a higher precision is an input
+    # error that names the key, never a false fail
+    ec = str(FIXTURES / "ec_f5.inst")
+    for argv in (["lfun", "check", "--fixture", ec],
+                 ["lfun", "euler", "--fixture", ec, "--precision", "8"],
+                 ["ncl", "verify", "--fixture", ec, "--precision", "32"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "points.complete_through = 6" in err
+    code, out, _ = _run(capsys, [
+        "lfun", "check", "--fixture", ec, "--precision", "7"])
+    assert code == 0
+    assert out.startswith("pass lfun.check")
+
+
 def test_ncl_evaluate_names_available_reps(capsys):
     code, _, err = _run(capsys, [
         "ncl", "evaluate", "--fixture", str(FIXTURES / "trivial.inst"),

@@ -5,8 +5,10 @@ import pytest
 from nclfun.coeffring import (
     CoeffRing,
     Poly,
+    PolyOps,
     RationalFunction,
     Series,
+    _KRONECKER_MIN_LEN,
     det_one_minus_scaled,
     eq_up_to_unit,
     is_in_P,
@@ -14,19 +16,23 @@ from nclfun.coeffring import (
     mat_inverse_omega,
     mat_mul_omega,
     mat_identity_omega,
-    omega_det,
     poly_det,
     render_element,
     series_invert,
     solve_left_omega,
 )
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
+from nclfun.linalg import berkowitz_charpoly, det_from_charpoly
 
 Z9 = CoeffRing(3, 2)
 Z8 = CoeffRing(2, 3)
 GAUSS9 = CoeffRing(3, 2, [1, 0, 1])          # x^2 + 1, irreducible mod 3
 SPLIT3 = CoeffRing(3, 1, [2, 0, 1])          # x^2 + 2 = (x+1)(x+2) mod 3
 CUBIC = CoeffRing(5, 2, [2, 0, 0, 1])
+# the rings of the dot-product oracles: Z/9, Z/27, an inert and a split
+# quadratic ring over Z/9, and a cubic ring over Z/4
+DOT_RINGS = [Z9, CoeffRing(3, 3), GAUSS9, CoeffRing(3, 2, [8, 3, 1]),
+             CoeffRing(2, 2, [1, 1, 0, 1])]
 
 
 def _rand_elem(rng, ring):
@@ -282,6 +288,10 @@ def test_det_one_minus_scaled_frozen_curve_factor():
     assert spread == Poly.from_ints(ring, [1, 0, 0, -2, 0, 0, 5])
 
 
+def _omega_det(ring, A):
+    return det_from_charpoly(ring, berkowitz_charpoly(ring, A))
+
+
 def test_omega_matrix_solve_and_inverse():
     rng = random.Random(127)
     for ring in [Z9, GAUSS9]:
@@ -313,7 +323,7 @@ def test_omega_matrix_solve_and_inverse():
             X = mat_inverse_omega(ring, A)
             assert X is not None
             assert mat_mul_omega(ring, A, X) == mat_identity_omega(ring, n)
-            assert ring.is_unit(omega_det(ring, A))
+            assert ring.is_unit(_omega_det(ring, A))
     assert mat_inverse_omega(Z9, [[(3,)]]) is None
 
 
@@ -351,3 +361,59 @@ def test_flattened_span_respects_x_multiples():
     H = howell_form(rows, 4, ring.modulus)
     shifted = ring.flatten_vec([ring.mul(ring.gen(), a) for a in row])
     assert in_span(shifted, H, ring.modulus)
+
+
+def _fold_dot(ops, xs, ys):
+    """The sum of products by add and mul, one pair at a time: the
+    reference for the fused dot."""
+    acc = ops.zero
+    for a, b in zip(xs, ys):
+        acc = ops.add(acc, ops.mul(a, b))
+    return acc
+
+
+def test_ring_dot_matches_add_mul_fold():
+    rng = random.Random(137)
+    for ring in DOT_RINGS:
+        top = ring.element([ring.modulus - 1] * ring.deg)
+        for n in range(8):
+            for style in ("random", "full", "zeros"):
+                if style == "full":
+                    xs, ys = [top] * n, [top] * n
+                else:
+                    xs = [_rand_elem(rng, ring) for _ in range(n)]
+                    ys = [_rand_elem(rng, ring) for _ in range(n)]
+                if style == "zeros" and n:
+                    xs[rng.randrange(n)] = ring.zero
+                assert ring.dot(xs, ys) == _fold_dot(ring, xs, ys)
+        # the shorter side decides the length, as zip does
+        xs = [_rand_elem(rng, ring) for _ in range(4)]
+        assert ring.dot(xs, xs[:2]) == _fold_dot(ring, xs[:2], xs[:2])
+        assert ring.dot([], []) == ring.zero
+
+
+def test_poly_dot_matches_add_mul_fold():
+    rng = random.Random(139)
+    for ring in DOT_RINGS:
+        ops = PolyOps(ring)
+        # entries of 1-2 coefficients, entries on the schoolbook side of
+        # the Kronecker cutoff, entries past it, and the two mixed
+        for n in range(1, 6):
+            K = _KRONECKER_MIN_LEN
+            for lengths in ((1, 2), (3, K - 1), (K, K + 4), (1, K + 4)):
+                xs = [_rand_poly(rng, ring, rng.randint(*lengths),
+                                 rng.choice(["random", "sparse", "full"]))
+                      for _ in range(n)]
+                ys = [_rand_poly(rng, ring, rng.randint(*lengths), "random")
+                      for _ in range(n)]
+                if n > 1:
+                    xs[rng.randrange(n)] = Poly.zero(ring)
+                assert ops.dot(xs, ys) == _fold_dot(ops, xs, ys)
+        # a sum that cancels to zero, and one that cancels its top term
+        p = _rand_poly(rng, ring, 4, "random")
+        q = _rand_poly(rng, ring, 2, "random")
+        assert ops.dot([p, -p], [q, q]) == Poly.zero(ring)
+        t = Poly(ring, [ring.zero, ring.one])
+        assert ops.dot([p, -p], [q, q + t]) == _fold_dot(
+            ops, [p, -p], [q, q + t])
+        assert ops.dot([], []) == Poly.zero(ring)

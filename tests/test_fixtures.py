@@ -13,7 +13,7 @@ from nclfun.covering import (
     parse_instance,
     render_instance,
 )
-from nclfun.errors import NotASubgroup
+from nclfun.errors import NotASubgroup, ParseError
 from nclfun.groupalg import OpenSubgroup, Rep, trivial_rep
 from nclfun.lfun import (
     cohomology_from_points,
@@ -36,6 +36,17 @@ def test_all_fixtures_parse_and_rerender_byte_identical():
     for name in ("trivial", "z2xgamma", "z3_semidirect", "s3_gamma", "ec_f5"):
         text, inst = _load(name)
         assert render_instance(inst) == text, name
+
+
+def test_points_complete_through_key():
+    text, inst = _load("ec_f5")
+    assert inst.covering.complete_through == 6
+    assert _load("trivial")[1].covering.complete_through is None
+    assert "complete_through" not in render_instance(_load("trivial")[1])
+    for bad in ("0", "[6]", "-1"):
+        with pytest.raises(ParseError):
+            parse_instance(text.replace("points.complete_through = 6",
+                                        f"points.complete_through = {bad}"))
 
 
 def test_trivial_fixture_shape():
@@ -94,7 +105,7 @@ def test_ec_fixture_regenerates_from_brute_force():
     g1 = GroupData(1, [[0]], [0], 1)
     counts = ec_oracle.closed_point_counts(6)
     pts = [Point(d, 0, d) for d in sorted(counts) for _ in range(counts[d])]
-    cov = CoveringSpec(5, 3, 2, Z9, g1, pts)
+    cov = CoveringSpec(5, 3, 2, Z9, g1, pts, complete_through=6)
     coh = CohomologySpec(
         Z9, [0, 1, 2],
         [[[Z9.one]],

@@ -16,7 +16,17 @@ from nclfun.coeffring import (
     poly_det,
 )
 from nclfun.errors import InvariantViolation, PrecisionMismatch
-from nclfun.linalg import howell_form, reduce_vector
+from nclfun.linalg import (
+    howell_form,
+    in_span,
+    left_kernel,
+    mat_identity,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    reduce_vector,
+    span_size,
+)
 from nclfun.limits import (
     GammaModule,
     IdealClass,
@@ -29,6 +39,7 @@ from nclfun.limits import (
     iwasawa_transform,
     kernel_chain_report,
     limit_module,
+    tower_power,
     verify_mc_commutative,
 )
 
@@ -179,6 +190,100 @@ def test_kernel_chain_randomized_certificates():
             assert rep.vanishing_certified
             sizes = [lay.size for lay in rep.layers]
             assert sizes == sorted(sizes)
+
+
+def _kernel_chain_oracle(ring, Phi, stable_from):
+    """kernel_chain_report as it was before the tower kept its powers:
+    every Phi^(ell^n) by mat_pow, each level's map matrix by one mat_vec
+    per flat unit vector, and the trace sums from the identity."""
+    s, ell, M = len(Phi), ring.ell, ring.modulus
+    width = s * ring.deg
+    ident = mat_identity(ring, s)
+    n_top = stable_from + ring.m + 1
+    pows = [mat_pow(ring, Phi, ell ** n) for n in range(n_top + 1)]
+    sizes, kernels = [], []
+    for P in pows:
+        A = [[ring.sub(ident[i][j], P[i][j]) for j in range(s)]
+             for i in range(s)]
+        mat = []
+        for u in range(width):
+            basis = [0] * width
+            basis[u] = 1
+            img = mat_vec(ring, A, ring.unflatten_vec(basis))
+            mat.append(ring.flatten_vec(img))
+        rows = howell_form(left_kernel(mat, M), width, M)
+        kernels.append(rows)
+        sizes.append(span_size(rows, M))
+    traces = []
+    for n in range(n_top):
+        V = acc = ident
+        for _ in range(ell - 1):
+            acc = mat_mul(ring, acc, pows[n])
+            V = [[ring.add(V[i][j], acc[i][j]) for j in range(s)]
+                 for i in range(s)]
+        traces.append(V)
+        for r in kernels[n + 1]:
+            img = mat_vec(ring, V, ring.unflatten_vec(list(r)))
+            assert in_span(ring.flatten_vec(img), kernels[n], M)
+    ell_c = ring.int_embed(ell)
+    mult_ok = all(
+        mat_vec(ring, traces[stable_from], v) == [ring.mul(ell_c, a)
+                                                  for a in v]
+        for v in (ring.unflatten_vec(list(r)) for r in kernels[stable_from]))
+    comp = ident
+    for n in range(stable_from, stable_from + ring.m):
+        comp = mat_mul(ring, traces[n], comp)
+    vanished = all(
+        all(map(ring.is_zero, mat_vec(ring, comp, ring.unflatten_vec(list(r)))))
+        for r in kernels[stable_from])
+    return kernels, sizes, mult_ok, vanished
+
+
+def _tower_cases(rng):
+    """(ring, Phi): [[x]] over Z/9[x]/(x^2+1), whose powers x^(3^n)
+    alternate between x and -x, then seeded matrices of sizes 1-3."""
+    yield GAUSS9, [[GAUSS9.gen()]]
+    for ring in (Z9, Z25, GAUSS9, SPLIT3, CoeffRing(3, 3)):
+        for _ in range(5):
+            yield ring, _rand_mat(ring, rng, rng.randrange(1, 4))
+
+
+def test_tower_power_lookup_equals_mat_pow():
+    rng = random.Random(53)
+    periods = []
+    for ring, Phi in _tower_cases(rng):
+        t = coker_tower(ring, Phi)
+        periods.append((t.repeat_at, t.period))
+        assert len(t.powers) == t.repeat_at + t.period
+        for n in range(t.repeat_at + 3 * t.period + 1):
+            want = mat_pow(ring, Phi, ring.ell ** n)
+            assert [list(r) for r in tower_power(t, n)] == want
+    assert periods[0] == (0, 2)
+    assert sum(1 for _, period in periods if period == 1) >= 10
+
+
+def test_kernel_chain_reads_the_tower_powers(monkeypatch):
+    import nclfun.limits as limits_mod
+    rng = random.Random(59)
+    calls = []
+
+    def counting_mat_pow(*args):
+        calls.append(args)
+        return mat_pow(*args)
+
+    monkeypatch.setattr(limits_mod, "mat_pow", counting_mat_pow)
+    for ring, Phi in _tower_cases(rng):
+        t = coker_tower(ring, Phi)
+        calls.clear()
+        rep = kernel_chain_report(ring, Phi, tower=t)
+        assert calls == []
+        assert kernel_chain_report(ring, Phi) == rep
+        kernels, sizes, mult_ok, vanished = _kernel_chain_oracle(
+            ring, Phi, t.stable_from)
+        assert [lay.kernel_rows for lay in rep.layers] == kernels
+        assert [lay.size for lay in rep.layers] == sizes
+        assert (rep.trace_is_mult_by_ell, rep.vanishing_certified) == (
+            mult_ok, vanished)
 
 
 # --- ideals

@@ -1,7 +1,13 @@
 import itertools
 import random
 
-from nclfun.coeffring import CoeffRing, Poly, PolyOps, mat_inverse_omega
+from nclfun.coeffring import (
+    CoeffRing,
+    Poly,
+    PolyOps,
+    mat_inverse_omega,
+    poly_det,
+)
 from nclfun.groupalg import GroupData, Rep
 from nclfun.linalg import (
     berkowitz_charpoly,
@@ -354,3 +360,116 @@ def test_mat_pow_equals_repeated_product():
             for _ in range(abs(a)):
                 want = mat_mul(ring, want, factor)
             assert rho.gamma_pow(a) == want
+
+
+# --- the add/mul loops the fused dot replaced, kept as oracles
+
+
+def _oracle_mat_vec(ops, A, v):
+    out = []
+    for row in A:
+        acc = ops.zero
+        for a, b in zip(row, v):
+            acc = ops.add(acc, ops.mul(a, b))
+        out.append(acc)
+    return out
+
+
+def _oracle_mat_mul(ops, A, B):
+    cols = list(zip(*B))
+    return [_oracle_mat_vec(ops, cols, row) for row in A]
+
+
+def _oracle_mat_pow(ops, A, e):
+    out = mat_identity(ops, len(A))
+    for _ in range(e):
+        out = _oracle_mat_mul(ops, out, A)
+    return out
+
+
+def _oracle_berkowitz(ops, mat):
+    n = len(mat)
+    if n == 0:
+        return [ops.one]
+    vec = [ops.one, ops.neg(mat[n - 1][n - 1])]
+    for k in range(n - 2, -1, -1):
+        s = n - k - 1
+        R = [mat[k][k + 1 + j] for j in range(s)]
+        C = [mat[k + 1 + i][k] for i in range(s)]
+        A1 = [[mat[k + 1 + i][k + 1 + j] for j in range(s)] for i in range(s)]
+        col = [ops.one, ops.neg(mat[k][k])]
+        w = C
+        for _ in range(s):
+            col.append(ops.neg(_oracle_mat_vec(ops, [R], w)[0]))
+            w = _oracle_mat_vec(ops, A1, w)
+        new = []
+        for i in range(s + 2):
+            acc = ops.zero
+            for j in range(s + 1):
+                if 0 <= i - j < len(col):
+                    acc = ops.add(acc, ops.mul(col[i - j], vec[j]))
+            new.append(acc)
+        vec = new
+    vec.reverse()
+    return vec
+
+
+# Z/9, Z/27, an inert and a split quadratic ring over Z/9, and a cubic
+# ring over Z/4
+DOT_RINGS = [Z9, Z27, GAUSS9, CoeffRing(3, 2, [8, 3, 1]),
+             CoeffRing(2, 2, [1, 1, 0, 1])]
+
+
+def _rand_poly_mat(rng, ring, n, max_len):
+    return [[Poly(ring, [_rand_elem(rng, ring)
+                         for _ in range(rng.randrange(max_len + 1))])
+             for _ in range(n)] for _ in range(n)]
+
+
+def _dot_cases(rng):
+    """(ops, ell, draw) for every ring of DOT_RINGS, where draw(n) is a
+    random n x n matrix: over the ring itself, and over Omega[T] with
+    0-2 and with up to 5 coefficients per entry."""
+    for ring in DOT_RINGS:
+        yield ring, ring.ell, lambda n, ring=ring: _rand_mat(rng, ring, n)
+        for max_len in (2, 5):
+            yield PolyOps(ring), ring.ell, (
+                lambda n, ring=ring, k=max_len:
+                _rand_poly_mat(rng, ring, n, k))
+
+
+def test_matrix_layer_matches_add_mul_oracles():
+    rng = random.Random(97)
+    for ops, ell, draw in _dot_cases(rng):
+        for n in range(5):
+            A, B = draw(n), draw(n)
+            v = [row[0] for row in B]
+            assert mat_vec(ops, A, v) == _oracle_mat_vec(ops, A, v)
+            assert mat_mul(ops, A, B) == _oracle_mat_mul(ops, A, B)
+            for e in (0, 1, 2, ell, ell ** 2 - 1):
+                assert mat_pow(ops, A, e) == _oracle_mat_pow(ops, A, e)
+            assert berkowitz_charpoly(ops, A) == _oracle_berkowitz(ops, A)
+
+
+def test_poly_det_matches_berkowitz_oracle():
+    rng = random.Random(101)
+    for ring in DOT_RINGS:
+        ops = PolyOps(ring)
+        for n in range(1, 5):
+            for max_len in (2, 5):
+                for _ in range(3):
+                    A = _rand_poly_mat(rng, ring, n, max_len)
+                    want = det_from_charpoly(ops, _oracle_berkowitz(ops, A))
+                    assert poly_det(A, ring) == want
+
+
+def test_mat_pow_returns_a_new_matrix():
+    rng = random.Random(103)
+    for ops, A in ((Z9, _rand_mat(rng, Z9, 3)),
+                   (PolyOps(GAUSS9), _rand_poly_mat(rng, GAUSS9, 2, 3))):
+        B = mat_pow(ops, A, 1)
+        assert B == A
+        assert B is not A
+        assert all(rb is not ra for rb, ra in zip(B, A))
+        B[0][0] = ops.one if A[0][0] != ops.one else ops.zero
+        assert B[0][0] != A[0][0]
