@@ -20,7 +20,6 @@ from .linalg import (
     berkowitz_charpoly,
     charpoly_reversal,
     det_from_charpoly,
-    left_kernel,
     mat_identity,
     mat_mul,
     mat_pow,
@@ -463,7 +462,7 @@ class Poly:
 
     def __mul__(self, other):
         self._need_same_ring(other)
-        return _poly_dot(self.ring, (self,), (other,))
+        return Poly(self.ring, _poly_dot(self.ring, (self,), (other,)))
 
     def scale(self, c):
         return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
@@ -543,11 +542,13 @@ _KRONECKER_MIN_LEN = 8
 
 
 def _poly_dot(ring, xs, ys):
-    """The sum of a * b over the pairs (a, b) of Poly in zip(xs, ys),
-    as one Poly.
+    """The sum of a * b over the pairs (a, b) of Poly in zip(xs, ys), as
+    a list of ring elements, ascending in T.  The list may end in zeros;
+    an empty sum gives an empty list.
 
     All products add up in one unreduced integer array, 2D - 1 slots
-    per power of T, reduced once at the end."""
+    per power of T, reduced once at the end.  Poly products, PolyOps.dot
+    and Series products all go through here."""
     S = 2 * ring.deg - 1
     acc = []
     for a, b in zip(xs, ys):
@@ -567,7 +568,7 @@ def _poly_dot(ring, xs, ys):
                     if us:
                         for k, vt in enumerate(v, s):
                             acc[k] += us * vt
-    return Poly(ring, _reduce_slots(ring, acc))
+    return _reduce_slots(ring, acc)
 
 
 def power(x, e):
@@ -608,17 +609,34 @@ class PolyOps:
 
     def dot(self, xs, ys):
         """The sum of a * b over the pairs of zip(xs, ys), as one Poly."""
-        return _poly_dot(self.ring, xs, ys)
+        return Poly(self.ring, _poly_dot(self.ring, xs, ys))
 
 
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
 
+def _head(s, n):
+    """The first n coefficients of the series s as a Poly, without their
+    trailing zeros.  They are reduced already, so the Poly is built
+    without the per-coefficient checks of Poly.__init__."""
+    cs = s.coeffs
+    while n and not any(cs[n - 1]):
+        n -= 1
+    p = Poly.__new__(Poly)
+    p.ring, p.coeffs = s.ring, cs[:n]
+    return p
+
+
 class Series:
     """Power series over a CoeffRing, held to an explicit precision: the
     coefficient tuple always has exactly `prec` entries.  Binary ops
-    truncate to the smaller precision of the two operands."""
+    truncate to the smaller precision of the two operands.
+
+    A product is the polynomial product of the two operands cut to that
+    precision (trailing zeros dropped), by the same _poly_dot as Poly, of
+    which the first prec coefficients are kept: a short local factor
+    costs its length times the other operand's, not prec times it."""
 
     __slots__ = ("ring", "prec", "coeffs")
 
@@ -663,17 +681,8 @@ class Series:
 
     def __mul__(self, other):
         n = self._join(other)
-        R = self.ring
-        out = [R.zero] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if R.is_zero(a):
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not R.is_zero(b):
-                    out[i + j] = R.add(out[i + j], R.mul(a, b))
-        return Series(R, n, out)
+        out = _poly_dot(self.ring, (_head(self, n),), (_head(other, n),))
+        return Series(self.ring, n, out[:n])
 
     def truncate(self, prec):
         if prec > self.prec:
@@ -698,7 +707,10 @@ class Series:
 def series_invert(s):
     """Multiplicative inverse in Omega[[T]] / T^prec.
 
-    Needs a unit constant term; raises NonUnitConstantTerm otherwise.
+    Coefficient k of the inverse t is -t_0 times the sum of s_j t_(k-j)
+    over the nonzero s_j with 1 <= j <= k: one fused CoeffRing.dot per
+    coefficient.  Needs a unit constant term; raises NonUnitConstantTerm
+    otherwise.
     """
     R = s.ring
     c0 = s.coeffs[0]
@@ -706,14 +718,16 @@ def series_invert(s):
         raise NonUnitConstantTerm(
             "series inversion needs a unit constant term")
     t0 = R.inv(c0)
+    minus_t0 = R.neg(t0)
+    js = [j for j in range(1, s.prec) if any(s.coeffs[j])]
+    cs = [s.coeffs[j] for j in js]
     out = [t0]
+    used = 0
     for k in range(1, s.prec):
-        acc = R.zero
-        for j in range(1, k + 1):
-            sj = s.coeffs[j]
-            if not R.is_zero(sj):
-                acc = R.add(acc, R.mul(sj, out[k - j]))
-        out.append(R.neg(R.mul(t0, acc)))
+        if used < len(js) and js[used] == k:
+            used += 1
+        acc = R.dot(cs[:used], [out[k - j] for j in js[:used]])
+        out.append(R.mul(minus_t0, acc))
     return Series(R, s.prec, out)
 
 
@@ -785,67 +799,6 @@ def det_one_minus_scaled(ring, A, d):
             coeffs.append(ring.zero)
         coeffs.append(c)
     return Poly(ring, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# equality up to a unit series factor
-# ---------------------------------------------------------------------------
-
-def eq_up_to_unit(a, b, prec=32):
-    """Whether a == u * b holds in Omega[[T]] / T^prec for some unit u
-    (unit means invertible there: unit constant term).
-
-    The coefficient equations are linear in u, so the full solution set
-    is an affine subspace over Z/M after flattening.  Existence of a
-    solution with unit constant term is decided by projecting that
-    subspace to the constant coordinates and reducing modulo l: the
-    projected set is a coset of a subgroup of F_l^D, small enough to
-    enumerate, and u0 is a unit exactly when its reduction is prime to
-    the minimal polynomial.
-    """
-    ring = a.ring
-    if ring != b.ring:
-        raise InvariantViolation("mixed coefficient rings in unit comparison")
-    if isinstance(a, Poly):
-        a = a.truncate(prec)
-    if isinstance(b, Poly):
-        b = b.truncate(prec)
-    a = a.truncate(prec) if a.prec > prec else a
-    b = b.truncate(prec) if b.prec > prec else b
-    if a.prec != prec or b.prec != prec:
-        raise InvariantViolation("operands shorter than requested precision")
-    D, M, ell = ring.deg, ring.modulus, ring.ell
-    # unknown u as prec Omega coefficients; u * b == a coefficientwise.
-    # the flattened system has one row per unknown: the (j, t) row is
-    # x^t T^j b truncated, flattened.
-    rows = ring.omega_rows_to_int_rows(
-        [[ring.zero] * j + list(b.coeffs[:prec - j]) for j in range(prec)])
-    target = ring.flatten_vec(a.coeffs)
-    part = solve_left(rows, target, M)
-    if part is None:
-        return False
-    ker = left_kernel(rows, M)
-    # constant coordinates of u sit at flat positions 0..D-1
-    base = tuple(part[:D])
-    deltas = {tuple(0 for _ in range(D))}
-    for krow in ker:
-        head = tuple(c % ell for c in krow[:D])
-        if any(head):
-            new = set()
-            for d0 in deltas:
-                for mult in range(ell):
-                    new.add(tuple((u + mult * v) % ell
-                                  for u, v in zip(d0, head)))
-            deltas = deltas | new
-    fbar = ring._fbar
-    for d0 in deltas:
-        cand = tuple((u + v) % ell for u, v in zip(base, d0))
-        if ring.deg == 1:
-            if cand[0] % ell != 0:
-                return True
-        elif _fl_gcd(cand, fbar, ell) == (1,):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

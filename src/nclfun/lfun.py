@@ -30,8 +30,9 @@ def euler_product(cov, rho, prec):
     sheaf, or the sheaf tensored with a twisting representation).
 
     The local factor depends only on the point, so repeated points are
-    grouped: each distinct factor is inverted once and raised to its
-    multiplicity by repeated squaring.
+    grouped: each distinct factor is truncated once and raised to its
+    multiplicity by repeated squaring.  The product of the factors is
+    inverted once, at the end.
     """
     if rho.group != cov.group:
         raise InvariantViolation("representation lives on a different group")
@@ -40,8 +41,8 @@ def euler_product(cov, rho, prec):
     for pt, mult in Counter(cov.points).items():
         mat = rho.of(pt.frobenius())
         factor = det_one_minus_scaled(ring, mat, pt.degree)
-        acc = acc * power(series_invert(factor.truncate(prec)), mult)
-    return acc
+        acc = acc * power(factor.truncate(prec), mult)
+    return series_invert(acc)
 
 
 def det_one_minus_matrix(ring, Phi):

@@ -12,10 +12,12 @@ from collections import Counter
 from .coeffring import (
     Poly,
     RationalFunction,
+    Series,
     is_in_P,
     is_in_S,
     poly_det,
     power,
+    series_invert,
 )
 from .covering import SheafSpec, push_covering_quotient
 from .errors import (
@@ -101,37 +103,52 @@ class K1Class:
     whose determinant lies in S; otherwise the factor has no business
     being inverted and the constructor refuses with NotSQuasiIso.  The
     check runs once per distinct factor matrix.
+
+    A matrix object passed several times (ncl_from_points shares one per
+    distinct point) is validated and keyed once, and its repeats share
+    one stored tuple of rows.
     """
 
     def __init__(self, ring, group, factors, check=True):
         self.ring = ring
         self.group = group
+        # id(mat) -> (mat, stored rows); holding mat keeps its id unique
+        # for the whole call, even when factors is a generator
+        seen = {}
         fs = []
         for mat, exp in factors:
             if exp not in (1, -1):
                 raise InvariantViolation("factor exponent must be +1 or -1")
-            n = len(mat)
-            rows = []
-            for row in mat:
-                if len(row) != n:
-                    raise InvariantViolation("factor matrix is not square")
-                for x in row:
-                    if not isinstance(x, CrossedLaurent):
-                        raise InvariantViolation(
-                            "factor entries must be crossed elements")
-                    if x.ring != ring or x.group != group:
-                        raise InvariantViolation(
-                            "factor entry lives in a different crossed algebra")
-                rows.append(tuple(row))
-            fs.append((tuple(rows), exp))
+            hit = seen.get(id(mat))
+            if hit is None:
+                hit = seen[id(mat)] = (mat, self._stored_rows(mat))
+            fs.append((hit[1], exp))
         self.factors = tuple(fs)
         if check:
-            distinct = {_matrix_key(mat): mat for mat, _ in self.factors}
+            distinct = {_matrix_key(rows): rows for _, rows in seen.values()}
             for mat in distinct.values():
                 pm = _augmentation_poly_matrix(ring, mat)
                 if not is_in_S(poly_det(pm, ring)):
                     raise NotSQuasiIso(
                         "augmentation determinant of a factor is not in S")
+
+    def _stored_rows(self, mat):
+        """mat as a tuple of row tuples, after checking that it is square
+        over this crossed algebra."""
+        n = len(mat)
+        rows = []
+        for row in mat:
+            if len(row) != n:
+                raise InvariantViolation("factor matrix is not square")
+            for x in row:
+                if not isinstance(x, CrossedLaurent):
+                    raise InvariantViolation(
+                        "factor entries must be crossed elements")
+                if x.ring != self.ring or x.group != self.group:
+                    raise InvariantViolation(
+                        "factor entry lives in a different crossed algebra")
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def __mul__(self, other):
         if self.ring != other.ring or self.group != other.group:
@@ -234,38 +251,50 @@ def ncl_from_cohomology(cov, coh):
     return K1Class(ring, gd, factors)
 
 
-def ncl_evaluate(k1, rho):
-    """Exact rational function obtained by pushing every factor through
-    theta at rho and multiplying determinants with their signs.
+def ncl_evaluate(k1, rho, prec=None):
+    """Pushes every factor through theta at rho and multiplies the
+    determinants with their signs: an exact rational function, or with
+    prec its expansion in Omega[[T]] / T^prec as a Series.
 
-    Repeated factors are grouped by (matrix, exponent): each distinct
-    determinant is taken once and raised to its multiplicity by repeated
-    squaring.
+    Repeated factors are grouped by (matrix, exponent), each distinct
+    stored matrix object keyed once: each distinct determinant is taken
+    once and raised to its multiplicity by repeated squaring.  With prec
+    every determinant is truncated first, so the products run mod T^prec
+    and the denominator is inverted once; the result equals the exact
+    evaluation expanded to prec.
 
     Denominator determinants must have unit constant term; otherwise the
     inverse does not exist at the level of power series and we raise
-    SingularEvaluation instead of returning a wrong answer."""
+    SingularEvaluation instead of returning a wrong answer.  The check
+    is made on the exact determinant."""
     if rho.group != k1.group:
         raise InvariantViolation("representation is on the wrong group")
     ring = rho.ring
+    keys = {}
     mats = {}
     mults = Counter()
     for mat, exp in k1.factors:
-        key = (_matrix_key(mat), exp)
+        mkey = keys.get(id(mat))
+        if mkey is None:
+            mkey = keys[id(mat)] = _matrix_key(mat)
+        key = (mkey, exp)
         mats.setdefault(key, mat)
         mults[key] += 1
-    num = Poly.one(ring)
-    den = Poly.one(ring)
+    num = den = Poly.one(ring) if prec is None else Series.one(ring, prec)
     for key, mult in mults.items():
         det = poly_det(theta_matrix(mats[key], rho), ring)
+        if key[1] == -1 and not is_in_P(det):
+            raise SingularEvaluation(
+                "denominator determinant has non-unit constant term")
+        if prec is not None:
+            det = det.truncate(prec)
         if key[1] == 1:
             num = num * power(det, mult)
         else:
-            if not is_in_P(det):
-                raise SingularEvaluation(
-                    "denominator determinant has non-unit constant term")
             den = den * power(det, mult)
-    return RationalFunction(num, den)
+    if prec is None:
+        return RationalFunction(num, den)
+    return num * series_invert(den)
 
 
 def ncl_twist(cov, sheaf, twist):
@@ -338,7 +367,7 @@ def verify_interpolation(cov, sheaf, rho, prec):
     """Class evaluation at rho against the Euler product of the sheaf
     tensored with rho, compared through the requested precision."""
     k1 = ncl_from_points(cov, sheaf)
-    left = ncl_evaluate(k1, rho).expand(prec)
+    left = ncl_evaluate(k1, rho, prec)
     right = euler_product(cov, tensor_rep(sheaf.rep, rho), prec)
     return _verdict("interpolation", compare_series(left, right), left, right)
 
@@ -346,9 +375,9 @@ def verify_interpolation(cov, sheaf, rho, prec):
 def verify_twist(cov, sheaf, twist, rho, prec):
     """Twisting the class then evaluating, against evaluating the plain
     class at the tensored representation."""
-    left = ncl_evaluate(ncl_twist(cov, sheaf, twist), rho).expand(prec)
+    left = ncl_evaluate(ncl_twist(cov, sheaf, twist), rho, prec)
     right = ncl_evaluate(ncl_from_points(cov, sheaf),
-                         tensor_rep(twist, rho)).expand(prec)
+                         tensor_rep(twist, rho), prec)
     return _verdict("twist", compare_series(left, right), left, right)
 
 
@@ -360,8 +389,8 @@ def verify_quotient(cov, sheaf, members, rho_q, prec):
     factors_match = k1_pushed == k1_direct
     _, proj = push_covering_quotient(cov, members)
     rho_big = push_rep_through_quotient(rho_q, cov.group, proj)
-    left = ncl_evaluate(k1_pushed, rho_q).expand(prec)
-    right = ncl_evaluate(ncl_from_points(cov, sheaf), rho_big).expand(prec)
+    left = ncl_evaluate(k1_pushed, rho_q, prec)
+    right = ncl_evaluate(ncl_from_points(cov, sheaf), rho_big, prec)
     cmp = compare_series(left, right)
     out = _verdict("quotient", cmp, left, right,
                    {"factors_match": factors_match})

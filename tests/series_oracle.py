@@ -1,0 +1,109 @@
+"""Reference routines for tests: slow, plain algorithms that the
+package replaced or never needed, kept to check the package against.
+
+- `schoolbook_series_mul` and `recurrence_series_invert`: the
+  coefficient-by-coefficient add/mul loops that Series.__mul__ and
+  coeffring.series_invert replaced.
+- `eq_up_to_unit`: whether two series agree up to a unit series factor,
+  the certificate of acceptance criterion 4 and of the limit tests.
+"""
+
+from nclfun.coeffring import Poly, Series, _fl_gcd
+from nclfun.errors import InvariantViolation, NonUnitConstantTerm
+from nclfun.linalg import left_kernel, solve_left
+
+
+def schoolbook_series_mul(a, b):
+    """a * b mod T^n, n the smaller precision, one ring product per pair
+    of nonzero coefficients below n."""
+    if a.ring != b.ring:
+        raise InvariantViolation("mixed coefficient rings in series op")
+    R = a.ring
+    n = min(a.prec, b.prec)
+    out = [R.zero] * n
+    for i in range(n):
+        u = a.coeffs[i]
+        if R.is_zero(u):
+            continue
+        for j in range(n - i):
+            v = b.coeffs[j]
+            if not R.is_zero(v):
+                out[i + j] = R.add(out[i + j], R.mul(u, v))
+    return Series(R, n, out)
+
+
+def recurrence_series_invert(s):
+    """The inverse in Omega[[T]] / T^prec by the recurrence
+    t_k = -t_0 (s_1 t_(k-1) + ... + s_k t_0), summed by add and mul."""
+    R = s.ring
+    c0 = s.coeffs[0]
+    if not R.is_unit(c0):
+        raise NonUnitConstantTerm(
+            "series inversion needs a unit constant term")
+    t0 = R.inv(c0)
+    out = [t0]
+    for k in range(1, s.prec):
+        acc = R.zero
+        for j in range(1, k + 1):
+            sj = s.coeffs[j]
+            if not R.is_zero(sj):
+                acc = R.add(acc, R.mul(sj, out[k - j]))
+        out.append(R.neg(R.mul(t0, acc)))
+    return Series(R, s.prec, out)
+
+
+def eq_up_to_unit(a, b, prec=32):
+    """Whether a == u * b holds in Omega[[T]] / T^prec for some unit u
+    (unit means invertible there: unit constant term).
+
+    The coefficient equations are linear in u, so the full solution set
+    is an affine subspace over Z/M after flattening.  Existence of a
+    solution with unit constant term is decided by projecting that
+    subspace to the constant coordinates and reducing modulo l: the
+    projected set is a coset of a subgroup of F_l^D, small enough to
+    enumerate, and u0 is a unit exactly when its reduction is prime to
+    the minimal polynomial.
+    """
+    ring = a.ring
+    if ring != b.ring:
+        raise InvariantViolation("mixed coefficient rings in unit comparison")
+    if isinstance(a, Poly):
+        a = a.truncate(prec)
+    if isinstance(b, Poly):
+        b = b.truncate(prec)
+    a = a.truncate(prec) if a.prec > prec else a
+    b = b.truncate(prec) if b.prec > prec else b
+    if a.prec != prec or b.prec != prec:
+        raise InvariantViolation("operands shorter than requested precision")
+    D, M, ell = ring.deg, ring.modulus, ring.ell
+    # unknown u as prec Omega coefficients; u * b == a coefficientwise.
+    # the flattened system has one row per unknown: the (j, t) row is
+    # x^t T^j b truncated, flattened.
+    rows = ring.omega_rows_to_int_rows(
+        [[ring.zero] * j + list(b.coeffs[:prec - j]) for j in range(prec)])
+    target = ring.flatten_vec(a.coeffs)
+    part = solve_left(rows, target, M)
+    if part is None:
+        return False
+    ker = left_kernel(rows, M)
+    # constant coordinates of u sit at flat positions 0..D-1
+    base = tuple(part[:D])
+    deltas = {tuple(0 for _ in range(D))}
+    for krow in ker:
+        head = tuple(c % ell for c in krow[:D])
+        if any(head):
+            new = set()
+            for d0 in deltas:
+                for mult in range(ell):
+                    new.add(tuple((u + mult * v) % ell
+                                  for u, v in zip(d0, head)))
+            deltas = deltas | new
+    fbar = ring._fbar
+    for d0 in deltas:
+        cand = tuple((u + v) % ell for u, v in zip(base, d0))
+        if ring.deg == 1:
+            if cand[0] % ell != 0:
+                return True
+        elif _fl_gcd(cand, fbar, ell) == (1,):
+            return True
+    return False

@@ -10,7 +10,7 @@ import random
 import time
 
 import ec_oracle
-from nclfun.coeffring import CoeffRing, Poly, eq_up_to_unit, is_in_P, is_in_S
+from nclfun.coeffring import CoeffRing, Poly, is_in_P, is_in_S
 from nclfun.covering import CoveringSpec, Point, parse_instance
 from nclfun.groupalg import GroupData, Rep, subgroup_group_data, trivial_rep
 from nclfun.lfun import (
@@ -41,6 +41,7 @@ from nclfun.relk import (
     verify_d_exactness,
     verify_d_multiplicative,
 )
+from series_oracle import eq_up_to_unit
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GROUP_FIXTURES = ("trivial", "z2xgamma", "z3_semidirect", "s3_gamma")

@@ -10,7 +10,6 @@ from nclfun.coeffring import (
     Series,
     _KRONECKER_MIN_LEN,
     det_one_minus_scaled,
-    eq_up_to_unit,
     is_in_P,
     is_in_S,
     mat_inverse_omega,
@@ -23,6 +22,11 @@ from nclfun.coeffring import (
 )
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
 from nclfun.linalg import berkowitz_charpoly, det_from_charpoly
+from series_oracle import (
+    eq_up_to_unit,
+    recurrence_series_invert,
+    schoolbook_series_mul,
+)
 
 Z9 = CoeffRing(3, 2)
 Z8 = CoeffRing(2, 3)
@@ -33,6 +37,10 @@ CUBIC = CoeffRing(5, 2, [2, 0, 0, 1])
 # quadratic ring over Z/9, and a cubic ring over Z/4
 DOT_RINGS = [Z9, CoeffRing(3, 3), GAUSS9, CoeffRing(3, 2, [8, 3, 1]),
              CoeffRing(2, 2, [1, 1, 0, 1])]
+# the rings of the series oracles: Z/5, Z/9, Z/27, Z/9[x]/(x^2+1) and
+# Z/4[x]/(x^3+x+1)
+SERIES_RINGS = [CoeffRing(5, 1), Z9, CoeffRing(3, 3), GAUSS9,
+                CoeffRing(2, 2, [1, 1, 0, 1])]
 
 
 def _rand_elem(rng, ring):
@@ -121,6 +129,76 @@ def test_series_invert_random_roundtrip():
             s = Series(ring, 8, coeffs)
             t = series_invert(s)
             assert (s * t) == Series.one(ring, 8)
+
+
+def _rand_series(rng, ring, prec, support, style="random"):
+    """A series of precision prec whose coefficients past the first
+    `support` are zero: random, with about a third of them zero, or
+    with every coordinate at M - 1."""
+    top = ring.element([ring.modulus - 1] * ring.deg)
+    cs = []
+    for k in range(min(support, prec)):
+        if style == "full":
+            cs.append(top)
+        elif style == "sparse" and rng.randrange(3) == 0:
+            cs.append(ring.zero)
+        else:
+            cs.append(_rand_elem(rng, ring))
+    return Series(ring, prec, cs)
+
+
+def test_series_mul_matches_schoolbook():
+    rng = random.Random(149)
+    K = _KRONECKER_MIN_LEN
+    for ring in SERIES_RINGS:
+        cases = [(1, 1, 1, 1), (1, 5, 1, 5), (5, 1, 5, 1)]
+        # supports on both sides of the Kronecker cutoff, at equal and
+        # at mixed precisions
+        for la in (K - 2, K - 1, K, K + 1, 2 * K + 3):
+            for lb in (K - 1, K, 3 * K):
+                cases.append((la, lb, la, lb))
+                cases.append((la + 3, lb, la, lb))
+                cases.append((la, lb + 5, la, lb))
+        # sparse short factors, as det(I - T^d A) truncated, against dense
+        # series of every length up to 4K
+        for n in range(1, 4 * K + 1):
+            short = rng.randint(1, 4)
+            cases.append((n, n, short, n))
+            cases.append((n, rng.randint(1, 4 * K), n, short))
+        for k, (pa, pb, sa, sb) in enumerate(cases):
+            style = ("random", "sparse", "full")[k % 3]
+            a = _rand_series(rng, ring, pa, sa, style)
+            b = _rand_series(rng, ring, pb, sb, rng.choice(["random", style]))
+            assert a * b == schoolbook_series_mul(a, b), (ring, pa, pb, sa, sb)
+            zero = Series(ring, pb, [])
+            assert a * zero == schoolbook_series_mul(a, zero)
+
+
+def test_series_mul_cut_drops_high_products():
+    # T^3 * T^3 vanishes mod T^5; (1 + 3T)(1 + 6T) = 1 + 18 T^2 = 1 mod 9
+    t3 = Series.from_ints(Z9, 5, [0, 0, 0, 1])
+    assert t3 * t3 == Series(Z9, 5, [])
+    a = Series.from_ints(Z9, 3, [1, 3])
+    assert a * Series.from_ints(Z9, 8, [1, 6]) == Series.one(Z9, 3)
+
+
+def test_series_invert_matches_recurrence():
+    rng = random.Random(151)
+    K = _KRONECKER_MIN_LEN
+    for ring in SERIES_RINGS:
+        for prec in list(range(1, 2 * K + 2)) + [32]:
+            for style in ("random", "sparse", "full"):
+                for support in (1, 2, rng.randint(1, 4), prec):
+                    s = _rand_series(rng, ring, prec, support, style)
+                    if not ring.is_unit(s.coeffs[0]):
+                        s = Series(ring, prec, (ring.one,) + s.coeffs[1:])
+                    t = series_invert(s)
+                    assert t == recurrence_series_invert(s), (ring, prec)
+        # a spread local factor det(I - T^3 A), only every third
+        # coefficient nonzero
+        A = [[_rand_elem(rng, ring) for _ in range(2)] for _ in range(2)]
+        f = det_one_minus_scaled(ring, A, 3).truncate(32)
+        assert series_invert(f) == recurrence_series_invert(f)
 
 
 def test_series_precision_rules():

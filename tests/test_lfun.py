@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nclfun import lfun
 from nclfun.coeffring import (
     CoeffRing,
     Poly,
@@ -27,6 +28,7 @@ from nclfun.lfun import (
     trace_formula_rational,
 )
 from nclfun.linalg import berkowitz_charpoly
+from series_oracle import recurrence_series_invert, schoolbook_series_mul
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,12 +97,14 @@ def test_euler_rejects_rep_on_wrong_group():
 
 
 def _euler_per_point(cov, rho, prec):
-    """The ungrouped product: one inverted local factor per listed point."""
+    """The ungrouped product: one inverted local factor per listed point,
+    by the schoolbook series product and the add/mul recurrence."""
     ring = rho.ring
     acc = Series.one(ring, prec)
     for pt in cov.points:
         factor = det_one_minus_scaled(ring, rho.of(pt.frobenius()), pt.degree)
-        acc = acc * series_invert(factor.truncate(prec))
+        acc = schoolbook_series_mul(
+            acc, recurrence_series_invert(factor.truncate(prec)))
     return acc
 
 
@@ -139,6 +143,31 @@ def test_grouped_euler_product_matches_per_point_loop():
             cov, rho = _repeated_covering(rng, ring)
             assert euler_product(cov, rho, prec) == \
                 _euler_per_point(cov, rho, prec), (prec, ring)
+
+
+def test_grouped_euler_product_matches_per_point_loop_at_prec_32():
+    rng = random.Random(43)
+    for ring in [GAUSS9, SPLIT3, CUBIC, CoeffRing(2, 2, [1, 1, 0, 1])]:
+        for _ in range(3):
+            cov, rho = _repeated_covering(rng, ring)
+            assert euler_product(cov, rho, 32) == \
+                _euler_per_point(cov, rho, 32), ring
+
+
+def test_euler_product_inverts_once(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s.prec)
+        return series_invert(s)
+
+    monkeypatch.setattr(lfun, "series_invert", counted)
+    rng = random.Random(47)
+    for ring in [Z9, GAUSS9]:
+        cov, rho = _repeated_covering(rng, ring)
+        calls.clear()
+        euler_product(cov, rho, 12)
+        assert calls == [12]
 
 
 def test_grouped_euler_product_matches_per_point_loop_on_ec_f5():

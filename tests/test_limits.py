@@ -9,7 +9,6 @@ from nclfun.coeffring import (
     CoeffRing,
     Poly,
     det_one_minus_scaled,
-    eq_up_to_unit,
     mat_inverse_omega,
     mat_mul_omega,
     mat_pow_omega,
@@ -42,6 +41,7 @@ from nclfun.limits import (
     tower_power,
     verify_mc_commutative,
 )
+from series_oracle import eq_up_to_unit
 
 Z9 = CoeffRing(3, 2)
 Z25 = CoeffRing(5, 2)

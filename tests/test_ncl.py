@@ -1,12 +1,15 @@
+import copy
 import pathlib
 import random
 
 import pytest
 
+from nclfun import ncl
 from nclfun.coeffring import (
     CoeffRing,
     Poly,
     RationalFunction,
+    Series,
     is_in_P,
     mat_mul_omega,
     poly_det,
@@ -41,6 +44,7 @@ from nclfun.ncl import (
     verify_quotient,
     verify_twist,
 )
+from nclfun.randcases import random_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -395,3 +399,120 @@ def test_class_from_points_on_ec_f5_matches_per_point_build():
     ref = _class_per_point(inst.covering, inst.sheaf)
     assert _k1_rendering(k1) == _k1_rendering(ref)
     assert k1 == ref
+
+
+# --- memoised class construction and evaluation
+
+
+def _deep_copied(k1):
+    """The factors of k1 as fresh matrix objects, one per factor, over
+    the same ring and group objects."""
+    keep = {id(k1.ring): k1.ring, id(k1.group): k1.group}
+    return [(copy.deepcopy(mat, dict(keep)), exp) for mat, exp in k1.factors]
+
+
+def test_shared_and_copied_factors_give_equal_classes():
+    gd = _s3()
+    cov = _cov(gd, [Point(1, 3, 1), Point(2, 1, 2), Point(1, 3, 1),
+                    Point(1, 0, 1), Point(2, 1, 2), Point(1, 3, 1)])
+    shared = ncl_from_points(cov, SheafSpec(_s3_sign(gd)))
+    assert len({id(mat) for mat, _ in shared.factors}) == 3
+    copied = K1Class(Z9, gd, _deep_copied(shared))
+    assert len({id(mat) for mat, _ in copied.factors}) == 6
+    assert copied.factors == shared.factors
+    assert copied == shared
+    for rho in (_s3_sign(gd), _s3_std2(gd)):
+        assert ncl_evaluate(copied, rho) == ncl_evaluate(shared, rho)
+        assert ncl_evaluate(copied, rho, 9) == ncl_evaluate(shared, rho, 9)
+
+
+def test_k1_validates_every_factor_object():
+    g = _cyclic(2)
+    e0 = CrossedLaurent.monomial(Z9, g, GElement(0, 0))
+    h1 = CrossedLaurent.monomial(Z9, g, GElement(1, 0))
+    good = [[e0 + h1]]
+    bad_entry = [[Z9.one]]
+    other_group = [[CrossedLaurent.one(Z9, _cyclic(3))]]
+    for bad in (bad_entry, other_group):
+        with pytest.raises(InvariantViolation):
+            K1Class(Z9, g, [(bad, -1)] * 3)
+        with pytest.raises(InvariantViolation):
+            K1Class(Z9, g, [(good, -1)] * 2 + [(bad, -1)] * 2, check=False)
+    # fresh objects from a generator: a freed good matrix must not lend
+    # its id to the bad one that follows
+    with pytest.raises(InvariantViolation):
+        K1Class(Z9, g, (([[e0 + h1]] if k < 8 else [[e0 + h1, e0]], -1)
+                        for k in range(9)))
+
+
+def test_k1_checks_each_distinct_matrix_once(monkeypatch):
+    g = _cyclic(2)
+    e0 = CrossedLaurent.monomial(Z9, g, GElement(0, 0))
+    h1 = CrossedLaurent.monomial(Z9, g, GElement(1, 0))
+    checked = []
+    collapse = ncl._augmentation_poly_matrix
+
+    def counted(ring, mat):
+        checked.append(mat)
+        return collapse(ring, mat)
+
+    monkeypatch.setattr(ncl, "_augmentation_poly_matrix", counted)
+    good = [[e0 + h1]]
+    bad = [[e0 - h1]]
+    factors = [(good, -1)] * 3 + [(copy.deepcopy(good), 1) for _ in range(3)]
+    K1Class(Z9, g, factors)
+    assert len(checked) == 1
+    checked.clear()
+    factors += [(bad, -1)] * 2 + [(copy.deepcopy(bad), -1) for _ in range(2)]
+    with pytest.raises(NotSQuasiIso):
+        K1Class(Z9, g, factors)
+    assert len(checked) == 2
+
+
+# --- evaluation mod T^prec
+
+
+def test_truncated_evaluation_equals_exact_expansion():
+    rng = random.Random(67)
+    degrees = set()
+    for _ in range(14):
+        cov, sheaf = random_instance(rng, rng.choice((3, 5)), max_h=6,
+                                     max_points=5, max_degree=3, max_rank=2)
+        ring = cov.ring
+        degrees.add(ring.deg)
+        k1 = ncl_from_points(cov, sheaf)
+        for k in (k1, k1 * k1 * k1.inverse()):
+            for rho in (trivial_rep(ring, cov.group), sheaf.rep):
+                exact = ncl_evaluate(k, rho)
+                for prec in (1, 6, 20):
+                    got = ncl_evaluate(k, rho, prec)
+                    assert isinstance(got, Series)
+                    assert got == exact.expand(prec), (ring, prec)
+    assert degrees == {1, 2}
+
+
+def test_singular_evaluation_raises_with_precision():
+    g = _cyclic(2)
+    e0 = CrossedLaurent.monomial(Z9, g, GElement(0, 0))
+    h1 = CrossedLaurent.monomial(Z9, g, GElement(1, 0))
+    sign = _char_rep(Z9, g, -1, 1)
+    for prec in (1, 8):
+        with pytest.raises(SingularEvaluation):
+            ncl_evaluate(K1Class(Z9, g, [([[e0 + h1]], -1)] * 3), sign, prec)
+    assert ncl_evaluate(K1Class(Z9, g, [([[e0 + h1]], 1)]), sign, 8) == \
+        Series(Z9, 8, [])
+
+
+def test_verify_drivers_never_expand_exact_evaluations(monkeypatch):
+    def refuse(self, prec):
+        raise AssertionError("exact evaluation expanded")
+
+    monkeypatch.setattr(RationalFunction, "expand", refuse)
+    gd = _s3()
+    cov = _cov(gd, [Point(1, 3, 1), Point(1, 1, 1), Point(2, 4, 2)])
+    sheaf = SheafSpec(_s3_sign(gd))
+    assert verify_interpolation(cov, sheaf, _s3_std2(gd), 12)["ok"]
+    assert verify_twist(cov, sheaf, _s3_sign(gd), _s3_std2(gd), 12)["ok"]
+    cov_q, _, _ = ncl_push_quotient(cov, sheaf, [0, 1, 2])
+    rho_q = _char_rep(Z9, cov_q.group, -1, 1)
+    assert verify_quotient(cov, sheaf, [0, 1, 2], rho_q, 12)["ok"]
