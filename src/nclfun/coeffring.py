@@ -15,6 +15,9 @@ image in every residue component ring is nonzero) are all decided
 through that product.
 """
 
+from operator import mul, neg
+from types import SimpleNamespace
+
 from .errors import InvariantViolation, NonUnitConstantTerm
 from .linalg import (
     berkowitz_charpoly,
@@ -174,7 +177,8 @@ class CoeffRing:
         self.components = _fl_factor_squarefree(fbar, ell)
         self.zero = (0,) * self.deg
         self.one = (1 % self.modulus,) + (0,) * (self.deg - 1)
-        self._xpow = self._build_xpow()
+        self._xpow = [self.one]
+        self.x_powers(2 * self.deg - 1)
 
     def _shift_reduce(self, a):
         """Coordinates of x * a."""
@@ -186,11 +190,11 @@ class CoeffRing:
                 out[i] = (out[i] - top * self.minpoly[i]) % M
         return tuple(out)
 
-    def _build_xpow(self):
-        # coordinates of x^k for k = 0 .. 2D-2, used by mul and by the
-        # reduction of Kronecker products
-        rows = [self.one]
-        for _ in range(2 * self.deg - 2):
+    def x_powers(self, count):
+        """Coordinates of x^k for k < count.  The list is kept and grows
+        on demand; it always holds the 2D - 1 powers that mul reads."""
+        rows = self._xpow
+        while len(rows) < count:
             rows.append(self._shift_reduce(rows[-1]))
         return rows
 
@@ -485,6 +489,29 @@ class Poly:
         return f"Poly({self})"
 
 
+def _pack(coeffs, D, slots, fmt):
+    """One integer from a tuple of ring elements: coordinate t of the
+    element at T^k fills slot k * slots + t, as wide as fmt writes it,
+    and slots D to slots - 1 of each block stay zero.  The digits are
+    joined in one binary string, which CPython converts in linear
+    time."""
+    if not coeffs:
+        return 0
+    pad = (0,) * (slots - D)
+    return int("".join([format(u, fmt) for c in reversed(coeffs)
+                        for u in pad + c[::-1]]), 2)
+
+
+def _unpack(v, count, w):
+    """The count slots of w bits of an integer 0 <= v < 2^(count w),
+    lowest first, read through one binary string."""
+    total = count * w
+    bits = format(v, "b").zfill(total)
+    vals = [int(bits[i:i + w], 2) for i in range(0, total, w)]
+    vals.reverse()
+    return vals
+
+
 def _kronecker_slots(ring, a, b):
     """The product of two nonempty coefficient tuples by Kronecker
     substitution, unreduced: slot k (2D - 1) + t holds the integer
@@ -494,36 +521,31 @@ def _kronecker_slots(ring, a, b):
     fills 2D - 1 slots of w bits in one integer; one integer product then
     holds the slots.  Each sums at most min(len) * D products of
     residues below M, so w = 2 bitlen(M - 1) + bitlen(min(len) * D) bits
-    hold it and no carry crosses a slot.  The slots are read back through
-    binary strings, which CPython converts in linear time.
+    hold it and no carry crosses a slot.
     """
     D, M = ring.deg, ring.modulus
     w = 2 * (M - 1).bit_length() + (min(len(a), len(b)) * D).bit_length()
     fmt = f"0{w}b"
-    top = (0,) * (D - 1)
-
-    def pack(cs):
-        return int("".join([format(u, fmt) for c in reversed(cs)
-                            for u in top + c[::-1]]), 2)
-
-    total = (len(a) + len(b) - 1) * (2 * D - 1) * w
-    bits = format(pack(a) * pack(b), "b").zfill(total)
-    vals = [int(bits[i:i + w], 2) for i in range(0, total, w)]
-    vals.reverse()
-    return vals
+    S = 2 * D - 1
+    return _unpack(_pack(a, D, S, fmt) * _pack(b, D, S, fmt),
+                   (len(a) + len(b) - 1) * S, w)
 
 
-def _reduce_slots(ring, vals):
-    """Ring elements from unreduced x-coefficients in blocks of 2D - 1,
-    one element per block, through the powers of x and mod M."""
+def _reduce_slots(ring, vals, slots=None):
+    """Ring elements from integer x-coefficients in blocks of `slots`
+    (2D - 1 by default), one element per block, through the powers of x
+    and mod M."""
     D, M = ring.deg, ring.modulus
     if D == 1:
         return [(v % M,) for v in vals]
-    slots = 2 * D - 1
+    if slots is None:
+        slots, xpow = 2 * D - 1, ring._xpow
+    else:
+        xpow = ring.x_powers(slots)
     out = []
     for k in range(0, len(vals), slots):
         acc = vals[k:k + D]
-        for c, row in zip(vals[k + D:k + slots], ring._xpow[D:]):
+        for c, row in zip(vals[k + D:k + slots], xpow[D:]):
             if c:
                 acc = [u + c * r for u, r in zip(acc, row)]
         out.append(tuple([u % M for u in acc]))
@@ -587,8 +609,9 @@ def power(x, e):
 
 
 class PolyOps:
-    """Ops object of Omega[T], for the generic matrix layer: matrices of
-    Poly and their determinants."""
+    """Ops object of Omega[T], for the generic matrix layer: products
+    and powers of matrices of Poly.  Determinants go through poly_det,
+    which computes in the integers."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -762,28 +785,68 @@ def is_in_S(a):
 # determinants of polynomial matrices
 # ---------------------------------------------------------------------------
 
+# Ops object of the integers, as much of it as Berkowitz reads: packed
+# determinants run on exact Python ints.
+_INT_OPS = SimpleNamespace(zero=0, one=1, neg=neg,
+                           dot=lambda xs, ys: sum(map(mul, xs, ys)))
+
+
 def poly_det(mat, ring=None):
-    """Determinant of a square matrix of Poly, computed blockwise.
+    """Determinant of a square matrix of Poly, by Kronecker substitution
+    into the integers, computed blockwise.
 
     The symmetrised nonzero pattern is split into connected components
     first; simultaneous row/column permutation into blocks leaves the
-    determinant fixed, and Berkowitz runs division free on each block.
+    determinant fixed.  Every coefficient is lifted to [0, M), and the
+    ring map Z[x, T] -> Z sending x to 2^w and T to 2^(w X), with
+    X = n (D - 1) + 1, packs each entry into one integer.  Berkowitz
+    runs division free on each packed block, the block determinants
+    are multiplied, and the product is read back as balanced base-2^w
+    digits, reduced through the powers of x and mod M.
+
+    The digits are exactly the integer coefficients of the determinant
+    of the lifted matrix, because no two of its monomials share a slot
+    and none overflows one.  Its x-degree is at most n (D - 1) < X, so
+    x^t T^k lands in slot k X + t alone.  By the Leibniz formula it is
+    a sum over permutations of products of one entry per row; the sum
+    of the absolute values of the coefficients of a product is at most
+    the product of those of the factors, so each coefficient is at most
+    B = prod_i sum_j |a_ij|_1 in absolute value, where |a|_1 is the sum
+    of the lifted coefficients of a.  With 2^(w - 1) > B each balanced
+    digit lies in (-2^(w - 1), 2^(w - 1)) and is unique.  Intermediate
+    values of Berkowitz are exact integers of any size; only the final
+    determinant has to fit its slots.  Reduction through the powers of
+    x and mod M is a ring map Z[x, T] -> Omega[T], so it takes that
+    determinant to the determinant over Omega[T].
     """
     n = len(mat)
     if ring is None:
         if n == 0:
             raise InvariantViolation("empty matrix needs an explicit ring")
         ring = mat[0][0].ring
-    ops = PolyOps(ring)
     if n == 0:
-        return ops.one
-    comps = split_components(n, lambda i, j: not mat[i][j].is_zero())
-    result = ops.one
-    for comp in comps:
-        sub = [[mat[i][j] for j in comp] for i in comp]
-        cp = berkowitz_charpoly(ops, sub)
-        result = result * det_from_charpoly(ops, cp)
-    return result
+        return Poly.one(ring)
+    D = ring.deg
+    X = n * (D - 1) + 1
+    bound = 1
+    for row in mat:
+        bound *= sum([sum(map(sum, p.coeffs)) for p in row])
+    w = bound.bit_length() + 1
+    fmt = f"0{w}b"
+    packed = [[_pack(p.coeffs, D, X, fmt) for p in row] for row in mat]
+    det = 1
+    for comp in split_components(n, lambda i, j: packed[i][j] != 0):
+        block = [[packed[i][j] for j in comp] for i in comp]
+        det *= det_from_charpoly(_INT_OPS,
+                                 berkowitz_charpoly(_INT_OPS, block))
+    # a top digit in slot s makes |det| > 2^(w s - 1), so count slots
+    # hold every digit; they are padded to whole T-blocks.  Adding
+    # 2^(w - 1) to every slot makes each digit nonnegative, carry free.
+    count = abs(det).bit_length() // w + 1
+    count += -count % X
+    half = 1 << (w - 1)
+    vals = _unpack(det + int(("1" + "0" * (w - 1)) * count, 2), count, w)
+    return Poly(ring, _reduce_slots(ring, [v - half for v in vals], X))
 
 
 def det_one_minus_scaled(ring, A, d):

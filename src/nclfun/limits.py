@@ -183,12 +183,17 @@ def coker_tower(ring, Phi, n_max=48):
                        repeat_at, period, powers)
 
 
-def tower_power(tower, n):
-    """Phi^(ell^n) from the powers the tower stored: past the repeat
-    the sequence cycles with the tower's period."""
+def _power_index(tower, n):
+    """The index of Phi^(ell^n) in tower.powers: past the repeat the
+    sequence cycles with the tower's period."""
     if n >= tower.repeat_at:
         n = tower.repeat_at + (n - tower.repeat_at) % tower.period
-    return tower.powers[n]
+    return n
+
+
+def tower_power(tower, n):
+    """Phi^(ell^n) from the powers the tower stored."""
+    return tower.powers[_power_index(tower, n)]
 
 
 def limit_module(ring, Phi, tower=None):
@@ -221,15 +226,13 @@ KernelChainReport = namedtuple(
 
 def _kernel_rows(ring, A):
     """Canonical rows spanning {v : A v = 0}, via the left kernel of the
-    transpose in flattened coordinates."""
+    transpose in flattened coordinates: left_kernel returns its Howell
+    form, at the width s D of those coordinates."""
     # integer matrix of the map v -> A v in flattened coordinates: row u
     # is the image of the u-th flat basis vector x^t e_c (u = c D + t),
     # that is x^t times column c of A
-    width = len(A) * ring.deg
-    M = ring.modulus
     mat = ring.omega_rows_to_int_rows([list(col) for col in zip(*A)])
-    ker = left_kernel(mat, M)
-    return howell_form([list(r) for r in ker], width, M)
+    return left_kernel(mat, ring.modulus)
 
 
 def kernel_chain_report(ring, Phi, tower=None):
@@ -239,37 +242,46 @@ def kernel_chain_report(ring, Phi, tower=None):
     multiplication by ell on a fixed kernel, so composing m of them is
     multiplication by ell^m, the zero map; that composite is computed
     and checked entrywise, which certifies that the inverse limit of
-    the kernel chain vanishes."""
+    the kernel chain vanishes.
+
+    Levels whose powers Phi^(ell^n) are one stored power of the tower
+    share it: each distinct power has its kernel and its trace taken
+    once, and each distinct pair of consecutive powers its transition
+    checked once."""
     if tower is None:
         tower = coker_tower(ring, Phi)
     s = len(Phi)
     ell = ring.ell
     ident = mat_identity(ring, s)
     n_top = tower.stable_from + ring.m + 1
-    pows = [tower_power(tower, n) for n in range(n_top + 1)]
-    layers = []
-    kernels = []
-    for n in range(n_top + 1):
-        A = [[ring.sub(ident[i][j], pows[n][i][j]) for j in range(s)]
-             for i in range(s)]
-        rows = _kernel_rows(ring, A)
-        kernels.append(rows)
-        layers.append(KernelLayer(n, rows, span_size(rows, ring.modulus)))
+    # idx[n] indexes Phi^(ell^n) in tower.powers
+    idx = [_power_index(tower, n) for n in range(n_top + 1)]
+    kernel_of = {}
+    for i in dict.fromkeys(idx):
+        P = tower.powers[i]
+        kernel_of[i] = _kernel_rows(
+            ring, [[ring.sub(ident[r][c], P[r][c]) for c in range(s)]
+                   for r in range(s)])
+    kernels = [kernel_of[i] for i in idx]
+    layers = [KernelLayer(n, rows, span_size(rows, ring.modulus))
+              for n, rows in enumerate(kernels)]
     # transitions: trace from level n+1 to level n, the sum of P^k over
     # k < ell for P = Phi^(ell^n)
-    traces = []
-    for n in range(n_top):
-        P = acc = pows[n]
-        V = [[ring.add(ident[i][j], P[i][j]) for j in range(s)]
-             for i in range(s)]
+    trace_of = {}
+    for i in dict.fromkeys(idx[:n_top]):
+        P = acc = tower.powers[i]
+        V = [[ring.add(ident[r][c], P[r][c]) for c in range(s)]
+             for r in range(s)]
         for _ in range(ell - 2):
             acc = mat_mul(ring, acc, P)
-            V = [[ring.add(V[i][j], acc[i][j]) for j in range(s)]
-                 for i in range(s)]
-        traces.append(V)
-        for r in kernels[n + 1]:
-            img = mat_vec(ring, V, ring.unflatten_vec(list(r)))
-            if not in_span(ring.flatten_vec(img), kernels[n], ring.modulus):
+            V = [[ring.add(V[r][c], acc[r][c]) for c in range(s)]
+                 for r in range(s)]
+        trace_of[i] = V
+    traces = [trace_of[i] for i in idx[:n_top]]
+    for i, j in dict.fromkeys(zip(idx, idx[1:])):
+        for r in kernel_of[j]:
+            img = mat_vec(ring, trace_of[i], ring.unflatten_vec(list(r)))
+            if not in_span(ring.flatten_vec(img), kernel_of[i], ring.modulus):
                 raise InvariantViolation(
                     "trace transition leaves the kernel chain")
     stable_from = tower.stable_from

@@ -15,8 +15,10 @@ the pairs of zip(xs, ys).  Every matrix entry, and every coefficient
 of Berkowitz's Toeplitz product, is one `dot`, so a ring can add up a
 whole inner product before it reduces.  A CoeffRing is such an
 object, so Omega matrices pass the ring itself; coeffring.PolyOps is
-the one for Omega[T].  Berkowitz is division free, so it runs
-unchanged over both.
+the one for Omega[T].  The integers are one too, with Python ints as
+elements and dot = sum(map(mul, xs, ys)): coeffring.poly_det packs
+Omega[T] entries into integers and takes their determinant there.
+Berkowitz is division free, so it runs unchanged over all three.
 """
 
 from __future__ import annotations

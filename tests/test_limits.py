@@ -263,20 +263,32 @@ def test_tower_power_lookup_equals_mat_pow():
 
 
 def test_kernel_chain_reads_the_tower_powers(monkeypatch):
+    """No mat_pow, and one kernel per distinct stored power."""
     import nclfun.limits as limits_mod
+    from nclfun.limits import _kernel_rows, _power_index
     rng = random.Random(59)
-    calls = []
+    calls, kernel_calls = [], []
 
     def counting_mat_pow(*args):
         calls.append(args)
         return mat_pow(*args)
 
+    def counting_kernel_rows(*args):
+        kernel_calls.append(args)
+        return _kernel_rows(*args)
+
     monkeypatch.setattr(limits_mod, "mat_pow", counting_mat_pow)
+    monkeypatch.setattr(limits_mod, "_kernel_rows", counting_kernel_rows)
+    repeated = 0
     for ring, Phi in _tower_cases(rng):
         t = coker_tower(ring, Phi)
         calls.clear()
+        kernel_calls.clear()
         rep = kernel_chain_report(ring, Phi, tower=t)
         assert calls == []
+        distinct = {_power_index(t, n) for n in range(len(rep.layers))}
+        assert len(kernel_calls) == len(distinct)
+        repeated += len(rep.layers) - len(distinct)
         assert kernel_chain_report(ring, Phi) == rep
         kernels, sizes, mult_ok, vanished = _kernel_chain_oracle(
             ring, Phi, t.stable_from)
@@ -284,6 +296,7 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
         assert [lay.size for lay in rep.layers] == sizes
         assert (rep.trace_is_mult_by_ell, rep.vanishing_certified) == (
             mult_ok, vanished)
+    assert repeated > 0
 
 
 # --- ideals

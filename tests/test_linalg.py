@@ -451,16 +451,69 @@ def test_matrix_layer_matches_add_mul_oracles():
             assert berkowitz_charpoly(ops, A) == _oracle_berkowitz(ops, A)
 
 
-def test_poly_det_matches_berkowitz_oracle():
+# the packed determinant's rings: DOT_RINGS, a prime field and a cubic
+# ring over Z/25
+PACKED_RINGS = DOT_RINGS + [CoeffRing(5, 1), CoeffRing(5, 2, [2, 0, 0, 1])]
+
+
+def _top_poly(ring, length, constant=False):
+    """A Poly of `length` coefficients, each M - 1 in every coordinate
+    (in the first coordinate only if constant)."""
+    top = ring.modulus - 1
+    c = (top,) + (0 if constant else top,) * (ring.deg - 1)
+    return Poly(ring, [c] * length)
+
+
+def _packed_det_cases(rng, ring):
+    """Square Poly matrices of sizes 0-6: random entries of up to 2, 5
+    and 12 coefficients, entries with every coefficient M - 1, zero
+    rows, and block-diagonal matrices under a random permutation."""
+    for n in range(7):
+        for max_len in (2, 5, 12):
+            for _ in range(3 if max_len < 12 else 1):
+                yield _rand_poly_mat(rng, ring, n, max_len)
+        if n == 0:
+            continue
+        yield [[_top_poly(ring, rng.randrange(1, 6)) for _ in range(n)]
+               for _ in range(n)]
+        # a diagonal of constant M - 1 reaches the coefficient bound
+        zero = Poly.zero(ring)
+        yield [[_top_poly(ring, 1, constant=True) if i == j else zero
+                for j in range(n)] for i in range(n)]
+        yield [[_top_poly(ring, rng.randrange(1, 4)) if i == j else zero
+                for j in range(n)] for i in range(n)]
+        A = _rand_poly_mat(rng, ring, n, 4)
+        A[rng.randrange(n)] = [zero] * n
+        yield A
+        cut = rng.randrange(n + 1)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        B = _rand_poly_mat(rng, ring, n, 12)
+        yield [[B[perm[i]][perm[j]]
+                if (perm[i] < cut) == (perm[j] < cut) else zero
+                for j in range(n)] for i in range(n)]
+
+
+def test_poly_det_matches_berkowitz_oracle(monkeypatch):
+    """poly_det against Berkowitz over Omega[T]; it computes in the
+    integers, so it runs with the Omega[T] product disabled."""
+    import nclfun.coeffring as coeffring_mod
     rng = random.Random(101)
-    for ring in DOT_RINGS:
+    cases, lengths = [], set()
+    for ring in PACKED_RINGS:
         ops = PolyOps(ring)
-        for n in range(1, 5):
-            for max_len in (2, 5):
-                for _ in range(3):
-                    A = _rand_poly_mat(rng, ring, n, max_len)
-                    want = det_from_charpoly(ops, _oracle_berkowitz(ops, A))
-                    assert poly_det(A, ring) == want
+        for A in _packed_det_cases(rng, ring):
+            lengths.update(len(p.coeffs) for row in A for p in row)
+            cases.append((ring, A, det_from_charpoly(
+                ops, _oracle_berkowitz(ops, A))))
+    assert min(lengths) == 0 and max(lengths) >= 12
+
+    def no_poly_dot(*args):
+        raise AssertionError("poly_det reached the Omega[T] product")
+
+    monkeypatch.setattr(coeffring_mod, "_poly_dot", no_poly_dot)
+    for ring, A, want in cases:
+        assert poly_det(A, ring) == want, (ring, A)
 
 
 def test_mat_pow_returns_a_new_matrix():

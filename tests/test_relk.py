@@ -101,6 +101,32 @@ def test_d_multiplicative_hand_pair():
     assert out["check"] == "d-multiplicative"
 
 
+def test_d_multiplicative_takes_each_determinant_once(monkeypatch):
+    """det(beta alpha), det(beta) and det(alpha): three poly_det calls,
+    and the exact comparison still catches a wrong product."""
+    import nclfun.relk as relk_mod
+    calls = []
+
+    def counting_poly_det(*args):
+        calls.append(args)
+        return poly_det(*args)
+
+    monkeypatch.setattr(relk_mod, "poly_det", counting_poly_det)
+    rng = random.Random(4027)
+    for ring in (Z9, SPLIT3):
+        for size in (1, 2, 3):
+            alpha = _rand_s_matrix(rng, ring, size, 2)
+            beta = _rand_s_matrix(rng, ring, size, 2)
+            calls.clear()
+            out = verify_d_multiplicative(ring, alpha, beta, prec=24)
+            assert out["ok"] and out["det_exact"]
+            assert len(calls) == 3
+    monkeypatch.setattr(relk_mod, "poly_mat_mul",
+                        lambda ring, A, B: [list(r) for r in A])
+    out = verify_d_multiplicative(Z9, [[_p(Z9, 1, 3)]], [[_p(Z9, 2, 1)]], 16)
+    assert not out["det_exact"] and not out["ok"]
+
+
 def test_d_multiplicative_size_mismatch():
     with pytest.raises(InvariantViolation):
         verify_d_multiplicative(
