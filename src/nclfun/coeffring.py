@@ -15,11 +15,9 @@ image in every residue component ring is nonzero) are all decided
 through that product.
 """
 
-from operator import mul, neg
-from types import SimpleNamespace
-
 from .errors import InvariantViolation, NonUnitConstantTerm
 from .linalg import (
+    INT_OPS,
     berkowitz_charpoly,
     charpoly_reversal,
     det_from_charpoly,
@@ -421,6 +419,18 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _from_reduced(cls, ring, coeffs):
+        """A Poly from a sequence of reduced ring elements (tuples), with
+        only the trailing zeros stripped: none of the per-coefficient
+        checks of __init__."""
+        n = len(coeffs)
+        while n and not any(coeffs[n - 1]):
+            n -= 1
+        p = cls.__new__(cls)
+        p.ring, p.coeffs = ring, tuple(coeffs[:n])
+        return p
+
+    @classmethod
     def from_ints(cls, ring, ints):
         return cls(ring, [ring.int_embed(n) for n in ints])
 
@@ -466,7 +476,8 @@ class Poly:
 
     def __mul__(self, other):
         self._need_same_ring(other)
-        return Poly(self.ring, _poly_dot(self.ring, (self,), (other,)))
+        return Poly._from_reduced(
+            self.ring, _poly_dot(self.ring, (self,), (other,)))
 
     def scale(self, c):
         return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
@@ -489,17 +500,34 @@ class Poly:
         return f"Poly({self})"
 
 
-def _pack(coeffs, D, slots, fmt):
+# _pack builds an operand of at most this many coefficients by shifts
+# and splits a longer one in halves.  Timed against one joined binary
+# string, which is linear in the bit length (CPython 3.11, 2 vCPU, slot
+# widths 12-40 bits, D = 1-3): shifts alone cost 0.13-0.3x up to 50
+# coefficients but grow quadratically, to 2-8x at 2 000; split at 16
+# the pack costs 0.2-0.55x the string at every length up to 19 000, the
+# size of the exact products of ncl evaluate on ec_f5.
+_PACK_LEAF = 16
+
+
+def _pack(coeffs, D, slots, w):
     """One integer from a tuple of ring elements: coordinate t of the
-    element at T^k fills slot k * slots + t, as wide as fmt writes it,
-    and slots D to slots - 1 of each block stay zero.  The digits are
-    joined in one binary string, which CPython converts in linear
-    time."""
-    if not coeffs:
-        return 0
-    pad = (0,) * (slots - D)
-    return int("".join([format(u, fmt) for c in reversed(coeffs)
-                        for u in pad + c[::-1]]), 2)
+    element at T^k fills slot k * slots + t, w bits wide, and slots D to
+    slots - 1 of each block stay zero.  A short tuple is packed by
+    shifts; a longer one is split in halves, whose packs are joined by
+    one shift, so a long pack stays near linear in its bit length."""
+    n = len(coeffs)
+    if n > _PACK_LEAF:
+        h = n // 2
+        return (_pack(coeffs[:h], D, slots, w)
+                | _pack(coeffs[h:], D, slots, w) << h * slots * w)
+    gap = (slots - D) * w
+    v = 0
+    for c in reversed(coeffs):
+        v <<= gap
+        for u in reversed(c):
+            v = v << w | u
+    return v
 
 
 def _unpack(v, count, w):
@@ -525,9 +553,8 @@ def _kronecker_slots(ring, a, b):
     """
     D, M = ring.deg, ring.modulus
     w = 2 * (M - 1).bit_length() + (min(len(a), len(b)) * D).bit_length()
-    fmt = f"0{w}b"
     S = 2 * D - 1
-    return _unpack(_pack(a, D, S, fmt) * _pack(b, D, S, fmt),
+    return _unpack(_pack(a, D, S, w) * _pack(b, D, S, w),
                    (len(a) + len(b) - 1) * S, w)
 
 
@@ -632,7 +659,7 @@ class PolyOps:
 
     def dot(self, xs, ys):
         """The sum of a * b over the pairs of zip(xs, ys), as one Poly."""
-        return Poly(self.ring, _poly_dot(self.ring, xs, ys))
+        return Poly._from_reduced(self.ring, _poly_dot(self.ring, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +668,8 @@ class PolyOps:
 
 def _head(s, n):
     """The first n coefficients of the series s as a Poly, without their
-    trailing zeros.  They are reduced already, so the Poly is built
-    without the per-coefficient checks of Poly.__init__."""
-    cs = s.coeffs
-    while n and not any(cs[n - 1]):
-        n -= 1
-    p = Poly.__new__(Poly)
-    p.ring, p.coeffs = s.ring, cs[:n]
-    return p
+    trailing zeros."""
+    return Poly._from_reduced(s.ring, s.coeffs[:n])
 
 
 class Series:
@@ -785,12 +806,6 @@ def is_in_S(a):
 # determinants of polynomial matrices
 # ---------------------------------------------------------------------------
 
-# Ops object of the integers, as much of it as Berkowitz reads: packed
-# determinants run on exact Python ints.
-_INT_OPS = SimpleNamespace(zero=0, one=1, neg=neg,
-                           dot=lambda xs, ys: sum(map(mul, xs, ys)))
-
-
 def poly_det(mat, ring=None):
     """Determinant of a square matrix of Poly, by Kronecker substitution
     into the integers, computed blockwise.
@@ -832,13 +847,11 @@ def poly_det(mat, ring=None):
     for row in mat:
         bound *= sum([sum(map(sum, p.coeffs)) for p in row])
     w = bound.bit_length() + 1
-    fmt = f"0{w}b"
-    packed = [[_pack(p.coeffs, D, X, fmt) for p in row] for row in mat]
+    packed = [[_pack(p.coeffs, D, X, w) for p in row] for row in mat]
     det = 1
     for comp in split_components(n, lambda i, j: packed[i][j] != 0):
         block = [[packed[i][j] for j in comp] for i in comp]
-        det *= det_from_charpoly(_INT_OPS,
-                                 berkowitz_charpoly(_INT_OPS, block))
+        det *= det_from_charpoly(INT_OPS, berkowitz_charpoly(INT_OPS, block))
     # a top digit in slot s makes |det| > 2^(w s - 1), so count slots
     # hold every digit; they are padded to whole T-blocks.  Adding
     # 2^(w - 1) to every slot makes each digit nonnegative, carry free.
@@ -846,7 +859,8 @@ def poly_det(mat, ring=None):
     count += -count % X
     half = 1 << (w - 1)
     vals = _unpack(det + int(("1" + "0" * (w - 1)) * count, 2), count, w)
-    return Poly(ring, _reduce_slots(ring, [v - half for v in vals], X))
+    return Poly._from_reduced(
+        ring, _reduce_slots(ring, [v - half for v in vals], X))
 
 
 def det_one_minus_scaled(ring, A, d):

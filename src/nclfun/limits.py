@@ -5,6 +5,15 @@ is proved by finding a literal repeat in the sequence of matrix powers,
 kernel vanishing composes explicit trace maps to the zero map, and ideal
 comparisons run at two precisions so that a truncation artifact raises
 instead of leaking through as a wrong boolean.
+
+The tower and the kernel chain are Z/M-linear, so they run on flat
+maps: an Omega matrix A becomes the integer matrix whose row j D + u is
+x^u times column j of A, flattened, and a flat vector v goes to A v as
+the row vector v times it.  The flat map of A B is then the flat map of
+B times that of A.  Phi is flattened once; its powers, every I - P,
+the trace sums and their composites are ZMod(M) matrices (linalg's ops
+object of Z/M), and only tower_power and the limit module's gamma_inv
+are read back as Omega matrices.
 """
 
 from collections import namedtuple
@@ -13,6 +22,7 @@ from itertools import combinations
 from .coeffring import Poly, is_in_P, poly_det
 from .errors import InvariantViolation, PrecisionMismatch
 from .linalg import (
+    ZMod,
     berkowitz_charpoly,
     howell_form,
     in_span,
@@ -108,19 +118,36 @@ class GammaModule:
 
 TowerLayer = namedtuple("TowerLayer", ["n", "image_rows", "coker_size"])
 
-# powers[n] is Phi^(ell^n) for n < repeat_at + period; the sequence
-# cycles from repeat_at on, so tower_power reads off any later one
+# powers[n] is the flat map of Phi^(ell^n) for n < repeat_at + period;
+# the sequence cycles from repeat_at on, so tower_power reads off any
+# later one
 TowerReport = namedtuple(
     "TowerReport",
     ["ell", "rank", "layers", "stable_from", "first_stall",
      "repeat_at", "period", "powers"])
 
 
-def _image_rows(ring, A):
-    """Howell canonical rows for the column span of A, flattened."""
-    cols = [[A[i][j] for i in range(len(A))] for j in range(len(A))]
-    flat = ring.omega_rows_to_int_rows(cols)
-    return howell_form(flat, len(A) * ring.deg, ring.modulus)
+def _flat_map(ring, A):
+    """The flat map of a square Omega matrix A: the integer matrix whose
+    row j D + u is x^u times column j of A, flattened.  A flat column
+    vector v goes to A v as the row vector v times it, so the flat map
+    of A B is the flat map of B times that of A."""
+    return ring.omega_rows_to_int_rows(list(zip(*A)))
+
+
+def _omega_matrix(F, s):
+    """The Omega matrix of size s whose flat map is F: column j is read
+    off row j D, the image of e_j."""
+    D = len(F) // s if s else 0
+    cols = [[tuple(F[j * D][i * D:(i + 1) * D]) for i in range(s)]
+            for j in range(s)]
+    return tuple(zip(*cols))
+
+
+def _one_minus(F, M):
+    """I - F over Z/M, for a square integer matrix F."""
+    return [[(int(i == j) - a) % M for j, a in enumerate(row)]
+            for i, row in enumerate(F)]
 
 
 def coker_tower(ring, Phi, n_max=48):
@@ -131,24 +158,29 @@ def coker_tower(ring, Phi, n_max=48):
     The images are nested downward because I - P^ell factors through
     I - P, so once the power sequence cycles the image chain is pinned
     constant.  The reported stabilization index is the first n whose
-    image equals that limit value."""
+    image equals that limit value.
+
+    Everything runs on flat maps over Z/M: Phi is flattened once, its
+    powers are ZMod(M) matrix powers, and the image of I - P is the
+    Howell form of the rows of I minus the flat map of P."""
     s = len(Phi)
     ell = ring.ell
-    ident = mat_identity(ring, s)
+    M = ring.modulus
+    zm = ZMod(M)
     powers = []
     seen = {}
-    P = [list(r) for r in Phi]
+    F = _flat_map(ring, Phi)
     repeat_at = period = None
     n = 0
     while n <= n_max:
-        key = tuple(tuple(r) for r in P)
+        key = tuple(map(tuple, F))
         if key in seen:
             repeat_at = seen[key]
             period = n - seen[key]
             break
         seen[key] = n
         powers.append(key)
-        P = mat_pow(ring, P, ell)
+        F = mat_pow(zm, F, ell)
         n += 1
     if repeat_at is None:
         raise InvariantViolation(
@@ -157,18 +189,16 @@ def coker_tower(ring, Phi, n_max=48):
     layers = []
     prev = None
     first_stall = None
-    for n, Pn in enumerate(powers):
-        A = [[ring.sub(ident[i][j], Pn[i][j]) for j in range(s)]
-             for i in range(s)]
-        rows = _image_rows(ring, A)
+    for n, F in enumerate(powers):
+        rows = howell_form(_one_minus(F, M), width, M)
         if prev is not None:
             for r in rows:
-                if not in_span(list(r), prev, ring.modulus):
+                if not in_span(list(r), prev, M):
                     raise InvariantViolation(
                         "image chain is not nested; tower data is corrupt")
             if first_stall is None and rows == prev:
                 first_stall = n - 1
-        csize = ring.modulus ** width // span_size(rows, ring.modulus)
+        csize = M ** width // span_size(rows, M)
         layers.append(TowerLayer(n, rows, csize))
         prev = rows
     limit_rows = layers[repeat_at].image_rows
@@ -192,8 +222,8 @@ def _power_index(tower, n):
 
 
 def tower_power(tower, n):
-    """Phi^(ell^n) from the powers the tower stored."""
-    return tower.powers[_power_index(tower, n)]
+    """Phi^(ell^n) over Omega, read off the flat map the tower stored."""
+    return _omega_matrix(tower.powers[_power_index(tower, n)], tower.rank)
 
 
 def limit_module(ring, Phi, tower=None):
@@ -208,7 +238,8 @@ def limit_module(ring, Phi, tower=None):
     rows = tower.layers[n0].image_rows
     s = len(Phi)
     relations = [ring.unflatten_vec(list(r)) for r in rows]
-    gamma_inv = mat_pow(ring, Phi, ring.ell ** n0 - 1)
+    gamma_inv = _omega_matrix(
+        mat_pow(ZMod(ring.modulus), tower.powers[0], ring.ell ** n0 - 1), s)
     return GammaModule(ring, s, relations, Phi, gamma_inv)
 
 
@@ -224,15 +255,10 @@ KernelChainReport = namedtuple(
      "vanishing_certified"])
 
 
-def _kernel_rows(ring, A):
-    """Canonical rows spanning {v : A v = 0}, via the left kernel of the
-    transpose in flattened coordinates: left_kernel returns its Howell
-    form, at the width s D of those coordinates."""
-    # integer matrix of the map v -> A v in flattened coordinates: row u
-    # is the image of the u-th flat basis vector x^t e_c (u = c D + t),
-    # that is x^t times column c of A
-    mat = ring.omega_rows_to_int_rows([list(col) for col in zip(*A)])
-    return left_kernel(mat, ring.modulus)
+def _kernel_rows(F, M):
+    """Canonical rows spanning {v : P v = v}, F the flat map of P: the
+    left kernel of I - F over Z/M, in its Howell form."""
+    return left_kernel(_one_minus(F, M), M)
 
 
 def kernel_chain_report(ring, Phi, tower=None):
@@ -247,41 +273,38 @@ def kernel_chain_report(ring, Phi, tower=None):
     Levels whose powers Phi^(ell^n) are one stored power of the tower
     share it: each distinct power has its kernel and its trace taken
     once, and each distinct pair of consecutive powers its transition
-    checked once."""
+    checked once.  All of it runs on the tower's flat maps over Z/M:
+    kernel rows are flat vectors, and a map V sends the rows K to the
+    product of K with the flat map of V."""
     if tower is None:
         tower = coker_tower(ring, Phi)
     s = len(Phi)
     ell = ring.ell
-    ident = mat_identity(ring, s)
+    M = ring.modulus
+    zm = ZMod(M)
     n_top = tower.stable_from + ring.m + 1
     # idx[n] indexes Phi^(ell^n) in tower.powers
     idx = [_power_index(tower, n) for n in range(n_top + 1)]
-    kernel_of = {}
-    for i in dict.fromkeys(idx):
-        P = tower.powers[i]
-        kernel_of[i] = _kernel_rows(
-            ring, [[ring.sub(ident[r][c], P[r][c]) for c in range(s)]
-                   for r in range(s)])
+    kernel_of = {i: _kernel_rows(tower.powers[i], M)
+                 for i in dict.fromkeys(idx)}
     kernels = [kernel_of[i] for i in idx]
-    layers = [KernelLayer(n, rows, span_size(rows, ring.modulus))
+    layers = [KernelLayer(n, rows, span_size(rows, M))
               for n, rows in enumerate(kernels)]
     # transitions: trace from level n+1 to level n, the sum of P^k over
-    # k < ell for P = Phi^(ell^n)
+    # k < ell for P = Phi^(ell^n); its flat map is the sum of F^k
     trace_of = {}
     for i in dict.fromkeys(idx[:n_top]):
-        P = acc = tower.powers[i]
-        V = [[ring.add(ident[r][c], P[r][c]) for c in range(s)]
-             for r in range(s)]
+        F = acc = tower.powers[i]
+        V = [[a + (r == c) for c, a in enumerate(row)]
+             for r, row in enumerate(F)]
         for _ in range(ell - 2):
-            acc = mat_mul(ring, acc, P)
-            V = [[ring.add(V[r][c], acc[r][c]) for c in range(s)]
-                 for r in range(s)]
-        trace_of[i] = V
+            acc = mat_mul(zm, acc, F)
+            V = [[a + b for a, b in zip(v, w)] for v, w in zip(V, acc)]
+        trace_of[i] = [[a % M for a in row] for row in V]
     traces = [trace_of[i] for i in idx[:n_top]]
     for i, j in dict.fromkeys(zip(idx, idx[1:])):
-        for r in kernel_of[j]:
-            img = mat_vec(ring, trace_of[i], ring.unflatten_vec(list(r)))
-            if not in_span(ring.flatten_vec(img), kernel_of[i], ring.modulus):
+        for img in mat_mul(zm, kernel_of[j], trace_of[i]):
+            if not in_span(img, kernel_of[i], M):
                 raise InvariantViolation(
                     "trace transition leaves the kernel chain")
     stable_from = tower.stable_from
@@ -290,24 +313,17 @@ def kernel_chain_report(ring, Phi, tower=None):
             raise InvariantViolation(
                 "kernel chain moves beyond the certified stable level")
     # at a stabilized level the transition is multiplication by ell
-    mult_ok = True
-    ell_c = ring.int_embed(ell)
-    V = traces[stable_from]
-    for r in kernels[stable_from]:
-        v = ring.unflatten_vec(list(r))
-        want = [ring.mul(ell_c, a) for a in v]
-        if mat_vec(ring, V, v) != want:
-            mult_ok = False
+    stable = kernels[stable_from]
+    mult_ok = all(
+        img == [ell * a % M for a in r]
+        for r, img in zip(stable, mat_mul(zm, stable, traces[stable_from])))
     # composite of m consecutive stabilized transitions, applied to the
-    # stable kernel, must vanish identically
+    # stable kernel, must vanish identically; the flat map of V_n comp
+    # is that of comp times that of V_n
     comp = traces[stable_from]
     for n in range(stable_from + 1, stable_from + ring.m):
-        comp = mat_mul(ring, traces[n], comp)
-    vanished = True
-    for r in kernels[stable_from]:
-        img = mat_vec(ring, comp, ring.unflatten_vec(list(r)))
-        if not all(map(ring.is_zero, img)):
-            vanished = False
+        comp = mat_mul(zm, comp, traces[n])
+    vanished = not any(map(any, mat_mul(zm, stable, comp)))
     return KernelChainReport(ell, s, layers, stable_from, mult_ok, vanished)
 
 

@@ -15,15 +15,26 @@ the pairs of zip(xs, ys).  Every matrix entry, and every coefficient
 of Berkowitz's Toeplitz product, is one `dot`, so a ring can add up a
 whole inner product before it reduces.  A CoeffRing is such an
 object, so Omega matrices pass the ring itself; coeffring.PolyOps is
-the one for Omega[T].  The integers are one too, with Python ints as
-elements and dot = sum(map(mul, xs, ys)): coeffring.poly_det packs
-Omega[T] entries into integers and takes their determinant there.
-Berkowitz is division free, so it runs unchanged over all three.
+the one for Omega[T].  The integers are two more, with Python ints as
+elements and dot = sum(map(mul, xs, ys)): INT_OPS computes exactly
+(coeffring.poly_det packs Omega[T] entries into integers and takes
+their determinant there), and ZMod(M) reduces each dot mod M.
+Berkowitz is division free, so it runs unchanged over all of them.
+
+An Omega-linear map is also a Z/M-linear map of the flattened
+coordinates.  limits works the coinvariant tower there: the flat map
+of an Omega matrix A is the integer matrix whose row j D + u is x^u
+times column j of A, flattened, so a flat vector v goes to v times
+that matrix (a row vector on the left).  The flat map of A B is then
+the flat map of B times that of A, in that order, and every power,
+sum and product of the tower is a ZMod(M) matrix product.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul, neg
+from types import SimpleNamespace
 
 __all__ = [
     "xgcd",
@@ -42,6 +53,8 @@ __all__ = [
     "det_from_charpoly",
     "charpoly_reversal",
     "split_components",
+    "INT_OPS",
+    "ZMod",
 ]
 
 
@@ -217,6 +230,27 @@ def solve_left(A: list[list[int]], b: list[int], M: int) -> list[int] | None:
 # ---------------------------------------------------------------------------
 # Dense matrices over a commutative ring given by an ops object
 # ---------------------------------------------------------------------------
+
+# The integers as an ops object, as much of it as Berkowitz reads:
+# exact Python ints of any size.
+INT_OPS = SimpleNamespace(zero=0, one=1, neg=neg,
+                          dot=lambda xs, ys: sum(map(mul, xs, ys)))
+
+
+class ZMod:
+    """Z/M as an ops object, as much of it as the matrix identity,
+    product and power read: Python ints in [0, M), and a dot that adds
+    up the whole inner product exactly and reduces once."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, M: int):
+        self.modulus = M
+
+    def dot(self, xs, ys) -> int:
+        return sum(map(mul, xs, ys)) % self.modulus
+
 
 def mat_identity(ops, n: int) -> list[list]:
     return [[ops.one if i == j else ops.zero for j in range(n)]

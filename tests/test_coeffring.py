@@ -9,6 +9,8 @@ from nclfun.coeffring import (
     RationalFunction,
     Series,
     _KRONECKER_MIN_LEN,
+    _pack,
+    _poly_dot,
     det_one_minus_scaled,
     is_in_P,
     is_in_S,
@@ -279,6 +281,65 @@ def test_poly_mul_leading_coefficients_cancel():
     h = Poly(GAUSS9, [GAUSS9.one, GAUSS9.one, GAUSS9.element([3, 6])])
     assert g * h == _schoolbook_mul(g, h)
     assert (g * h).degree == 3
+
+
+def test_products_trim_like_the_constructor():
+    """Products, PolyOps.dot and poly_det build their Poly without the
+    constructor's checks; a top coefficient that a zero divisor kills
+    still drops off, exactly as Poly() drops it."""
+    three_t = Poly.from_ints(Z9, [0, 3])
+    raw = _poly_dot(Z9, (three_t,), (three_t,))
+    assert len(raw) == 3 and not any(map(any, raw))
+    assert three_t * three_t == Poly(Z9, raw)
+    assert (three_t * three_t).coeffs == ()
+    p, q = Poly.from_ints(Z9, [1, 3]), Poly.from_ints(Z9, [2, 3])
+    assert (p * q).coeffs == Poly(Z9, _poly_dot(Z9, (p,), (q,))).coeffs \
+        == (Z9.int_embed(2),)
+    xs, ys = [three_t, p], [three_t, q]
+    assert PolyOps(Z9).dot(xs, ys) == Poly(Z9, _poly_dot(Z9, xs, ys))
+    assert poly_det([[three_t, Poly.zero(Z9)],
+                     [Poly.zero(Z9), three_t]]).coeffs == ()
+    rng = random.Random(151)
+    for ring in DOT_RINGS:
+        # top coefficients ell^(m-1) and ell, whose product is zero, on
+        # both sides of the Kronecker cutoff
+        tops = (ring.int_embed(ring.ell ** (ring.m - 1)),
+                ring.int_embed(ring.ell))
+        for _ in range(20):
+            a, b = (Poly(ring, _rand_poly(rng, ring, rng.randrange(1, 12),
+                                          "random").coeffs + (top,))
+                    for top in tops)
+            got = a * b
+            assert got.degree < a.degree + b.degree
+            assert got.coeffs == Poly(ring, _poly_dot(
+                ring, (a,), (b,))).coeffs
+
+
+def _string_pack(coeffs, D, slots, w):
+    """The packing of _pack through one joined binary string: the
+    reference for the shifts and halves of _pack."""
+    if not coeffs:
+        return 0
+    fmt = f"0{w}b"
+    pad = (0,) * (slots - D)
+    return int("".join([format(u, fmt) for c in reversed(coeffs)
+                        for u in pad + c[::-1]]), 2)
+
+
+def test_pack_matches_string_packing():
+    rng = random.Random(149)
+    for ring in DOT_RINGS + [CUBIC]:
+        D, M = ring.deg, ring.modulus
+        top = ring.element([M - 1] * D)
+        for slots, w in ((D, (M - 1).bit_length()),
+                         (2 * D - 1, 2 * M.bit_length() + 3),
+                         (3 * D + 1, 41)):
+            for n in list(range(41)) + [2000]:
+                for style in ("random", "full"):
+                    cs = tuple(top if style == "full" else
+                               _rand_elem(rng, ring) for _ in range(n))
+                    assert _pack(cs, D, slots, w) == _string_pack(
+                        cs, D, slots, w), (ring, slots, w, n, style)
 
 
 def test_is_in_P():

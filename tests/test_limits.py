@@ -16,6 +16,7 @@ from nclfun.coeffring import (
 )
 from nclfun.errors import InvariantViolation, PrecisionMismatch
 from nclfun.linalg import (
+    ZMod,
     howell_form,
     in_span,
     left_kernel,
@@ -29,6 +30,9 @@ from nclfun.linalg import (
 from nclfun.limits import (
     GammaModule,
     IdealClass,
+    TowerLayer,
+    _flat_map,
+    _omega_matrix,
     _truncate_form,
     char_element,
     coker_tower,
@@ -94,6 +98,62 @@ def test_gamma_module_size():
 # --- coker tower
 
 
+def _image_rows(ring, A):
+    """Howell canonical rows for the column span of A, flattened."""
+    cols = [[A[i][j] for i in range(len(A))] for j in range(len(A))]
+    flat = ring.omega_rows_to_int_rows(cols)
+    return howell_form(flat, len(A) * ring.deg, ring.modulus)
+
+
+def _coker_tower_oracle(ring, Phi, n_max=48):
+    """coker_tower as it was before the tower ran on flat maps: powers,
+    repeat keys and I - P over Omega, one _image_rows per level.
+    Returns the fields of TowerReport in order, with the powers as
+    Omega matrices."""
+    s = len(Phi)
+    ell = ring.ell
+    ident = mat_identity(ring, s)
+    powers = []
+    seen = {}
+    P = [list(r) for r in Phi]
+    repeat_at = period = None
+    n = 0
+    while n <= n_max:
+        key = tuple(tuple(r) for r in P)
+        if key in seen:
+            repeat_at = seen[key]
+            period = n - seen[key]
+            break
+        seen[key] = n
+        powers.append(key)
+        P = mat_pow(ring, P, ell)
+        n += 1
+    assert repeat_at is not None
+    width = s * ring.deg
+    layers = []
+    prev = None
+    first_stall = None
+    for n, Pn in enumerate(powers):
+        A = [[ring.sub(ident[i][j], Pn[i][j]) for j in range(s)]
+             for i in range(s)]
+        rows = _image_rows(ring, A)
+        if prev is not None:
+            for r in rows:
+                assert in_span(list(r), prev, ring.modulus)
+            if first_stall is None and rows == prev:
+                first_stall = n - 1
+        csize = ring.modulus ** width // span_size(rows, ring.modulus)
+        layers.append(TowerLayer(n, rows, csize))
+        prev = rows
+    limit_rows = layers[repeat_at].image_rows
+    stable_from = next(n for n, lay in enumerate(layers)
+                       if lay.image_rows == limit_rows)
+    if first_stall is None:
+        first_stall = stable_from
+    return (ell, s, layers, stable_from, first_stall, repeat_at, period,
+            powers)
+
+
 def test_tower_of_four_over_z9():
     t = coker_tower(Z9, _mat(Z9, [[4]]))
     assert [lay.coker_size for lay in t.layers] == [3, 9]
@@ -113,7 +173,6 @@ def test_tower_layers_certified_beyond_computed_range():
     Phi = _mat(Z9, [[4, 1], [0, 7]])
     t = coker_tower(Z9, Phi)
     stable_rows = t.layers[t.stable_from].image_rows
-    from nclfun.limits import _image_rows
     ident = _mat(Z9, [[1, 0], [0, 1]])
     for n in range(t.stable_from, t.stable_from + 3):
         P = mat_pow_omega(Z9, Phi, 3 ** n)
@@ -248,6 +307,48 @@ def _tower_cases(rng):
             yield ring, _rand_mat(ring, rng, rng.randrange(1, 4))
 
 
+# Z/25[x]/(x^3 + 2): degree 3, irreducible mod 5, m = 2
+CUBIC25 = CoeffRing(5, 2, (2, 0, 0, 1))
+
+
+def test_flat_map_algebra():
+    """The flat map T sends products to products in reverse order,
+    differences to differences and I to I, and the Omega matrix reads
+    back off it."""
+    rng = random.Random(61)
+    for ring in (Z9, Z25, GAUSS9, SPLIT3, CoeffRing(3, 3), CUBIC25):
+        zm = ZMod(ring.modulus)
+        for s in range(1, 5):
+            A, B = _rand_mat(ring, rng, s), _rand_mat(ring, rng, s)
+            TA, TB = _flat_map(ring, A), _flat_map(ring, B)
+            assert _flat_map(ring, mat_mul(ring, A, B)) == mat_mul(zm, TB, TA)
+            diff = [[ring.sub(a, b) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(A, B)]
+            assert _flat_map(ring, diff) == [
+                [(a - b) % ring.modulus for a, b in zip(ra, rb)]
+                for ra, rb in zip(TA, TB)]
+            assert _flat_map(ring, mat_identity(ring, s)) == mat_identity(
+                zm, s * ring.deg)
+            assert _omega_matrix(TA, s) == tuple(map(tuple, A))
+            v = [_rand_elt(ring, rng) for _ in range(s)]
+            assert mat_mul(zm, [ring.flatten_vec(v)], TA) == [
+                ring.flatten_vec(mat_vec(ring, A, v))]
+
+
+def test_tower_matches_omega_oracle():
+    """Every TowerReport field equals the Omega-side tower's, with the
+    powers read back through tower_power."""
+    rng = random.Random(67)
+    cases = list(_tower_cases(rng)) + [
+        (CUBIC25, _rand_mat(CUBIC25, rng, rng.randrange(1, 4)))
+        for _ in range(5)]
+    for ring, Phi in cases:
+        t = coker_tower(ring, Phi)
+        want = _coker_tower_oracle(ring, Phi)
+        assert tuple(t)[:-1] == want[:-1], (ring, Phi)
+        assert [tower_power(t, n) for n in range(len(t.powers))] == want[-1]
+
+
 def test_tower_power_lookup_equals_mat_pow():
     rng = random.Random(53)
     periods = []
@@ -263,11 +364,15 @@ def test_tower_power_lookup_equals_mat_pow():
 
 
 def test_kernel_chain_reads_the_tower_powers(monkeypatch):
-    """No mat_pow, and one kernel per distinct stored power."""
+    """No mat_pow, one kernel per distinct stored power, and no dot
+    over Omega: the chain runs on the tower's flat maps over Z/M."""
     import nclfun.limits as limits_mod
     from nclfun.limits import _kernel_rows, _power_index
     rng = random.Random(59)
     calls, kernel_calls = [], []
+
+    def no_omega_dot(*args):
+        raise AssertionError("kernel chain took a dot over Omega")
 
     def counting_mat_pow(*args):
         calls.append(args)
@@ -284,12 +389,14 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
         t = coker_tower(ring, Phi)
         calls.clear()
         kernel_calls.clear()
-        rep = kernel_chain_report(ring, Phi, tower=t)
-        assert calls == []
-        distinct = {_power_index(t, n) for n in range(len(rep.layers))}
-        assert len(kernel_calls) == len(distinct)
+        with monkeypatch.context() as patch:
+            patch.setattr(CoeffRing, "dot", no_omega_dot)
+            rep = kernel_chain_report(ring, Phi, tower=t)
+            assert calls == []
+            distinct = {_power_index(t, n) for n in range(len(rep.layers))}
+            assert len(kernel_calls) == len(distinct)
+            assert kernel_chain_report(ring, Phi) == rep
         repeated += len(rep.layers) - len(distinct)
-        assert kernel_chain_report(ring, Phi) == rep
         kernels, sizes, mult_ok, vanished = _kernel_chain_oracle(
             ring, Phi, t.stable_from)
         assert [lay.kernel_rows for lay in rep.layers] == kernels
