@@ -12,7 +12,10 @@ Omega by its Jacobson radical is a product of finite fields, one per
 irreducible factor of f mod l.  Units, the set P of series with unit
 constant term, and the larger multiplicative set S (polynomials whose
 image in every residue component ring is nonzero) are all decided
-through that product.
+through that product.  Those answers are kept per element: CoeffRing
+instances with equal (l, m, f) share one memo of unit tests, inverses
+and residue projections, bounded by the M^D elements of the ring
+(once per residue factor for the projections).
 """
 
 from .errors import InvariantViolation, NonUnitConstantTerm
@@ -148,6 +151,14 @@ def _fl_factor_squarefree(f, ell):
 # the coefficient ring
 # ---------------------------------------------------------------------------
 
+# (ell, m, minpoly) -> the dicts of unit tests, inverses and, per
+# residue factor, projections: shared by equal rings, since callers
+# build a fresh ring per case.  Elements are reduced tuples, so a dict
+# holds at most M^D entries, 15 625 for Z/25[x]/(x^3 + 2).  Over Z/l^m
+# a unit test is one remainder and is not kept.
+_MEMOS = {}
+
+
 class CoeffRing:
     """Omega = (Z/l^m)[x]/(minpoly); elements are int tuples of length D."""
 
@@ -173,6 +184,9 @@ class CoeffRing:
                 "minimal polynomial is not square free modulo the prime")
         self._fbar = fbar
         self.components = _fl_factor_squarefree(fbar, ell)
+        self._units, self._inverses, self._projections = _MEMOS.setdefault(
+            (ell, m, minpoly),
+            ({}, {}, {g: {} for g in self.components}))
         self.zero = (0,) * self.deg
         self.one = (1 % self.modulus,) + (0,) * (self.deg - 1)
         self._xpow = [self.one]
@@ -285,11 +299,20 @@ class CoeffRing:
     def is_unit(self, a):
         if self.deg == 1:
             return a[0] % self.ell != 0
-        abar = tuple(c % self.ell for c in a)
-        return _fl_gcd(abar, self._fbar, self.ell) == (1,)
+        try:
+            return self._units[a]
+        except KeyError:
+            abar = tuple(c % self.ell for c in a)
+            out = self._units[a] = _fl_gcd(abar, self._fbar, self.ell) == (1,)
+            return out
 
     def inv(self, a):
-        """Inverse of a unit, lifting the residue inverse by Newton steps."""
+        """Inverse of a unit, lifting the residue inverse by Newton steps.
+        A non-unit raises every time; nothing is kept for it."""
+        try:
+            return self._inverses[a]
+        except KeyError:
+            pass
         if not self.is_unit(a):
             raise InvariantViolation("inverse of a non-unit requested")
         ell = self.ell
@@ -311,17 +334,26 @@ class CoeffRing:
         for _ in range(self.m.bit_length() + 2):
             ab = self.mul(a, b)
             if ab == self.one:
-                return b
+                break
             b = self.mul(b, self.sub(self.int_embed(2), ab))
-        if self.mul(a, b) != self.one:
-            raise InvariantViolation("unit inversion failed to converge")
+        else:
+            if self.mul(a, b) != self.one:
+                raise InvariantViolation("unit inversion failed to converge")
+        self._inverses[a] = b
         return b
 
     def project_component(self, a, g):
-        """Image of a in F_l[x]/(g) as a tuple of length deg(g)."""
-        abar = tuple(c % self.ell for c in a)
-        r = _fl_mod(abar, g, self.ell)
-        return tuple((r[i] if i < len(r) else 0) for i in range(len(g) - 1))
+        """Image of a in F_l[x]/(g) as a tuple of length deg(g), for g
+        one of self.components."""
+        memo = self._projections[g]
+        try:
+            return memo[a]
+        except KeyError:
+            abar = tuple(c % self.ell for c in a)
+            r = _fl_mod(abar, g, self.ell)
+            out = memo[a] = tuple((r[i] if i < len(r) else 0)
+                                  for i in range(len(g) - 1))
+            return out
 
     # --- flattening to Z/M ----------------------------------------------
 
@@ -423,11 +455,8 @@ class Poly:
         """A Poly from a sequence of reduced ring elements (tuples), with
         only the trailing zeros stripped: none of the per-coefficient
         checks of __init__."""
-        n = len(coeffs)
-        while n and not any(coeffs[n - 1]):
-            n -= 1
         p = cls.__new__(cls)
-        p.ring, p.coeffs = ring, tuple(coeffs[:n])
+        p.ring, p.coeffs = ring, tuple(_strip(coeffs))
         return p
 
     @classmethod
@@ -477,7 +506,7 @@ class Poly:
     def __mul__(self, other):
         self._need_same_ring(other)
         return Poly._from_reduced(
-            self.ring, _poly_dot(self.ring, (self,), (other,)))
+            self.ring, _poly_dot(self.ring, (self.coeffs,), (other.coeffs,)))
 
     def scale(self, c):
         return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
@@ -590,18 +619,26 @@ def _reduce_slots(ring, vals, slots=None):
 _KRONECKER_MIN_LEN = 8
 
 
+def _strip(coeffs):
+    """A sequence of ring elements without its trailing zeros."""
+    n = len(coeffs)
+    while n and not any(coeffs[n - 1]):
+        n -= 1
+    return coeffs[:n]
+
+
 def _poly_dot(ring, xs, ys):
-    """The sum of a * b over the pairs (a, b) of Poly in zip(xs, ys), as
-    a list of ring elements, ascending in T.  The list may end in zeros;
-    an empty sum gives an empty list.
+    """The sum of a * b over the pairs (a, b) of coefficient tuples in
+    zip(xs, ys), as a list of ring elements, ascending in T.
+    The list may end in zeros; an empty sum gives an empty list.
 
     All products add up in one unreduced integer array, 2D - 1 slots
-    per power of T, reduced once at the end.  Poly products, PolyOps.dot
-    and Series products all go through here."""
-    S = 2 * ring.deg - 1
+    per power of T, reduced once at the end.  Poly products, PolyOps.dot,
+    Series products and the Fitting elimination all go through here."""
+    D = ring.deg
+    S = 2 * D - 1
     acc = []
-    for a, b in zip(xs, ys):
-        ac, bc = a.coeffs, b.coeffs
+    for ac, bc in zip(xs, ys):
         if not ac or not bc:
             continue
         need = (len(ac) + len(bc) - 1) * S
@@ -659,18 +696,13 @@ class PolyOps:
 
     def dot(self, xs, ys):
         """The sum of a * b over the pairs of zip(xs, ys), as one Poly."""
-        return Poly._from_reduced(self.ring, _poly_dot(self.ring, xs, ys))
+        return Poly._from_reduced(self.ring, _poly_dot(
+            self.ring, [a.coeffs for a in xs], [b.coeffs for b in ys]))
 
 
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
-
-def _head(s, n):
-    """The first n coefficients of the series s as a Poly, without their
-    trailing zeros."""
-    return Poly._from_reduced(s.ring, s.coeffs[:n])
-
 
 class Series:
     """Power series over a CoeffRing, held to an explicit precision: the
@@ -725,7 +757,8 @@ class Series:
 
     def __mul__(self, other):
         n = self._join(other)
-        out = _poly_dot(self.ring, (_head(self, n),), (_head(other, n),))
+        out = _poly_dot(self.ring, (_strip(self.coeffs[:n]),),
+                        (_strip(other.coeffs[:n]),))
         return Series(self.ring, n, out[:n])
 
     def truncate(self, prec):

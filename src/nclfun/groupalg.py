@@ -404,7 +404,11 @@ def _common_ring(r1: CoeffRing, r2: CoeffRing):
 
 def tensor_rep(r1: Rep, r2: Rep) -> Rep:
     """Kronecker product, with degree-1 coefficients embedded into the
-    larger ring when the two targets differ."""
+    larger ring when the two targets differ.
+
+    The embedding is a ring map and the Kronecker product of matrices
+    is multiplicative, so the product of two representations is one and
+    is not validated again."""
     if r1.group != r2.group:
         raise InvariantViolation("tensor needs a common group")
     ring = _common_ring(r1.ring, r2.ring)
@@ -429,7 +433,7 @@ def tensor_rep(r1: Rep, r2: Rep) -> Rep:
         hs.append(kron(emb(r1.h_mat(i), r1.ring), emb(r2.h_mat(i), r2.ring)))
     gam = kron(emb([list(r) for r in r1.gamma], r1.ring),
                emb([list(r) for r in r2.gamma], r2.ring))
-    return Rep(ring, r1.group, r1.dim * r2.dim, hs, gam)
+    return Rep(ring, r1.group, r1.dim * r2.dim, hs, gam, check=False)
 
 
 def theta_rho(x: CrossedLaurent, rho: Rep):
@@ -549,9 +553,15 @@ def subgroup_group_data(U: OpenSubgroup):
 
 
 def restrict_rep(rho: Rep, U: OpenSubgroup) -> Rep:
+    """The representation of U that rho restricts to.  The local table
+    and action are the ambient ones on the members, the local identity
+    is the ambient one, and gamma^c is invertible and conjugates by
+    alpha^c, so the result is a representation and is not validated
+    again."""
     sub_gd, loc_to_amb = subgroup_group_data(U)
     hs = [rho.h_mat(h) for h in loc_to_amb]
-    return Rep(rho.ring, sub_gd, rho.dim, hs, rho.gamma_pow(U.c))
+    return Rep(rho.ring, sub_gd, rho.dim, hs, rho.gamma_pow(U.c),
+               check=False)
 
 
 def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
@@ -562,6 +572,10 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
     index representative.  For the generators of G the little-group
     elements land in U with gamma-exponent 0 or c, so no inverses of
     the subgroup gamma are ever needed.
+
+    Block (j, i) of the image of g is rho_sub(t_j^-1 g t_i) for the
+    transversal t, which is a homomorphism on all of the group, so the
+    result is a representation and is not validated again.
     """
     amb = U.group
     sub_gd, loc_to_amb = subgroup_group_data(U)
@@ -614,7 +628,7 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
 
     hs = [act_matrix(GElement(h, 0)) for h in range(amb.order)]
     gam = act_matrix(GElement(0, 1))
-    return Rep(R, amb, n * w, hs, gam)
+    return Rep(R, amb, n * w, hs, gam, check=False)
 
 
 def quotient_by_normal(gd: GroupData, members):
@@ -665,7 +679,11 @@ def quotient_by_normal(gd: GroupData, members):
 
 
 def push_rep_through_quotient(rho_q: Rep, gd: GroupData, proj) -> Rep:
-    """Inflate a representation of the quotient back to the big group."""
+    """Inflate a representation of the quotient back to the big group.
+
+    The result is validated: it is a representation only when proj is
+    a homomorphism carrying the action along, which nothing here
+    checks."""
     hs = [rho_q.h_mat(proj[h]) for h in range(gd.order)]
     return Rep(rho_q.ring, gd, rho_q.dim, hs,
                [list(r) for r in rho_q.gamma])

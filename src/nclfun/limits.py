@@ -13,13 +13,23 @@ the row vector v times it.  The flat map of A B is then the flat map of
 B times that of A.  Phi is flattened once; its powers, every I - P,
 the trace sums and their composites are ZMod(M) matrices (linalg's ops
 object of Z/M), and only tower_power and the limit module's gamma_inv
-are read back as Omega matrices.
+are read back as Omega matrices.  GammaModule's check runs on flat
+maps too, and a limit module hands it the tower's Howell rows.
+
+The Y side works on coefficient lists of Omega[Y], not on Poly
+products: the Fitting elimination updates each entry by one unreduced
+integer accumulation, char_element shifts by Horner in 1 + Y and
+iwasawa_transform by a binomial sum.  The pivot search and the residue
+projections of the ideal form ask the coefficient ring, whose unit
+tests, inverses and projections are kept per element in one memo
+shared by equal rings, at most M^D entries each (see coeffring).
 """
 
 from collections import namedtuple
 from itertools import combinations
+from math import comb
 
-from .coeffring import Poly, is_in_P, poly_det
+from .coeffring import Poly, _poly_dot, _strip, is_in_P, poly_det
 from .errors import InvariantViolation, PrecisionMismatch
 from .linalg import (
     ZMod,
@@ -27,7 +37,6 @@ from .linalg import (
     howell_form,
     in_span,
     left_kernel,
-    mat_identity,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -61,9 +70,13 @@ class GammaModule:
 
     gamma_inv is stored explicitly; for limit modules it is a literal
     power of the same matrix, which is the whole point of working at a
-    stabilized level."""
+    stabilized level.  basis is the Howell form over Z/M of the
+    flattened relations and their multiples by x^u, taken once: given
+    by limit_module, which has it from the tower, and computed here for
+    a module built by hand.  The check and size() read it."""
 
-    def __init__(self, ring, rank, relations, gamma, gamma_inv, check=True):
+    def __init__(self, ring, rank, relations, gamma, gamma_inv, check=True,
+                 basis=None):
         self.ring = ring
         self.rank = rank
         self.relations = tuple(tuple(r) for r in relations)
@@ -74,28 +87,32 @@ class GammaModule:
                 raise InvariantViolation("relation row of wrong length")
         if len(gamma) != rank or len(gamma_inv) != rank:
             raise InvariantViolation("gamma matrix of wrong size")
+        if basis is None:
+            basis = howell_form(ring.omega_rows_to_int_rows(self.relations),
+                                rank * ring.deg, ring.modulus)
+        self.basis = basis
         if check:
             self._check()
 
     def _check(self):
+        """On flat maps over Z/M, with F that of gamma and G that of
+        gamma_inv: the rows of I - G F, the defect of gamma gamma_inv,
+        and the basis rows times F, gamma applied to the relations and
+        their multiples by x^u, must lie in the span of the basis."""
         R = self.ring
-        ident = mat_identity(R, self.rank)
-        flat = R.omega_rows_to_int_rows(self.relations)
-        width = self.rank * R.deg
-        basis = howell_form(flat, width, R.modulus)
-        # gamma_inv only needs to invert gamma on the quotient, so the
-        # defect columns of the product must land in the relation span
-        prod = mat_mul(R, self.gamma, self.gamma_inv)
-        for j in range(self.rank):
-            col = [R.sub(prod[i][j], ident[i][j]) for i in range(self.rank)]
-            if not in_span(R.flatten_vec(col), basis, R.modulus):
-                raise InvariantViolation(
-                    "gamma_inv does not invert gamma on the quotient")
-        for rel in self.relations:
-            img = self.act(rel)
-            if not in_span(R.flatten_vec(img), basis, R.modulus):
-                raise InvariantViolation(
-                    "gamma does not preserve the relation module")
+        M = R.modulus
+        zm = ZMod(M)
+        basis = self.basis
+        F = _flat_map(R, self.gamma)
+        G = _flat_map(R, self.gamma_inv)
+        # gamma_inv only needs to invert gamma on the quotient
+        if not all(in_span(r, basis, M)
+                   for r in _one_minus(mat_mul(zm, G, F), M)):
+            raise InvariantViolation(
+                "gamma_inv does not invert gamma on the quotient")
+        if not all(in_span(r, basis, M) for r in mat_mul(zm, basis, F)):
+            raise InvariantViolation(
+                "gamma does not preserve the relation module")
 
     def act(self, v):
         return mat_vec(self.ring, self.gamma, v)
@@ -106,10 +123,8 @@ class GammaModule:
     def size(self):
         """Number of elements of the quotient."""
         R = self.ring
-        width = self.rank * R.deg
-        flat = R.omega_rows_to_int_rows(self.relations)
-        basis = howell_form(flat, width, R.modulus)
-        return R.modulus ** width // span_size(basis, R.modulus)
+        return R.modulus ** (self.rank * R.deg) // span_size(
+            self.basis, R.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +246,20 @@ def limit_module(ring, Phi, tower=None):
     level: relations are the canonical image rows there, gamma acts by
     Phi, and the inverse of gamma is the explicit power
     Phi^(ell^n0 - 1), which is inverse because gamma^(ell^n0) is the
-    identity on the quotient."""
+    identity on the quotient.
+
+    The relation rows are the tower's Howell rows at n0 and gamma_inv
+    is read back from its flat map, so the module's check runs on
+    them with no Howell form of its own."""
     if tower is None:
         tower = coker_tower(ring, Phi)
     n0 = tower.stable_from
     rows = tower.layers[n0].image_rows
     s = len(Phi)
+    G = mat_pow(ZMod(ring.modulus), tower.powers[0], ring.ell ** n0 - 1)
     relations = [ring.unflatten_vec(list(r)) for r in rows]
-    gamma_inv = _omega_matrix(
-        mat_pow(ZMod(ring.modulus), tower.powers[0], ring.ell ** n0 - 1), s)
-    return GammaModule(ring, s, relations, Phi, gamma_inv)
+    return GammaModule(ring, s, relations, Phi, _omega_matrix(G, s),
+                       basis=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +496,6 @@ def ngens(k):
     return "1 generator" if k == 1 else f"{k} generators"
 
 
-def _presentation(module):
-    """Rows of the presentation over Omega[Y]: the stored relations,
-    then Y e_j - (gamma - 1) e_j for each generator j."""
-    R = module.ring
-    s = module.rank
-    rows = [[Poly(R, [c]) for c in rel] for rel in module.relations]
-    Y = Poly(R, [R.zero, R.one])
-    for j in range(s):
-        row = []
-        for i in range(s):
-            gm1 = R.sub(module.gamma[i][j], R.one if i == j else R.zero)
-            p = Poly(R, [R.neg(gm1)])
-            row.append(p + Y if i == j else p)
-        rows.append(row)
-    return rows
-
-
-def _unit_pivot(ring, rows):
-    """(row, column) of the first constant entry, in row-major order,
-    whose coefficient is a unit of Omega; None if there is none."""
-    for k, row in enumerate(rows):
-        for c, p in enumerate(row):
-            if p.degree == 0 and ring.is_unit(p.coeffs[0]):
-                return k, c
-    return None
-
-
 def fitting_ideal(module):
     """Zeroth Fitting ideal of the module over Omega[[Y]], with Y acting
     as gamma - 1.
@@ -515,37 +507,53 @@ def fitting_ideal(module):
     unit ideal.
 
     The presentation stacks the stored Omega-relations on top of the
-    rows Y e_j - (gamma - 1) e_j.  It is reduced first: while some
-    entry is a constant unit u of Omega (the first in row-major order),
-    every other row r has r[c] u^-1 times the pivot row subtracted, so
-    column c is zero outside the pivot row; then the pivot row and
-    column go, and so do rows that became zero.  Row operations over
-    Omega[Y] and dropping a generator that one relation solves for
-    keep the Fitting ideal exactly, and the only division is by a
-    unit.  Generators are the maximal minors of what remains, taken in
+    rows Y e_j - (gamma - 1) e_j.  Its entries are Omega[Y] coefficient
+    lists: tuples of reduced ring elements, trailing zeros stripped.  It
+    is reduced first: while some entry is a constant unit u of Omega
+    (the first in row-major order), the pivot row is scaled by -u^-1,
+    and every other row r has r[c] times it added, each entry a + r[c] b
+    as one _poly_dot of (r[c], a) with (b, 1), so column c is zero
+    outside the pivot row;
+    then the pivot row and column go, and so do rows that became zero.
+    Row operations over Omega[Y] and dropping a generator that one
+    relation solves for keep the Fitting ideal exactly, and the only
+    division is by a unit.  Only the rows left become Poly, for
+    poly_det: generators are the maximal minors of what remains, taken in
     lexicographic row-subset order, deduplicated, and sorted for a
     deterministic result: (1) when no column remains, (0) when fewer
     rows than columns do."""
     R = module.ring
-    rows = _presentation(module)
-    ncols = module.rank
+    s = module.rank
+    rows = [[(c,) if any(c) else () for c in rel]
+            for rel in module.relations]
+    for j in range(s):
+        rows.append([(R.neg(R.sub(module.gamma[i][j], R.one)), R.one)
+                     if i == j else _strip((R.neg(module.gamma[i][j]),))
+                     for i in range(s)])
+    ncols = s
     while True:
-        pivot = _unit_pivot(R, rows)
+        pivot = next(((k, c) for k, row in enumerate(rows)
+                      for c, p in enumerate(row)
+                      if len(p) == 1 and R.is_unit(p[0])), None)
         if pivot is None:
             break
         k, c = pivot
         prow = rows.pop(k)
-        u_inv = R.inv(prow[c].coeffs[0])
+        minus_u_inv = R.neg(R.inv(prow[c][0]))
+        prow = [tuple(R.mul(minus_u_inv, a) for a in p) for p in prow]
+        del prow[c]
         reduced = []
         for row in rows:
-            if not row[c].is_zero():
-                mult = row[c].scale(u_inv)
-                row = [a - mult * b for a, b in zip(row, prow)]
-            row = row[:c] + row[c + 1:]
-            if not all(p.is_zero() for p in row):
+            f = row.pop(c)
+            if f:
+                row = [_strip(_poly_dot(R, (f, a), (b, (R.one,))))
+                       if b else a
+                       for a, b in zip(row, prow)]
+            if any(row):
                 reduced.append(row)
         rows = reduced
         ncols -= 1
+    rows = [[Poly._from_reduced(R, p) for p in row] for row in rows]
     gens = []
     seen = set()
     for subset in combinations(range(len(rows)), ncols):
@@ -564,15 +572,21 @@ def fitting_ideal(module):
 
 def char_element(ring, Phi):
     """det((1+Y) I - Phi), the characteristic polynomial of the gamma
-    matrix evaluated at 1 + Y."""
-    cp = berkowitz_charpoly(ring, Phi)
-    one_plus_y = Poly(ring, [ring.one, ring.one])
-    acc = Poly.one(ring)
-    out = Poly.zero(ring)
-    for c in cp:
-        out = out + acc.scale(c)
-        acc = acc * one_plus_y
-    return out
+    matrix evaluated at 1 + Y.
+
+    Horner in 1 + Y on the Berkowitz coefficients c_k: out <- out (1+Y)
+    + c_k from the top down, each step one shifted add on the integer
+    coordinates (coefficient j, coordinate t at j D + t), reduced mod M
+    once at the end."""
+    D = ring.deg
+    out = []
+    for c in reversed(berkowitz_charpoly(ring, Phi)):
+        # out (1 + Y): out plus out shifted up by one power of Y
+        out = [a + b for a, b in zip(out + [0] * D, [0] * D + out)]
+        out[:D] = [a + b for a, b in zip(out, c)]
+    M = ring.modulus
+    return Poly._from_reduced(ring, [tuple([v % M for v in out[k:k + D]])
+                                     for k in range(0, len(out), D)])
 
 
 def iwasawa_transform(ring, f, s):
@@ -581,17 +595,19 @@ def iwasawa_transform(ring, f, s):
     the matching characteristic element in Y.
 
     Since deg f <= s the negative powers cancel and the result is an
-    honest polynomial; no truncation is involved."""
+    honest polynomial, the sum of f_k (1+Y)^(s-k); no truncation is
+    involved.  The coefficient of Y^j is the binomial sum of
+    C(s - k, j) f_k, taken on integer coordinates mod M."""
     if f.degree > s:
         raise InvariantViolation("degree exceeds the stated matrix size")
-    one_plus_y = Poly(ring, [ring.one, ring.one])
-    pows = [Poly.one(ring)]
-    for _ in range(s):
-        pows.append(pows[-1] * one_plus_y)
-    out = Poly.zero(ring)
-    for k in range(f.degree + 1):
-        out = out + pows[s - k].scale(f.coeff(k))
-    return out
+    M = ring.modulus
+    fs = f.coeffs
+    out = []
+    for j in range(s + 1):
+        terms = [(comb(s - k, j), c) for k, c in enumerate(fs) if k <= s - j]
+        out.append(tuple([sum([b * c[t] for b, c in terms]) % M
+                          for t in range(ring.deg)]))
+    return Poly._from_reduced(ring, out)
 
 
 def verify_mc_commutative(ring, Phi, prec=32, guard=8, tower=None):

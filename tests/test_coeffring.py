@@ -9,6 +9,12 @@ from nclfun.coeffring import (
     RationalFunction,
     Series,
     _KRONECKER_MIN_LEN,
+    _fl_divmod,
+    _fl_gcd,
+    _fl_mod,
+    _fl_mul,
+    _fl_sub,
+    _fl_trim,
     _pack,
     _poly_dot,
     det_one_minus_scaled,
@@ -97,6 +103,83 @@ def test_unit_inverse_roundtrip():
 
 def test_unit_count_z9():
     assert sum(Z9.is_unit((k,)) for k in range(9)) == 6
+
+
+def _is_unit_uncached(ring, a):
+    """CoeffRing.is_unit without its memo: a gcd against the minimal
+    polynomial mod l."""
+    if ring.deg == 1:
+        return a[0] % ring.ell != 0
+    abar = tuple(c % ring.ell for c in a)
+    return _fl_gcd(abar, ring._fbar, ring.ell) == (1,)
+
+
+def _inv_uncached(ring, a):
+    """CoeffRing.inv without its memo: extended Euclid mod l, lifted by
+    Newton steps."""
+    ell = ring.ell
+    if ring.deg == 1:
+        b = (pow(a[0] % ell, -1, ell),)
+    else:
+        r0, r1 = ring._fbar, _fl_trim(c % ell for c in a)
+        s0, s1 = (), (1,)
+        while r1:
+            quo, rem = _fl_divmod(r0, r1, ell)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _fl_sub(s0, _fl_mul(quo, s1, ell), ell)
+        lead_inv = pow(r0[-1], -1, ell)
+        s0 = tuple(c * lead_inv % ell for c in s0)
+        b = tuple((s0[i] if i < len(s0) else 0) for i in range(ring.deg))
+    b = ring.element(b)
+    for _ in range(ring.m.bit_length() + 2):
+        ab = ring.mul(a, b)
+        if ab == ring.one:
+            return b
+        b = ring.mul(b, ring.sub(ring.int_embed(2), ab))
+    raise AssertionError("no convergence")
+
+
+def _project_uncached(ring, a, g):
+    r = _fl_mod(tuple(c % ring.ell for c in a), g, ring.ell)
+    return tuple((r[i] if i < len(r) else 0) for i in range(len(g) - 1))
+
+
+def _all_elements(ring):
+    M, D = ring.modulus, ring.deg
+    return [tuple((k // M ** t) % M for t in range(D))
+            for k in range(M ** D)]
+
+
+def test_unit_memo_matches_uncached_code():
+    """is_unit, inv and project_component, asked twice, on a fresh ring
+    and on an equal one that shares its memo, answer as the uncached
+    code on every element; inv of a non-unit raises every time and
+    leaves nothing behind."""
+    for args in ((3, 2, [1, 0, 1]), (5, 1, [1, 1, 1]), (3, 1, [2, 0, 1])):
+        first, second = CoeffRing(*args), CoeffRing(*args)
+        assert first._units is second._units
+        assert first._inverses is second._inverses
+        assert first._projections is second._projections
+        units = 0
+        for a in _all_elements(first):
+            for ring in (first, second, first):
+                unit = ring.is_unit(a)
+                assert unit == _is_unit_uncached(ring, a), (args, a)
+                for g in ring.components:
+                    assert ring.project_component(a, g) == _project_uncached(
+                        ring, a, g)
+                if unit:
+                    assert ring.inv(a) == _inv_uncached(ring, a), (args, a)
+                    assert ring.mul(a, ring.inv(a)) == ring.one
+                else:
+                    for _ in range(2):
+                        with pytest.raises(InvariantViolation):
+                            ring.inv(a)
+            units += unit
+        assert len(first._inverses) == units
+        assert 0 < units < first.modulus ** first.deg
+        assert len(first._units) <= first.modulus ** first.deg
+    assert CoeffRing(3, 2)._inverses is not GAUSS9._inverses
 
 
 def test_split_ring_components():
@@ -288,15 +371,16 @@ def test_products_trim_like_the_constructor():
     constructor's checks; a top coefficient that a zero divisor kills
     still drops off, exactly as Poly() drops it."""
     three_t = Poly.from_ints(Z9, [0, 3])
-    raw = _poly_dot(Z9, (three_t,), (three_t,))
+    raw = _poly_dot(Z9, (three_t.coeffs,), (three_t.coeffs,))
     assert len(raw) == 3 and not any(map(any, raw))
     assert three_t * three_t == Poly(Z9, raw)
     assert (three_t * three_t).coeffs == ()
     p, q = Poly.from_ints(Z9, [1, 3]), Poly.from_ints(Z9, [2, 3])
-    assert (p * q).coeffs == Poly(Z9, _poly_dot(Z9, (p,), (q,))).coeffs \
-        == (Z9.int_embed(2),)
+    assert (p * q).coeffs == Poly(Z9, _poly_dot(
+        Z9, (p.coeffs,), (q.coeffs,))).coeffs == (Z9.int_embed(2),)
     xs, ys = [three_t, p], [three_t, q]
-    assert PolyOps(Z9).dot(xs, ys) == Poly(Z9, _poly_dot(Z9, xs, ys))
+    assert PolyOps(Z9).dot(xs, ys) == Poly(Z9, _poly_dot(
+        Z9, [a.coeffs for a in xs], [b.coeffs for b in ys]))
     assert poly_det([[three_t, Poly.zero(Z9)],
                      [Poly.zero(Z9), three_t]]).coeffs == ()
     rng = random.Random(151)
@@ -312,7 +396,7 @@ def test_products_trim_like_the_constructor():
             got = a * b
             assert got.degree < a.degree + b.degree
             assert got.coeffs == Poly(ring, _poly_dot(
-                ring, (a,), (b,))).coeffs
+                ring, (a.coeffs,), (b.coeffs,))).coeffs
 
 
 def _string_pack(coeffs, D, slots, w):

@@ -1,8 +1,10 @@
+import pathlib
 import random
 
 import pytest
 
 from nclfun.coeffring import CoeffRing, Poly, mat_mul_omega, poly_det
+from nclfun.covering import parse_instance
 from nclfun.errors import (
     ConventionOverflow,
     InvalidGroup,
@@ -26,6 +28,7 @@ from nclfun.groupalg import (
     theta_rho,
     trivial_rep,
 )
+from nclfun.randcases import random_group, random_rep, random_ring
 
 Z9 = CoeffRing(3, 2)
 
@@ -378,3 +381,87 @@ def test_theta_det_of_identity_minus_gamma():
     d = poly_det(mat, Z9)
     assert d.coeff(0) == Z9.one
     assert d.degree == 2
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _subgroups(gd, ell):
+    """Open subgroups <h> x gamma^(c Z) of gd, one per cyclic subgroup
+    of H and gamma index c in (1, ell) that is a subgroup."""
+    out = {}
+    for h in range(gd.order):
+        members, x = {0}, h
+        while x not in members:
+            members.add(x)
+            x = gd.table[x][h]
+        for c in (1, ell):
+            key = (tuple(sorted(members)), c)
+            if key not in out:
+                try:
+                    out[key] = OpenSubgroup(gd, members, c)
+                except NotASubgroup:
+                    pass
+    return list(out.values())
+
+
+def _built_from(reps, subgroups, ell):
+    """(label, rep) for each representation tensor_rep, restrict_rep,
+    induce_rep and push_rep_through_quotient build from the given reps
+    (one group) and subgroups of it."""
+    out = []
+    for i, a in enumerate(reps):
+        for b in reps[i:]:
+            out.append(("tensor", tensor_rep(a, b)))
+    for U in subgroups:
+        sub_gd, _ = subgroup_group_data(U)
+        for rho in reps:
+            res = restrict_rep(rho, U)
+            out.append(("restrict", res))
+            if U.index * rho.dim <= 6:
+                out.append(("induce", induce_rep(U, res)))
+                out.append(("tensor-induce", tensor_rep(
+                    rho, induce_rep(U, trivial_rep(rho.ring, sub_gd)))))
+        try:
+            qd, proj = quotient_by_normal(U.group, U.h_members)
+        except (NotASubgroup, NotNormal):
+            continue
+        for rho in reps:
+            out.append(("push", push_rep_through_quotient(
+                trivial_rep(rho.ring, qd), U.group, proj)))
+    return out
+
+
+def test_constructed_reps_pass_full_validation():
+    """tensor_rep, restrict_rep and induce_rep build their results
+    without validating them, since a valid input makes a valid output.
+    Every representation they build from the group fixtures and from
+    seeded random_rep draws, over degree-2 rings too, passes the full
+    check here, so a construction bug still fails."""
+    cases = []
+    for path in sorted(FIXTURES.glob("*.inst")):
+        inst = parse_instance(path.read_text())
+        gd = inst.covering.group
+        reps = [inst.sheaf.rep] + [inst.reps[k] for k in sorted(inst.reps)]
+        subgroups = [inst.subgroups[k] for k in sorted(inst.subgroups)]
+        cases += _built_from(reps, subgroups + _subgroups(gd, inst.covering.ell),
+                             inst.covering.ell)
+    rng = random.Random(4093)
+    for trial in range(12):
+        ell = (3, 5)[trial % 2]
+        entry = random_group(rng, ell, max_order=6)
+        gd = entry.build()
+        ring = random_ring(rng, ell=ell)
+        if trial % 4 < 2:
+            while ring.deg == 1:
+                ring = random_ring(rng, ell=ell)
+        reps = [random_rep(rng, ring, gd, entry, max_rank=2)
+                for _ in range(2)]
+        cases += _built_from(reps, _subgroups(gd, ell), ell)
+    kinds = {}
+    for kind, rep in cases:
+        rep._validate()
+        kinds.setdefault(kind, set()).add(rep.ring.deg)
+    assert all(kinds[k] == {1, 2} for k in (
+        "tensor", "restrict", "induce", "tensor-induce", "push")), kinds
+    assert len(cases) > 500, len(cases)

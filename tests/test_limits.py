@@ -17,6 +17,7 @@ from nclfun.coeffring import (
 from nclfun.errors import InvariantViolation, PrecisionMismatch
 from nclfun.linalg import (
     ZMod,
+    berkowitz_charpoly,
     howell_form,
     in_span,
     left_kernel,
@@ -217,8 +218,9 @@ def test_limit_module_gamma_power_is_identity_on_quotient():
         Phi = _rand_mat(Z9, rng, s)
         t = coker_tower(Z9, Phi)
         mod = limit_module(Z9, Phi, tower=t)
-        # gamma * gamma_inv fixed every basis vector mod relations, which
-        # the constructor checked; spot check act followed by act_inv
+        # gamma * gamma_inv fixes every basis vector mod relations, which
+        # the module's check tested on flat maps; spot check act
+        # followed by act_inv
         v = [Z9.int_embed(rng.randrange(9)) for _ in range(s)]
         w = mod.act_inv(mod.act(v))
         from nclfun.linalg import howell_form, in_span
@@ -226,6 +228,128 @@ def test_limit_module_gamma_power_is_identity_on_quotient():
         basis = howell_form(flat, s * Z9.deg, 9)
         diff = [Z9.sub(a, b) for a, b in zip(v, w)]
         assert in_span(Z9.flatten_vec(diff), basis, 9)
+
+
+def _limit_cases(rng):
+    for ring, Phi in _tower_cases(rng):
+        yield ring, Phi
+    for ring in (Z9, CoeffRing(3, 3), GAUSS9, SPLIT3, CUBIC25):
+        for s in range(1, 5):
+            yield ring, _structured_phi(ring, rng, s)
+
+
+def test_limit_module_reuses_the_tower_basis(monkeypatch):
+    """limit_module takes no Howell form of its own, and the same module
+    built by hand computes the same basis and size."""
+    import nclfun.limits as limits_mod
+    rng = random.Random(71)
+    for ring, Phi in _limit_cases(rng):
+        t = coker_tower(ring, Phi)
+        with monkeypatch.context() as patch:
+            patch.setattr(limits_mod, "howell_form", None)
+            mod = limit_module(ring, Phi, tower=t)
+            size = mod.size()
+        assert mod.basis is t.layers[t.stable_from].image_rows
+        hand = GammaModule(ring, mod.rank, mod.relations, mod.gamma,
+                           mod.gamma_inv)
+        assert hand.basis == mod.basis
+        assert size == hand.size() == t.layers[t.stable_from].coker_size
+        assert mod.gamma_inv == tuple(map(tuple, mat_pow(
+            ring, Phi, ring.ell ** t.stable_from - 1)))
+
+
+def _off_by_one_power(ops, A, e):
+    return mat_pow(ops, A, e + 1)
+
+
+def test_limit_module_refuses_a_wrong_gamma_inverse(monkeypatch):
+    """With the stored gamma_inv power off by one, gamma gamma_inv is
+    gamma on the quotient: limit_module raises wherever gamma does not
+    act as the identity there."""
+    import nclfun.limits as limits_mod
+    rng = random.Random(73)
+    raised = 0
+    for ring, Phi in _limit_cases(rng):
+        t = coker_tower(ring, Phi)
+        with monkeypatch.context() as patch:
+            patch.setattr(limits_mod, "mat_pow", _off_by_one_power)
+            try:
+                mod = limit_module(ring, Phi, tower=t)
+            except InvariantViolation as exc:
+                assert "gamma_inv" in str(exc)
+                raised += 1
+                continue
+        # only a gamma trivial on the quotient survives the mutation
+        one = limit_module(ring, Phi, tower=t)
+        for rel in mod.relations:
+            assert in_span(ring.flatten_vec(rel), one.basis, ring.modulus)
+        for e in mat_identity(ring, mod.rank):
+            diff = [ring.sub(a, b) for a, b in zip(one.act(e), e)]
+            assert in_span(ring.flatten_vec(diff), one.basis, ring.modulus)
+    assert raised >= 20, raised
+    # [[4]] over Z/9: gamma_inv is 4^2 = 7, and 4^4 = 4 fails
+    t = coker_tower(Z9, _mat(Z9, [[4]]))
+    with monkeypatch.context() as patch:
+        patch.setattr(limits_mod, "mat_pow", _off_by_one_power)
+        with pytest.raises(InvariantViolation, match="gamma_inv"):
+            limit_module(Z9, _mat(Z9, [[4]]), tower=t)
+
+
+def test_limit_module_refuses_a_dropped_relation():
+    """A tower whose stable layer lost one relation row makes
+    limit_module raise, on every case with a relation to drop."""
+    rng = random.Random(79)
+    dropped = 0
+    for ring, Phi in _limit_cases(rng):
+        t = coker_tower(ring, Phi)
+        n0 = t.stable_from
+        rows = t.layers[n0].image_rows
+        for k in range(len(rows)):
+            layer = t.layers[n0]._replace(image_rows=rows[:k] + rows[k + 1:])
+            layers = t.layers[:n0] + [layer] + t.layers[n0 + 1:]
+            with pytest.raises(InvariantViolation):
+                limit_module(ring, Phi, tower=t._replace(layers=layers))
+            dropped += 1
+    assert dropped >= 30, dropped
+
+
+def test_limit_module_refuses_relations_gamma_moves():
+    """[[1, 1], [0, 1]] over Z/9 is the identity at its stable level 2,
+    so the span of e2 holds the defect of gamma_inv, but gamma moves e2
+    to e1 + e2."""
+    Phi = _mat(Z9, [[1, 1], [0, 1]])
+    t = coker_tower(Z9, Phi)
+    assert t.stable_from == 2 and t.layers[2].image_rows == []
+    layers = list(t.layers)
+    layers[2] = layers[2]._replace(image_rows=[[0, 1]])
+    with pytest.raises(InvariantViolation, match="preserve"):
+        limit_module(Z9, Phi, tower=t._replace(layers=layers))
+
+
+def test_limit_module_runs_without_omega_products(monkeypatch):
+    """limit_module and fitting_ideal take no Poly product and no dot
+    over Omega; char_element and iwasawa_transform take no Poly
+    product."""
+    rng = random.Random(83)
+
+    def forbidden(*args):
+        raise AssertionError("Omega product on the Y side")
+
+    cases = list(_limit_cases(rng))
+    towers = [coker_tower(ring, Phi) for ring, Phi in cases]
+    fs = [det_one_minus_scaled(ring, Phi, 1) for ring, Phi in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "__mul__", forbidden)
+        patch.setattr(CoeffRing, "dot", forbidden)
+        fits = [fitting_ideal(limit_module(ring, Phi, tower=t))
+                for (ring, Phi), t in zip(cases, towers)]
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "__mul__", forbidden)
+        chars = [char_element(ring, Phi) for ring, Phi in cases]
+        bridged = [iwasawa_transform(ring, f, len(Phi))
+                   for (ring, Phi), f in zip(cases, fs)]
+    assert bridged == chars
+    assert sum(len(fit.num_gens) for fit in fits) >= len(cases)
 
 
 # --- kernel chain
@@ -680,9 +804,9 @@ def test_precision_mismatch_is_loud():
 # --- Fitting ideal and characteristic element
 
 
-def _all_minors_fitting(module):
-    """Reference for fitting_ideal: every maximal minor of the full
-    presentation, C(r + s, s) determinants, with no reduction."""
+def _presentation(module):
+    """Rows of the presentation over Omega[Y], as Poly: the stored
+    relations, then Y e_j - (gamma - 1) e_j for each generator j."""
     R = module.ring
     s = module.rank
     rows = [[Poly(R, [c]) for c in rel] for rel in module.relations]
@@ -693,8 +817,88 @@ def _all_minors_fitting(module):
             p = Poly(R, [R.neg(gm1)])
             row.append(p + _y(R) if i == j else p)
         rows.append(row)
+    return rows
+
+
+def _unit_pivot(ring, rows):
+    """(row, column) of the first constant entry, in row-major order,
+    whose coefficient is a unit of Omega; None if there is none."""
+    for k, row in enumerate(rows):
+        for c, p in enumerate(row):
+            if p.degree == 0 and ring.is_unit(p.coeffs[0]):
+                return k, c
+    return None
+
+
+def _poly_row_fitting(module):
+    """fitting_ideal as it was before the elimination ran on coefficient
+    lists: the unit-pivot elimination on rows of Poly, each entry
+    updated as a - (r[c] u^-1) b by Poly products, then the same
+    minors, dedup and sort."""
+    R = module.ring
+    rows = _presentation(module)
+    ncols = module.rank
+    while True:
+        pivot = _unit_pivot(R, rows)
+        if pivot is None:
+            break
+        k, c = pivot
+        prow = rows.pop(k)
+        u_inv = R.inv(prow[c].coeffs[0])
+        reduced = []
+        for row in rows:
+            if not row[c].is_zero():
+                mult = row[c].scale(u_inv)
+                row = [a - mult * b for a, b in zip(row, prow)]
+            row = row[:c] + row[c + 1:]
+            if not all(p.is_zero() for p in row):
+                reduced.append(row)
+        rows = reduced
+        ncols -= 1
+    gens = []
+    seen = set()
+    for subset in combinations(range(len(rows)), ncols):
+        d = poly_det([rows[k] for k in subset], R)
+        if not d.is_zero() and d.coeffs not in seen:
+            seen.add(d.coeffs)
+            gens.append(d)
+    gens.sort(key=lambda p: (p.degree, p.coeffs))
+    return IdealClass(R, gens or [Poly.zero(R)])
+
+
+def _char_element_oracle(ring, Phi):
+    """char_element as it was: the sum of c_k (1+Y)^k over the
+    Berkowitz coefficients, with a Poly product per power."""
+    cp = berkowitz_charpoly(ring, Phi)
+    one_plus_y = Poly(ring, [ring.one, ring.one])
+    acc = Poly.one(ring)
+    out = Poly.zero(ring)
+    for c in cp:
+        out = out + acc.scale(c)
+        acc = acc * one_plus_y
+    return out
+
+
+def _iwasawa_transform_oracle(ring, f, s):
+    """iwasawa_transform as it was: the sum of f_k (1+Y)^(s-k), the
+    powers of 1 + Y by Poly products."""
+    one_plus_y = Poly(ring, [ring.one, ring.one])
+    pows = [Poly.one(ring)]
+    for _ in range(s):
+        pows.append(pows[-1] * one_plus_y)
+    out = Poly.zero(ring)
+    for k in range(f.degree + 1):
+        out = out + pows[s - k].scale(f.coeff(k))
+    return out
+
+
+def _all_minors_fitting(module):
+    """Reference for fitting_ideal: every maximal minor of the full
+    presentation, C(r + s, s) determinants, with no reduction."""
+    R = module.ring
+    rows = _presentation(module)
     gens = {}
-    for subset in combinations(range(len(rows)), s):
+    for subset in combinations(range(len(rows)), module.rank):
         d = poly_det([rows[k] for k in subset], R)
         if not d.is_zero():
             gens.setdefault(d.coeffs, d)
@@ -837,6 +1041,65 @@ def test_fitting_ideal_size_budget():
         assert ideal_classes_equal(
             fit, IdealClass(ring, [char_element(ring, Phi)]),
             _fitting_prec(module))
+
+
+# Z/9, Z/27, Z/9[x]/(x^2 + 1) (m = 2), Z/3[x]/(x^2 + 2) and
+# Z/25[x]/(x^3 + 2)
+Y_SIDE_RINGS = (Z9, CoeffRing(3, 3), GAUSS9, SPLIT3, CUBIC25)
+
+
+def _rand_relations(ring, rng, s):
+    """Relation rows for a presentation built by hand: some with a unit
+    entry, some divisible by ell, some zero."""
+    rows = []
+    for _ in range(rng.randrange(4)):
+        scale = ring.ell ** rng.randrange(ring.m + 1)
+        rows.append([ring.element([scale * rng.randrange(ring.modulus)
+                                   for _ in range(ring.deg)])
+                     for _ in range(s)])
+    return rows
+
+
+def test_fitting_ideal_matches_poly_row_elimination():
+    """The elimination on coefficient lists gives byte-identical
+    generator lists to the Poly-row elimination, on limit modules of
+    random and P J P^-1 matrices of sizes 1-5 and on presentations with
+    random relations."""
+    rng = random.Random(8111)
+    cases = 0
+    for ring in Y_SIDE_RINGS:
+        for s in range(1, 6):
+            Phi = _structured_phi(ring, rng, s)
+            modules = [limit_module(ring, Phi),
+                       GammaModule(ring, s, _rand_relations(ring, rng, s),
+                                   Phi, Phi, check=False)]
+            if s <= 3:
+                modules.append(limit_module(ring, _rand_mat(ring, rng, s)))
+            for module in modules:
+                got = fitting_ideal(module)
+                want = _poly_row_fitting(module)
+                assert [g.coeffs for g in got.num_gens] == [
+                    g.coeffs for g in want.num_gens], (ring, module.gamma)
+                cases += 1
+    assert cases == 65
+
+
+def test_shifts_match_poly_oracles():
+    """Horner in 1 + Y and the binomial sum agree with the Poly-product
+    sums they replace, for every degree of f up to s."""
+    rng = random.Random(8117)
+    for ring in Y_SIDE_RINGS:
+        for s in range(1, 6):
+            for Phi in (_rand_mat(ring, rng, s), _structured_phi(ring, rng, s)):
+                assert char_element(ring, Phi) == _char_element_oracle(
+                    ring, Phi)
+                f = det_one_minus_scaled(ring, Phi, 1)
+                assert iwasawa_transform(ring, f, s) == \
+                    _iwasawa_transform_oracle(ring, f, s)
+            for deg in range(-1, s + 1):
+                f = Poly(ring, [_rand_elt(ring, rng) for _ in range(deg + 1)])
+                assert iwasawa_transform(ring, f, s) == \
+                    _iwasawa_transform_oracle(ring, f, s)
 
 
 def test_char_element_against_products():
