@@ -24,6 +24,7 @@ from .linalg import (
     berkowitz_charpoly,
     charpoly_reversal,
     det_from_charpoly,
+    howell_form,
     mat_identity,
     mat_mul,
     mat_pow,
@@ -374,9 +375,10 @@ class CoeffRing:
         out = []
         for row in rows:
             cur = list(row)
-            for _ in range(self.deg):
-                out.append(self.flatten_vec(cur))
+            out.append(self.flatten_vec(cur))
+            for _ in range(self.deg - 1):
                 cur = [self._shift_reduce(a) for a in cur]
+                out.append(self.flatten_vec(cur))
         return out
 
     def x_shift_int_row(self, flat):
@@ -415,18 +417,23 @@ mat_pow_omega = mat_pow
 
 
 def mat_inverse_omega(ring, A):
-    """Inverse of a square Omega matrix, or None if not invertible."""
+    """Inverse of a square Omega matrix, or None if not invertible.
+
+    One Howell form of [F | I], F the flat rows of A (row i D + u is x^u
+    times row i): F is the map w -> w A on flat row vectors, and it is
+    invertible exactly when A is.  Then the form is [I | F^-1], and row
+    i D of F^-1, the image of e_i under w -> w A^-1, is row i of A^-1
+    flattened.  The product X A is checked against the identity."""
     n = len(A)
-    At = [list(col) for col in zip(*A)]
-    ident = mat_identity(ring, n)
-    cols = []
-    for e in ident:
-        x = solve_left_omega(ring, At, e)     # A x == e_j
-        if x is None:
-            return None
-        cols.append(x)
-    X = [list(row) for row in zip(*cols)]
-    if mat_mul(ring, X, A) != ident:
+    N = n * ring.deg
+    flat = ring.omega_rows_to_int_rows(A)
+    H = howell_form([row + [int(i == j) for j in range(N)]
+                     for i, row in enumerate(flat)], 2 * N, ring.modulus)
+    ident = [[int(i == j) for j in range(N)] for i in range(N)]
+    if [row[:N] for row in H] != ident:
+        return None
+    X = [ring.unflatten_vec(H[i * ring.deg][N:]) for i in range(n)]
+    if mat_mul(ring, X, A) != mat_identity(ring, n):
         return None
     return X
 

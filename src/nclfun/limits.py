@@ -472,12 +472,16 @@ def ideal_classes_equal(a, b, prec, guard=8):
     them means the smaller precision was lying, and that is reported as
     PrecisionMismatch rather than as a boolean.  The classes are equal
     when num(a) den(b) and num(b) den(a) are; each side's form is
-    computed once, at prec + guard, and cut to prec."""
+    computed once, at prec + guard, and cut to prec.  When a class's
+    only denominator is 1, the other class's numerators pass through
+    unmultiplied."""
     if a.ring != b.ring:
         raise InvariantViolation("ideal classes over different rings")
-    wide = [ideal_canonical_form(a.ring, gens, prec + guard) for gens in (
-        [x * d for x in a.num_gens for d in b.den_gens],
-        [y * d for y in b.num_gens for d in a.den_gens])]
+    one = (Poly.one(a.ring),)
+    wide = [ideal_canonical_form(
+        a.ring, x.num_gens if y.den_gens == one else
+        [g * d for g in x.num_gens for d in y.den_gens], prec + guard)
+        for x, y in ((a, b), (b, a))]
     first = _truncate_form(a.ring, wide[0], prec) == _truncate_form(
         a.ring, wide[1], prec)
     second = wide[0] == wide[1]

@@ -7,6 +7,11 @@ submodule of (Z/M)^n if and only if their Howell forms are identical
 lists.  That is what makes span equality, membership, kernels and
 solving decidable here without any fraction-field tricks.
 
+The Howell form eliminates at each column with a pivot of least
+valuation: over Z/p^m every other entry of the column is then a
+multiple of the pivot's, and one row update clears it.  A left kernel
+is read off one Howell form of [A | I].
+
 Also hosts dense matrix arithmetic (identity, mat-vec, product, power)
 and the Berkowitz characteristic polynomial, written once for any
 commutative ring supplied through an ops object: `zero`, `one` and
@@ -20,6 +25,10 @@ elements and dot = sum(map(mul, xs, ys)): INT_OPS computes exactly
 (coeffring.poly_det packs Omega[T] entries into integers and takes
 their determinant there), and ZMod(M) reduces each dot mod M.
 Berkowitz is division free, so it runs unchanged over all of them.
+A product of ZMod matrices takes no dot per entry: mat_mul packs each
+row of the right factor into one integer, with a slot per column wide
+enough for the unreduced entry (see ZMod), and forms each row of the
+product as one integer sum.
 
 An Omega-linear map is also a Z/M-linear map of the flattened
 coordinates.  limits works the coinvariant tower there: the flat map
@@ -32,12 +41,13 @@ sum and product of the tower is a ZMod(M) matrix product.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from math import gcd
 from operator import mul, neg
 from types import SimpleNamespace
 
 __all__ = [
-    "xgcd",
     "unit_lifting_gcd",
     "howell_form",
     "span_size",
@@ -56,22 +66,6 @@ __all__ = [
     "INT_OPS",
     "ZMod",
 ]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = gcd(a, b) = x*a + y*b.
-
-    Inputs are expected nonnegative; then g >= 0.
-    """
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def unit_lifting_gcd(a: int, M: int) -> int:
@@ -101,7 +95,16 @@ def howell_form(rows: list[list[int]], ncols: int, M: int) -> list[list[int]]:
       * every entry above a pivot is reduced modulo that pivot;
       * the span property: any span element whose support starts at
         column c lies in the span of the basis rows with pivot >= c.
-    Two generating sets of the same submodule produce equal output.
+    Two generating sets of the same submodule produce equal output, so
+    any correct elimination returns these rows.
+
+    At each column c the pivot is the first row whose entry there has
+    the least gcd with M; the search stops at the first unit.  Scaled
+    by unit_lifting_gcd, its entry is g = p^v, and since M is a power
+    of p every other entry of the column is a multiple of g: each other
+    row r is cleared by the one update r - (r[c] / g) pivot.  The
+    annihilator (M / g) pivot goes back into the rows still to be
+    eliminated, and the entries above each pivot are reduced last.
     """
     work = []
     for r in rows:
@@ -115,35 +118,40 @@ def howell_form(rows: list[list[int]], ncols: int, M: int) -> list[list[int]]:
     basis: list[list[int]] = []
     for c in range(ncols):
         pivot = None
+        g = M
+        for r in work:
+            a = r[c]
+            if a:
+                d = gcd(a, M)
+                if d < g:
+                    pivot, g = r, d
+                    if d == 1:
+                        break
+        if pivot is None:
+            continue
+        u = unit_lifting_gcd(pivot[c], M)
+        if u != 1:
+            pivot[c:] = [(u * v) % M for v in pivot[c:]]
+        tail = pivot[c:]
         rest = []
         for r in work:
-            if r[c]:
-                if pivot is None:
-                    pivot = r
-                else:
-                    a_, b_ = pivot[c], r[c]
-                    g, xx, yy = xgcd(a_, b_)
-                    # the 2x2 transform [[xx, yy], [-b/g, a/g]] has det 1,
-                    # so the span of the pair is preserved exactly
-                    tail = list(zip(pivot[c:], r[c:]))
-                    new_r = [((a_ // g) * v - (b_ // g) * u) % M
-                             for u, v in tail]
-                    pivot = r[:c] + [(xx * u + yy * v) % M for u, v in tail]
-                    if any(new_r):
-                        rest.append(r[:c] + new_r)
+            if r is pivot:
+                continue
+            q = r[c] // g
+            if q:
+                r[c:] = new = [(v - q * w) % M for v, w in zip(r[c:], tail)]
+                if any(new):
+                    rest.append(r)
             else:
                 rest.append(r)
+        basis.append(pivot)
+        if g > 1:
+            # the multiples of the pivot that vanish at c are those of
+            # the annihilator row (M / g) pivot
+            ann_row = [(M // g * v) % M for v in tail]
+            if any(ann_row):
+                rest.append(pivot[:c] + ann_row)
         work = rest
-        if pivot is not None:
-            u = unit_lifting_gcd(pivot[c], M)
-            if u != 1:
-                pivot[c:] = [(u * v) % M for v in pivot[c:]]
-            basis.append(pivot)
-            ann = M // gcd(pivot[c], M)
-            if ann > 1:
-                ann_row = [(ann * v) % M for v in pivot[c:]]
-                if any(ann_row):
-                    work.append(pivot[:c] + ann_row)
     # normalise entries above each pivot; ascending order is required,
     # since reducing at a pivot only touches columns at or past it
     for i, c in enumerate(_pivot_columns(basis)):
@@ -200,17 +208,21 @@ def in_span(v: list[int], basis: list[list[int]], M: int) -> bool:
 def left_kernel(A: list[list[int]], M: int) -> list[list[int]]:
     """Howell basis of {x in (Z/M)^r : x*A == 0}, rows of A of length n.
 
-    Works by running Howell on the block [A | I]: combinations tracking
-    stays exact, and rows whose A-part died give kernel generators.  The
-    span property of the big form makes the collection complete.
+    One Howell form H of the block [A | I]: its span is {(x A | x)},
+    and the kernel is the I-part of the rows of H whose A-part is zero.
+    Those rows are the rows of H with pivot at n or past it, and they
+    are already a Howell basis.  Take x in the kernel whose support
+    starts at column c: (0 | x) lies in the span and starts at column
+    n + c, so by H's span property it lies in the span of the rows of
+    H with pivot >= n + c.  That is the span property of the cut rows,
+    and their pivots and the reduced entries above them are H's own.
     """
     r = len(A)
     n = len(A[0]) if r else 0
     aug = [list(A[i]) + [1 if j == i else 0 for j in range(r)]
            for i in range(r)]
     H = howell_form(aug, n + r, M)
-    ker = [row[n:] for row in H if not any(row[:n])]
-    return howell_form(ker, r, M)
+    return [row[n:] for row in H if not any(row[:n])]
 
 
 def solve_left(A: list[list[int]], b: list[int], M: int) -> list[int] | None:
@@ -240,7 +252,14 @@ INT_OPS = SimpleNamespace(zero=0, one=1, neg=neg,
 class ZMod:
     """Z/M as an ops object, as much of it as the matrix identity,
     product and power read: Python ints in [0, M), and a dot that adds
-    up the whole inner product exactly and reduces once."""
+    up the whole inner product exactly and reduces once.
+
+    mat_mul multiplies ZMod matrices on packed rows: each row of B is
+    one integer with a slot of 1, 2, 4 or 8 bytes per column, the
+    narrowest that holds k (M - 1)^2 for B with k rows, the largest sum
+    an entry of the product can reach before it is reduced.  Entries
+    outside [0, M) would break that bound.  A bound of 2^64 or more
+    takes one dot per entry, as does a B with no entries."""
 
     zero = 0
     one = 1
@@ -264,10 +283,52 @@ def mat_vec(ops, A, v) -> list:
 
 
 def mat_mul(ops, A, B) -> list[list]:
-    """The product A B, one dot per entry."""
+    """The product A B, one dot per entry; over a ZMod, one packed
+    integer product per row where the slots allow it."""
+    if isinstance(ops, ZMod):
+        out = _packed_mat_mul(A, B, ops.modulus)
+        if out is not None:
+            return out
     dot = ops.dot
     cols = list(zip(*B))
     return [[dot(row, col) for col in cols] for row in A]
+
+
+# the array type code and byte size of the narrowest 1-, 2-, 4- or
+# 8-byte slot, indexed by the bit length of the bound, up to 64
+_SLOTS = tuple(next((code, size) for code, size in (
+    ("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if bits <= 8 * size)
+    for bits in range(65))
+
+
+def _packed_mat_mul(A, B, M):
+    """A B over Z/M for entries in [0, M), or None when B has no entries
+    or the bound k (M - 1)^2 of an unreduced entry, k the number of rows
+    of B, needs more than 64 bits.
+
+    Each row of B is packed into one integer, a slot per column as wide
+    as the bound needs.  Row i of A B is then one integer sum of A[i][j]
+    times packed row j, with no carry from one slot into the next; its
+    bytes are read back as one slot per entry and reduced mod M."""
+    if not B or not B[0]:
+        return None
+    bits = (len(B) * (M - 1) ** 2).bit_length()
+    if bits > 64:
+        return None
+    code, size = _SLOTS[bits]
+    order = sys.byteorder
+    from_bytes = int.from_bytes
+    nbytes = len(B[0]) * size
+    if size == 1:
+        # bytes are their own one-byte slots: no array, no cast
+        packed = [from_bytes(bytes(row), order) for row in B]
+        return [[v % M for v in
+                 sum(map(mul, row, packed)).to_bytes(nbytes, order)]
+                for row in A]
+    packed = [from_bytes(array(code, row), order) for row in B]
+    return [[v % M for v in memoryview(
+        sum(map(mul, row, packed)).to_bytes(nbytes, order)).cast(code)]
+        for row in A]
 
 
 def mat_pow(ops, A, e: int) -> list[list]:

@@ -586,6 +586,33 @@ def test_flattened_span_respects_x_multiples():
     assert in_span(shifted, H, ring.modulus)
 
 
+def test_flat_rows_take_deg_minus_one_shifts(monkeypatch):
+    """Each Omega row gives its D flat rows with D - 1 shifts by x per
+    element, none after the last row, and the rows are x^u times it."""
+    rng = random.Random(139)
+    shift = CoeffRing._shift_reduce
+    for ring in (Z9, GAUSS9, CUBIC):
+        calls = []
+
+        def counting(self, a):
+            calls.append(a)
+            return shift(self, a)
+
+        rows = [[_rand_elem(rng, ring) for _ in range(rng.randrange(1, 4))]
+                for _ in range(rng.randrange(1, 5))]
+        with monkeypatch.context() as patch:
+            patch.setattr(CoeffRing, "_shift_reduce", counting)
+            flat = ring.omega_rows_to_int_rows(rows)
+        assert len(calls) == sum(map(len, rows)) * (ring.deg - 1)
+        x = ring.gen()
+        want = []
+        for row in rows:
+            for u in range(ring.deg):
+                want.append(ring.flatten_vec(row))
+                row = [ring.mul(x, a) for a in row]
+        assert flat == want
+
+
 def _fold_dot(ops, xs, ys):
     """The sum of products by add and mul, one pair at a time: the
     reference for the fused dot."""

@@ -47,6 +47,7 @@ from nclfun.limits import (
     verify_mc_commutative,
 )
 from series_oracle import eq_up_to_unit
+from test_linalg import pairwise_howell
 
 Z9 = CoeffRing(3, 2)
 Z25 = CoeffRing(5, 2)
@@ -530,6 +531,47 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
     assert repeated > 0
 
 
+def test_tower_howell_forms_match_pairwise_oracle():
+    """The Howell forms of the tower and its kernels, [I - F | I] for
+    every stored flat power F, are the pairwise oracle's rows."""
+    import nclfun.limits as limits_mod
+    rng = random.Random(73)
+    for ring, Phi in _tower_cases(rng):
+        t = coker_tower(ring, Phi)
+        M = ring.modulus
+        for F in t.powers:
+            aug = [row + [int(i == j) for j in range(len(F))]
+                   for i, row in enumerate(limits_mod._one_minus(F, M))]
+            width = 2 * len(F)
+            assert howell_form(aug, width, M) == pairwise_howell(
+                aug, width, M), (ring, Phi)
+
+
+def test_zmod_products_get_reduced_entries(monkeypatch):
+    """Every ZMod product of a verify_mc_commutative and kernel chain
+    run over Z/9[x]/(x^2 + 1) has its entries in [0, M), as ZMod
+    promises and the packed rows need."""
+    import nclfun.linalg as linalg_mod
+    packed = linalg_mod._packed_mat_mul
+    seen = []
+
+    def checking(A, B, M):
+        seen.append(M)
+        for row in list(A) + list(B):
+            assert all(type(a) is int and 0 <= a < M for a in row)
+        return packed(A, B, M)
+
+    monkeypatch.setattr(linalg_mod, "_packed_mat_mul", checking)
+    rng = random.Random(79)
+    for s in (2, 3):
+        Phi = _structured_phi(GAUSS9, rng, s)
+        out = verify_mc_commutative(GAUSS9, Phi, prec=2 * (s * 2 + s))
+        assert out["ok"]
+        rep = kernel_chain_report(GAUSS9, Phi)
+        assert rep.trace_is_mult_by_ell and rep.vanishing_certified
+    assert len(seen) > 20 and set(seen) == {9}
+
+
 # --- ideals
 
 
@@ -799,6 +841,83 @@ def test_precision_mismatch_is_loud():
     with pytest.raises(PrecisionMismatch):
         ideal_classes_equal(a, b, 5, guard=8)
     assert ideal_classes_equal(a, b, 3, guard=2)
+
+
+def _cross_multiplied_equal(a, b, prec, guard=8):
+    """ideal_classes_equal with every numerator multiplied by every
+    denominator of the other class, 1 included."""
+    wide = [ideal_canonical_form(a.ring, gens, prec + guard) for gens in (
+        [x * d for x in a.num_gens for d in b.den_gens],
+        [y * d for y in b.num_gens for d in a.den_gens])]
+    first = _truncate_form(a.ring, wide[0], prec) == _truncate_form(
+        a.ring, wide[1], prec)
+    if first != (wide[0] == wide[1]):
+        raise PrecisionMismatch("flips")
+    return first
+
+
+def _verdict(compare, a, b, prec, guard):
+    try:
+        return compare(a, b, prec, guard)
+    except PrecisionMismatch:
+        return "mismatch"
+
+
+def _ideal_class_pairs(rng, ring, dens):
+    """Pairs of classes with the denominators dens() draws: random
+    generators, a class against itself times a unit, and y^6 against 0,
+    which flips between T^5 and T^13."""
+    def gens(k):
+        return [Poly(ring, [_rand_elt(ring, rng)
+                            for _ in range(rng.randrange(1, 5))])
+                for _ in range(k)]
+    y = _y(ring)
+    for _ in range(6):
+        yield (IdealClass(ring, gens(rng.randrange(1, 3)), dens()),
+               IdealClass(ring, gens(rng.randrange(1, 3)), dens()), 6, 4)
+        a = gens(2)
+        unit = Poly(ring, [ring.one, _rand_elt(ring, rng)])
+        yield (IdealClass(ring, a, dens()),
+               IdealClass(ring, [g * unit for g in a], dens()), 8, 8)
+    y6 = y * y * y * y * y * y
+    yield (IdealClass(ring, [y6], dens()),
+           IdealClass(ring, [Poly.zero(ring)], dens()), 5, 8)
+
+
+def test_ideal_classes_with_unit_denominators_take_no_products(
+        monkeypatch):
+    rng = random.Random(83)
+    cases = [pair for ring in (Z9, GAUSS9)
+             for pair in _ideal_class_pairs(rng, ring, lambda: None)]
+    want = [_verdict(_cross_multiplied_equal, *c) for c in cases]
+    assert {True, False, "mismatch"} <= set(want)
+
+    def no_product(self, other):
+        raise AssertionError("a product by the default denominator")
+
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    assert [_verdict(ideal_classes_equal, *c) for c in cases] == want
+
+
+def test_ideal_classes_with_denominators_keep_their_verdicts():
+    rng = random.Random(89)
+
+    def draw_dens(ring):
+        def dens():
+            return [Poly(ring, [ring.one, _rand_elt(ring, rng)])
+                    for _ in range(rng.randrange(1, 3))]
+        return dens
+
+    cases = [pair for ring in (Z9, GAUSS9)
+             for pair in _ideal_class_pairs(rng, ring, draw_dens(ring))]
+    # one side with the default denominator, the other side without
+    cases += [(IdealClass(Z9, [_y(Z9)]),
+               IdealClass(Z9, [_y(Z9) * c], [c]), 8, 4)
+              for c in (Poly.from_ints(Z9, [1, 3]),
+                        Poly.from_ints(Z9, [4, 1, 2]))]
+    got = [_verdict(ideal_classes_equal, *c) for c in cases]
+    assert got == [_verdict(_cross_multiplied_equal, *c) for c in cases]
+    assert {True, False, "mismatch"} <= set(got)
 
 
 # --- Fitting ideal and characteristic element

@@ -1,5 +1,7 @@
 import itertools
 import random
+from math import gcd
+from operator import mul
 
 from nclfun.coeffring import (
     CoeffRing,
@@ -7,9 +9,11 @@ from nclfun.coeffring import (
     PolyOps,
     mat_inverse_omega,
     poly_det,
+    solve_left_omega,
 )
 from nclfun.groupalg import GroupData, Rep
 from nclfun.linalg import (
+    ZMod,
     berkowitz_charpoly,
     charpoly_reversal,
     det_from_charpoly,
@@ -24,7 +28,7 @@ from nclfun.linalg import (
     solve_left,
     span_size,
     split_components,
-    xgcd,
+    unit_lifting_gcd,
 )
 
 MODULI = [5, 8, 9, 27, 125]
@@ -58,6 +62,79 @@ def _mixed_generators(rng, rows, M):
     out.append([0] * len(rows[0]))
     out.extend(rows)
     return out
+
+
+# --- the pairwise Howell elimination that the least-valuation pivot
+# replaced, kept as an oracle with its extended gcd
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended gcd: returns (g, x, y) with g = gcd(a, b) = x*a + y*b.
+
+    Inputs are expected nonnegative; then g >= 0.
+    """
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def pairwise_howell(rows, ncols, M):
+    """Howell form with the first row nonzero at each column as the
+    pivot: every further row nonzero there is combined with it by the
+    det-1 transform [[x, y], [-b/g, a/g]] of xgcd(a, b) = (g, x, y),
+    which rewrites both rows."""
+    work = []
+    for r in rows:
+        rr = [x % M for x in r]
+        assert len(rr) == ncols
+        if any(rr):
+            work.append(rr)
+    basis = []
+    for c in range(ncols):
+        pivot = None
+        rest = []
+        for r in work:
+            if r[c]:
+                if pivot is None:
+                    pivot = r
+                else:
+                    a_, b_ = pivot[c], r[c]
+                    g, xx, yy = xgcd(a_, b_)
+                    tail = list(zip(pivot[c:], r[c:]))
+                    new_r = [((a_ // g) * v - (b_ // g) * u) % M
+                             for u, v in tail]
+                    pivot = r[:c] + [(xx * u + yy * v) % M for u, v in tail]
+                    if any(new_r):
+                        rest.append(r[:c] + new_r)
+            else:
+                rest.append(r)
+        work = rest
+        if pivot is not None:
+            u = unit_lifting_gcd(pivot[c], M)
+            if u != 1:
+                pivot[c:] = [(u * v) % M for v in pivot[c:]]
+            basis.append(pivot)
+            ann = M // gcd(pivot[c], M)
+            if ann > 1:
+                ann_row = [(ann * v) % M for v in pivot[c:]]
+                if any(ann_row):
+                    work.append(pivot[:c] + ann_row)
+    pivots = [row.index(next(filter(None, row))) for row in basis]
+    for i, c in enumerate(pivots):
+        row = basis[i]
+        for k in range(i):
+            above = basis[k]
+            q = above[c] // row[c]
+            if q:
+                above[c:] = [(u - q * v) % M
+                             for u, v in zip(above[c:], row[c:])]
+    return basis
 
 
 def test_xgcd_bezout():
@@ -526,3 +603,180 @@ def test_mat_pow_returns_a_new_matrix():
         assert all(rb is not ra for rb, ra in zip(B, A))
         B[0][0] = ops.one if A[0][0] != ops.one else ops.zero
         assert B[0][0] != A[0][0]
+
+
+# --- the least-valuation Howell form against the pairwise oracle
+
+HOWELL_MODULI = [2, 4, 8, 9, 27, 5, 25, 125, 49]
+
+
+def _prime_of(M):
+    return next(p for p in range(2, M + 1) if M % p == 0)
+
+
+def _howell_cases(rng, M):
+    """0-10 random rows of widths 0-8, and from each draw: its rows
+    times p (zero mod p), rows sharing a valuation at one column (unit
+    multiples of one power of p there), and duplicated rows."""
+    p = _prime_of(M)
+    units = [u for u in range(1, M) if u % p]
+    for _ in range(80):
+        r, n = rng.randrange(11), rng.randrange(9)
+        rows = _rand_rows(rng, r, n, M)
+        yield rows, n
+        if not r:
+            continue
+        yield [[p * a % M for a in row] for row in rows], n
+        if n:
+            c = rng.randrange(n)
+            pv = p ** rng.randrange(M.bit_length())
+            yield [row[:c] + [pv * rng.choice(units) % M] + row[c + 1:]
+                   for row in rows], n
+        yield rows + [rows[0][:], rows[-1][:]] + rows[:2], n
+
+
+def test_howell_matches_pairwise_oracle():
+    rng = random.Random(107)
+    shapes = set()
+    for M in HOWELL_MODULI:
+        for rows, n in _howell_cases(rng, M):
+            shapes.add((len(rows), n))
+            got = howell_form(rows, n, M)
+            assert got == pairwise_howell(rows, n, M), (M, rows)
+            assert all(type(v) is int for row in got for v in row)
+    assert {r for r, _ in shapes} >= set(range(11))
+    assert {n for _, n in shapes} == set(range(9))
+
+
+def _two_form_left_kernel(A, M):
+    """left_kernel by the pairwise oracle: the kernel rows cut from the
+    form of [A | I], then their own Howell form."""
+    r = len(A)
+    n = len(A[0]) if r else 0
+    aug = [list(A[i]) + [int(j == i) for j in range(r)] for i in range(r)]
+    ker = [row[n:] for row in pairwise_howell(aug, n + r, M)
+           if not any(row[:n])]
+    return pairwise_howell(ker, r, M)
+
+
+def test_left_kernel_is_one_howell_form():
+    """The kernel rows cut from one Howell form are a Howell form, and
+    the kernel a second form of them would give."""
+    rng = random.Random(109)
+    for M in (4, 8, 9, 25, 27):
+        cases = [[], [[] for _ in range(3)]]
+        for _ in range(40):
+            r, n = rng.randrange(1, 6), rng.randrange(5)
+            A = _rand_rows(rng, r, n, M)
+            if rng.randrange(3) == 0:
+                A[rng.randrange(r)] = [0] * n
+            cases.append(A)
+        for A in cases:
+            K = left_kernel(A, M)
+            assert howell_form(K, len(A), M) == K
+            assert K == _two_form_left_kernel(A, M), (M, A)
+
+
+# --- ZMod products on packed rows against one dot per entry
+
+
+def _oracle_zmod_mul(A, B, M):
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) % M for col in cols] for row in A]
+
+
+def _slot_bytes(k, M):
+    """Bytes of the packed slot for B with k rows over Z/M, None when
+    the bound k (M - 1)^2 needs more than 64 bits."""
+    bits = (k * (M - 1) ** 2).bit_length()
+    return next((s for s in (1, 2, 4, 8) if bits <= 8 * s), None)
+
+
+def test_packed_zmod_product_matches_per_entry_dots():
+    rng = random.Random(113)
+    # random entries in every shape up to 3 x 4 times 4 x 5, empty ones
+    # included
+    for M in (2, 5, 9, 27, 125):
+        zm = ZMod(M)
+        for r, k, n in itertools.product(range(4), range(5), range(6)):
+            A, B = _rand_rows(rng, r, k, M), _rand_rows(rng, k, n, M)
+            assert mat_mul(zm, A, B) == _oracle_zmod_mul(A, B, M)
+        assert mat_mul(zm, [[], []], []) == [[], []]
+        assert mat_mul(zm, [[1], [2]], [[]]) == [[], []]
+        assert mat_mul(zm, [], [[1, 2]]) == []
+    # all-(M - 1) entries reach the bound k (M - 1)^2 of a slot; the
+    # moduli and row counts put it at either edge of every slot width
+    widths = set()
+    for M in (2, 5, 17, 27, 243, 256, 2 ** 16, 3 ** 10, 2 ** 32,
+              3 ** 20, 3 ** 41):
+        zm = ZMod(M)
+        for k in (1, 2, 3, 15, 16, 17, 255, 256, 257):
+            widths.add(_slot_bytes(k, M))
+            for r, n in ((1, 1), (3, 5), (2, 8)):
+                A = [[M - 1] * k for _ in range(r)]
+                B = [[M - 1] * n for _ in range(k)]
+                assert mat_mul(zm, A, B) == _oracle_zmod_mul(A, B, M), (M, k)
+            A, B = _rand_rows(rng, 3, k, M), _rand_rows(rng, k, 4, M)
+            assert mat_mul(zm, A, B) == _oracle_zmod_mul(A, B, M), (M, k)
+    assert widths == {1, 2, 4, 8, None}
+    # the exact edges: 2^64 - 2^33 + 1 fills 8 bytes, 2^65 needs more
+    assert _slot_bytes(1, 2 ** 32) == 8 and _slot_bytes(2, 2 ** 32) is None
+
+
+def test_mat_pow_over_zmod_matches_repeated_products():
+    rng = random.Random(127)
+    for M in (3, 8, 25, 3 ** 41):
+        zm = ZMod(M)
+        for n in range(5):
+            A = _rand_rows(rng, n, n, M)
+            acc = mat_identity(zm, n)
+            for e in range(6):
+                assert mat_pow(zm, A, e) == acc
+                acc = _oracle_zmod_mul(acc, A, M)
+
+
+# --- one Howell form per inverse
+
+
+def _per_column_inverse(ring, A):
+    """mat_inverse_omega as it was: column j of the inverse solves
+    A x = e_j, one solve_left_omega and one Howell form per column."""
+    n = len(A)
+    At = [list(col) for col in zip(*A)]
+    ident = mat_identity(ring, n)
+    cols = []
+    for e in ident:
+        x = solve_left_omega(ring, At, e)
+        if x is None:
+            return None
+        cols.append(x)
+    X = [list(row) for row in zip(*cols)]
+    return X if mat_mul(ring, X, A) == ident else None
+
+
+def test_mat_inverse_takes_one_howell_form(monkeypatch):
+    import nclfun.coeffring as coeffring_mod
+    rng = random.Random(131)
+    cases = []
+    for ring in (Z9, Z27, GAUSS9, SPLIT5, CoeffRing(5, 2, [2, 0, 0, 1])):
+        for n in range(5):
+            cases.append((ring, _rand_invertible(rng, ring, n)))
+            cases.append((ring, _rand_mat(rng, ring, n)))
+            if n:
+                A = _rand_invertible(rng, ring, n)
+                i = rng.randrange(n)
+                A[i] = [ring.mul(ring.int_embed(ring.ell), a) for a in A[i]]
+                cases.append((ring, A))
+    want = [_per_column_inverse(ring, A) for ring, A in cases]
+    assert any(w is None for w in want) and any(w for w in want)
+    calls = []
+
+    def counting(rows, ncols, M):
+        calls.append(ncols)
+        return howell_form(rows, ncols, M)
+
+    monkeypatch.setattr(coeffring_mod, "howell_form", counting)
+    for (ring, A), w in zip(cases, want):
+        del calls[:]
+        assert mat_inverse_omega(ring, A) == w, (ring, A)
+        assert calls == [2 * len(A) * ring.deg]
