@@ -22,6 +22,7 @@ from .errors import (
     InvalidGroup,
     InvariantViolation,
     NotASubgroup,
+    NotNormal,
     NotSQuasiIso,
     ParseError,
     PrecisionMismatch,
@@ -239,7 +240,7 @@ def cmd_ncl_verify(args):
         if U.c == 1 and len(U.h_members) < cov.group.order:
             try:
                 qd, _ = quotient_by_normal(cov.group, U.h_members)
-            except InvalidGroup:
+            except (InvalidGroup, NotNormal):
                 _note(f"subgroup {name} is not normal; quotient check "
                       "skipped")
             else:

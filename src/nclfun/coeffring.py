@@ -12,10 +12,12 @@ Omega by its Jacobson radical is a product of finite fields, one per
 irreducible factor of f mod l.  Units, the set P of series with unit
 constant term, and the larger multiplicative set S (polynomials whose
 image in every residue component ring is nonzero) are all decided
-through that product.  Those answers are kept per element: CoeffRing
-instances with equal (l, m, f) share one memo of unit tests, inverses
-and residue projections, bounded by the M^D elements of the ring
-(once per residue factor for the projections).
+through that product: a unit is an element nonzero in every residue
+field, and its inverse is its power to the order of the unit group,
+minus one.  Inverses and residue projections are kept per element:
+CoeffRing instances with equal (l, m, f) share one memo of them,
+bounded by the M^D elements of the ring (once per residue factor for
+the projections).
 """
 
 from .errors import InvariantViolation, NonUnitConstantTerm
@@ -28,7 +30,6 @@ from .linalg import (
     mat_identity,
     mat_mul,
     mat_pow,
-    solve_left,
     split_components,
 )
 
@@ -90,23 +91,6 @@ def _fl_gcd(a, b, ell):
     return a
 
 
-def _fl_mul(a, b, ell):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] = (out[i + j] + u * v) % ell
-    return _fl_trim(out)
-
-
-def _fl_sub(a, b, ell):
-    n = max(len(a), len(b))
-    return _fl_trim(((a[i] if i < len(a) else 0)
-                     - (b[i] if i < len(b) else 0)) % ell
-                    for i in range(n))
-
-
 def _fl_derivative(p, ell):
     return _fl_trim((i * p[i]) % ell for i in range(1, len(p)))
 
@@ -152,11 +136,10 @@ def _fl_factor_squarefree(f, ell):
 # the coefficient ring
 # ---------------------------------------------------------------------------
 
-# (ell, m, minpoly) -> the dicts of unit tests, inverses and, per
-# residue factor, projections: shared by equal rings, since callers
-# build a fresh ring per case.  Elements are reduced tuples, so a dict
-# holds at most M^D entries, 15 625 for Z/25[x]/(x^3 + 2).  Over Z/l^m
-# a unit test is one remainder and is not kept.
+# (ell, m, minpoly) -> the dict of inverses and, per residue factor,
+# the dict of projections: shared by equal rings, since callers build a
+# fresh ring per case.  Elements are reduced tuples, so a dict holds at
+# most M^D entries, 15 625 for Z/25[x]/(x^3 + 2).
 _MEMOS = {}
 
 
@@ -183,11 +166,14 @@ class CoeffRing:
         if _fl_gcd(fbar, _fl_derivative(fbar, ell), ell) != (1,):
             raise InvariantViolation(
                 "minimal polynomial is not square free modulo the prime")
-        self._fbar = fbar
         self.components = _fl_factor_squarefree(fbar, ell)
-        self._units, self._inverses, self._projections = _MEMOS.setdefault(
-            (ell, m, minpoly),
-            ({}, {}, {g: {} for g in self.components}))
+        # the order of the unit group: the radical has l^((m - 1) D)
+        # elements, and Omega mod it is the product of the F_l[x]/(g)
+        self._unit_order = ell ** ((m - 1) * self.deg)
+        for g in self.components:
+            self._unit_order *= ell ** (len(g) - 1) - 1
+        self._inverses, self._projections = _MEMOS.setdefault(
+            (ell, m, minpoly), ({}, {g: {} for g in self.components}))
         self.zero = (0,) * self.deg
         self.one = (1 % self.modulus,) + (0,) * (self.deg - 1)
         self._xpow = [self.one]
@@ -298,48 +284,34 @@ class CoeffRing:
     # --- units and residue components -----------------------------------
 
     def is_unit(self, a):
+        """Whether a is nonzero in every residue field F_l[x]/(g): Omega
+        mod its radical is their product, and the radical is nilpotent."""
         if self.deg == 1:
             return a[0] % self.ell != 0
-        try:
-            return self._units[a]
-        except KeyError:
-            abar = tuple(c % self.ell for c in a)
-            out = self._units[a] = _fl_gcd(abar, self._fbar, self.ell) == (1,)
-            return out
+        return all(any(self.project_component(a, g))
+                   for g in self.components)
 
     def inv(self, a):
-        """Inverse of a unit, lifting the residue inverse by Newton steps.
-        A non-unit raises every time; nothing is kept for it."""
+        """Inverse of a unit: pow mod M over Z/l^m, and otherwise
+        a^(u - 1) by squaring, u the order of the unit group.  A non-unit
+        raises every time; nothing is kept for it."""
         try:
             return self._inverses[a]
         except KeyError:
             pass
         if not self.is_unit(a):
             raise InvariantViolation("inverse of a non-unit requested")
-        ell = self.ell
         if self.deg == 1:
-            b = (pow(a[0] % ell, -1, ell),)
+            b = (pow(a[0], -1, self.modulus),)
         else:
-            # extended Euclid over F_l against the minimal polynomial
-            abar = _fl_trim(c % ell for c in a)
-            r0, r1 = self._fbar, abar
-            s0, s1 = (), (1,)
-            while r1:
-                quo, rem = _fl_divmod(r0, r1, ell)
-                r0, r1 = r1, rem
-                s0, s1 = s1, _fl_sub(s0, _fl_mul(quo, s1, ell), ell)
-            lead_inv = pow(r0[-1], -1, ell)
-            s0 = tuple(c * lead_inv % ell for c in s0)
-            b = tuple((s0[i] if i < len(s0) else 0) for i in range(self.deg))
-        b = self.element(b)
-        for _ in range(self.m.bit_length() + 2):
-            ab = self.mul(a, b)
-            if ab == self.one:
-                break
-            b = self.mul(b, self.sub(self.int_embed(2), ab))
-        else:
-            if self.mul(a, b) != self.one:
-                raise InvariantViolation("unit inversion failed to converge")
+            b, sq, e = self.one, a, self._unit_order - 1
+            while e:
+                if e & 1:
+                    b = self.mul(b, sq)
+                sq = self.mul(sq, sq)
+                e >>= 1
+        if self.mul(a, b) != self.one:
+            raise InvariantViolation("unit inversion failed")
         self._inverses[a] = b
         return b
 
@@ -388,26 +360,8 @@ class CoeffRing:
 
 
 # ---------------------------------------------------------------------------
-# Omega-linear systems, through flattening
+# Omega matrices
 # ---------------------------------------------------------------------------
-
-def solve_left_omega(ring, A, b):
-    """One Omega-solution x of x A == b (row vector times matrix), or None.
-
-    Row i of A contributes D flattened rows (multiples by x^u, u < D);
-    the solution coefficients against those rows are exactly the
-    coordinates of x_i, because x^u with u < D is the u-th basis vector.
-    """
-    if not A:
-        return [] if all(ring.is_zero(c) for c in b) else None
-    flat_A = ring.omega_rows_to_int_rows(A)
-    flat_b = ring.flatten_vec(b)
-    sol = solve_left(flat_A, flat_b, ring.modulus)
-    if sol is None:
-        return None
-    D = ring.deg
-    return [ring.element(sol[i * D:(i + 1) * D]) for i in range(len(A))]
-
 
 # A CoeffRing is itself an ops object of the generic matrix layer in
 # linalg.  These names stay because perfbench/ imports and traces them.

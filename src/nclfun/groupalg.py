@@ -20,7 +20,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
 )
-from .linalg import mat_identity, mat_mul, mat_pow
+from .linalg import block_matrix, mat_identity, mat_mul, mat_pow
 
 __all__ = [
     "GroupData",
@@ -46,17 +46,16 @@ class GroupData:
     table[i][j] is the index of h_i * h_j; index 0 is the identity.
     action is a permutation giving alpha(h_i) = h_{action[i]}, and
     action_order its exact order.  Construction runs the structural
-    checks unless check=False; group_validate re-runs everything and
-    additionally enforces the prime-power constraint on action_order.
+    checks; group_validate re-runs everything and additionally enforces
+    the prime-power constraint on action_order.
     """
 
-    def __init__(self, order, table, action, action_order, check=True):
+    def __init__(self, order, table, action, action_order):
         self.order = int(order)
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.action = tuple(int(x) for x in action)
         self.action_order = int(action_order)
-        if check:
-            _check_structure(self)
+        _check_structure(self)
         self.inv = self._build_inverses()
         self._action_pows = self._build_action_pows()
 
@@ -148,17 +147,23 @@ def _check_structure(gd: GroupData):
     e = gd.action_order
     if e < 1:
         raise InvalidGroup("action_order must be positive")
-    cur = list(range(n))
-    orders_hit = []
-    for step in range(1, e + 1):
-        cur = [gd.action[c] for c in cur]
-        if cur == list(range(n)):
-            orders_hit.append(step)
-    if e not in orders_hit:
+    true_order = _perm_order(gd.action)
+    if e % true_order:
         raise InvalidGroup(f"action does not have order {e}")
-    if orders_hit and orders_hit[0] != e:
+    if true_order != e:
         raise InvalidGroup(
-            f"action_order {e} is not exact; true order is {orders_hit[0]}")
+            f"action_order {e} is not exact; true order is {true_order}")
+
+
+def _perm_order(perm):
+    """The order of a permutation of range(len(perm))."""
+    ident = list(range(len(perm)))
+    cur = list(perm)
+    e = 1
+    while cur != ident:
+        cur = [perm[c] for c in cur]
+        e += 1
+    return e
 
 
 def group_validate(gd: GroupData, ell=None):
@@ -542,14 +547,7 @@ def subgroup_group_data(U: OpenSubgroup):
     table = [[amb_to_loc[amb.table[loc_to_amb[i]][loc_to_amb[j]]]
               for j in range(n)] for i in range(n)]
     action = [amb_to_loc[amb.act(U.c, loc_to_amb[i])] for i in range(n)]
-    # exact order of the restricted permutation
-    e = 1
-    cur = action[:]
-    while cur != list(range(n)):
-        cur = [action[c] for c in cur]
-        e += 1
-    gd = GroupData(n, table, action, e)
-    return gd, loc_to_amb
+    return GroupData(n, table, action, _perm_order(action)), loc_to_amb
 
 
 def restrict_rep(rho: Rep, U: OpenSubgroup) -> Rep:
@@ -605,8 +603,10 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
 
     n = len(transversal)
 
+    zero = [[R.zero] * w for _ in range(w)]
+
     def act_matrix(g: GElement):
-        out = [[R.zero] * (n * w) for _ in range(n * w)]
+        grid = [[zero] * n for _ in range(n)]
         for i, gi in enumerate(transversal):
             prod = amb.g_mul(g, gi)
             b2 = prod.a % c
@@ -620,11 +620,8 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
             if u.h not in amb_to_loc:
                 raise InvariantViolation("little element escaped the subgroup")
             lu = amb_to_loc[u.h]
-            block = mat_mul(R, rho_sub.h_mat(lu), rho_sub.gamma_pow(k))
-            for rr in range(w):
-                for ss in range(w):
-                    out[j * w + rr][i * w + ss] = block[rr][ss]
-        return out
+            grid[j][i] = mat_mul(R, rho_sub.h_mat(lu), rho_sub.gamma_pow(k))
+        return block_matrix(grid)
 
     hs = [act_matrix(GElement(h, 0)) for h in range(amb.order)]
     gam = act_matrix(GElement(0, 1))
@@ -669,13 +666,7 @@ def quotient_by_normal(gd: GroupData, members):
     table = [[proj[gd.table[names[i]][names[j]]] for j in range(nq)]
              for i in range(nq)]
     action = [proj[gd.action[names[i]]] for i in range(nq)]
-    e = 1
-    cur = action[:]
-    while cur != list(range(nq)):
-        cur = [action[c] for c in cur]
-        e += 1
-    qd = GroupData(nq, table, action, e)
-    return qd, proj
+    return GroupData(nq, table, action, _perm_order(action)), proj
 
 
 def push_rep_through_quotient(rho_q: Rep, gd: GroupData, proj) -> Rep:

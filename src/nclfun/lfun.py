@@ -19,7 +19,7 @@ from .coeffring import (
 )
 from .covering import CohomologySpec
 from .errors import InvariantViolation
-from .linalg import split_components
+from .linalg import block_matrix, mat_identity, split_components
 
 
 def euler_product(cov, rho, prec):
@@ -92,28 +92,22 @@ def cohomology_from_points(cov, rho):
         raise InvariantViolation("representation lives on a different group")
     ring = rho.ring
     r = rho.dim
+    zero = [[ring.zero] * r for _ in range(r)]
+    one = mat_identity(ring, r)
     blocks = []
     for pt in cov.points:
         d = pt.degree
         A = rho.of(pt.frobenius())
-        size = d * r
-        B = [[ring.zero] * size for _ in range(size)]
-        for u in range(1, d):
-            for t in range(r):
-                B[u * r + t][(u - 1) * r + t] = ring.one
-        for i in range(r):
-            for j in range(r):
-                B[i][(d - 1) * r + j] = A[i][j]
-        blocks.append(B)
+        blocks.append(block_matrix(
+            [[A if (u, v) == (0, d - 1) else one if u == v + 1 else zero
+              for v in range(d)] for u in range(d)]))
     total = sum(len(B) for B in blocks)
-    big = [[ring.zero] * total for _ in range(total)]
+    big = []
     off = 0
     for B in blocks:
-        s = len(B)
-        for i in range(s):
-            for j in range(s):
-                big[off + i][off + j] = B[i][j]
-        off += s
+        pad = [ring.zero] * (total - off - len(B))
+        big += [[ring.zero] * off + row + pad for row in B]
+        off += len(B)
     return CohomologySpec(ring, [0], [big])
 
 

@@ -20,9 +20,9 @@ The Y side works on coefficient lists of Omega[Y], not on Poly
 products: the Fitting elimination updates each entry by one unreduced
 integer accumulation, char_element shifts by Horner in 1 + Y and
 iwasawa_transform by a binomial sum.  The pivot search and the residue
-projections of the ideal form ask the coefficient ring, whose unit
-tests, inverses and projections are kept per element in one memo
-shared by equal rings, at most M^D entries each (see coeffring).
+projections of the ideal form ask the coefficient ring, whose
+inverses and projections are kept per element in one memo shared by
+equal rings, at most M^D entries each (see coeffring).
 """
 
 from collections import namedtuple
@@ -39,7 +39,6 @@ from .linalg import (
     left_kernel,
     mat_mul,
     mat_pow,
-    mat_vec,
     reduce_vector,
     span_size,
 )
@@ -113,12 +112,6 @@ class GammaModule:
         if not all(in_span(r, basis, M) for r in mat_mul(zm, basis, F)):
             raise InvariantViolation(
                 "gamma does not preserve the relation module")
-
-    def act(self, v):
-        return mat_vec(self.ring, self.gamma, v)
-
-    def act_inv(self, v):
-        return mat_vec(self.ring, self.gamma_inv, v)
 
     def size(self):
         """Number of elements of the quotient."""

@@ -4,8 +4,8 @@ Everything downstream (series rings, group algebras, Fitting ideals)
 reduces its module arithmetic to row spans over Z/M.  The canonical
 object is the Howell normal form: two lists of rows generate the same
 submodule of (Z/M)^n if and only if their Howell forms are identical
-lists.  That is what makes span equality, membership, kernels and
-solving decidable here without any fraction-field tricks.
+lists.  That is what makes span equality, membership and kernels
+decidable here without any fraction-field tricks.
 
 The Howell form eliminates at each column with a pivot of least
 valuation: over Z/p^m every other entry of the column is then a
@@ -29,6 +29,11 @@ A product of ZMod matrices takes no dot per entry: mat_mul packs each
 row of the right factor into one integer, with a slot per column wide
 enough for the unreduced entry (see ZMod), and forms each row of the
 product as one integer sum.
+
+block_matrix(grid) is the matrix whose block (i, j) is grid[i][j]:
+evaluated crossed matrices, cyclic and induced representations and the
+block reductions of relk are all assembled by it, over any ring, since
+it only moves entries.
 
 An Omega-linear map is also a Z/M-linear map of the flattened
 coordinates.  limits works the coinvariant tower there: the flat map
@@ -54,8 +59,8 @@ __all__ = [
     "reduce_vector",
     "in_span",
     "left_kernel",
-    "solve_left",
     "mat_identity",
+    "block_matrix",
     "mat_vec",
     "mat_mul",
     "mat_pow",
@@ -225,20 +230,6 @@ def left_kernel(A: list[list[int]], M: int) -> list[list[int]]:
     return [row[n:] for row in H if not any(row[:n])]
 
 
-def solve_left(A: list[list[int]], b: list[int], M: int) -> list[int] | None:
-    """One solution x of x*A == b over Z/M, or None when none exists."""
-    r = len(A)
-    n = len(A[0]) if r else 0
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(r)]
-           for i in range(r)]
-    H = howell_form(aug, n + r, M)
-    main = [row for row in H if any(row[:n])]
-    v = reduce_vector(list(b) + [0] * r, main, M)
-    if any(v[:n]):
-        return None
-    return [(-t) % M for t in v[n:]]
-
-
 # ---------------------------------------------------------------------------
 # Dense matrices over a commutative ring given by an ops object
 # ---------------------------------------------------------------------------
@@ -274,6 +265,13 @@ class ZMod:
 def mat_identity(ops, n: int) -> list[list]:
     return [[ops.one if i == j else ops.zero for j in range(n)]
             for i in range(n)]
+
+
+def block_matrix(grid) -> list[list]:
+    """The matrix whose block (i, j) is grid[i][j]: the blocks of a grid
+    row share their height, those of a grid column their width."""
+    return [[x for row in rows for x in row]
+            for blocks in grid for rows in zip(*blocks)]
 
 
 def mat_vec(ops, A, v) -> list:

@@ -35,7 +35,7 @@ from .groupalg import (
     theta_rho,
 )
 from .lfun import compare_series, euler_product, series_spread
-from .linalg import mat_identity
+from .linalg import block_matrix, mat_identity
 
 __all__ = [
     "K1Class",
@@ -173,16 +173,7 @@ class K1Class:
 def theta_matrix(mat, rho):
     """Entrywise theta evaluation of a crossed matrix, assembled into
     one block matrix over polynomials."""
-    n = len(mat)
-    r = rho.dim
-    out = [[None] * (n * r) for _ in range(n * r)]
-    for i in range(n):
-        for j in range(n):
-            block = theta_rho(mat[i][j], rho)
-            for u in range(r):
-                for v in range(r):
-                    out[i * r + u][j * r + v] = block[u][v]
-    return out
+    return block_matrix([[theta_rho(e, rho) for e in row] for row in mat])
 
 
 def ncl_from_points(cov, sheaf):

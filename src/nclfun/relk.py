@@ -10,7 +10,7 @@ column operations.
 
 from .coeffring import Poly, PolyOps, is_in_S, poly_det, render_poly_terms
 from .errors import InvariantViolation, NotSQuasiIso
-from .linalg import mat_identity, mat_mul
+from .linalg import block_matrix, mat_identity, mat_mul
 from .limits import (
     IdealClass,
     fitting_ideal,
@@ -185,17 +185,7 @@ def block_reduction_check(ring, A, b):
         for j in range(n):
             corner[i][j] = corner[i][j] - A[i][j]
 
-    def flat(blocks):
-        out = []
-        for bi in range(b):
-            for t in range(n):
-                row = []
-                for bj in range(b):
-                    row.extend(blocks[bi][bj][t])
-                out.append(row)
-        return out
-
-    det_before = poly_det(flat(E), ring)
+    det_before = poly_det(block_matrix(E), ring)
 
     for i in range(1, b):
         for bj in range(b):
@@ -221,7 +211,7 @@ def block_reduction_check(ring, A, b):
                     else blk_ident() if bi == bj else blk_zero())
             if E[bi][bj] != want:
                 diagonal_ok = False
-    det_after = poly_det(flat(E), ring)
+    det_after = poly_det(block_matrix(E), ring)
     det_small = poly_det(want_last, ring)
     ok = diagonal_ok and det_before == det_after == det_small
     return {

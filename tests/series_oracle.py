@@ -6,11 +6,13 @@ package replaced or never needed, kept to check the package against.
   coeffring.series_invert replaced.
 - `eq_up_to_unit`: whether two series agree up to a unit series factor,
   the certificate of acceptance criterion 4 and of the limit tests.
+- `solve_left`: one solution of x A == b over Z/M, which eq_up_to_unit
+  needs and the package does not.
 """
 
-from nclfun.coeffring import Poly, Series, _fl_gcd
+from nclfun.coeffring import Poly, Series, _fl_gcd, _fl_trim
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
-from nclfun.linalg import left_kernel, solve_left
+from nclfun.linalg import howell_form, left_kernel, reduce_vector
 
 
 def schoolbook_series_mul(a, b):
@@ -50,6 +52,20 @@ def recurrence_series_invert(s):
                 acc = R.add(acc, R.mul(sj, out[k - j]))
         out.append(R.neg(R.mul(t0, acc)))
     return Series(R, s.prec, out)
+
+
+def solve_left(A, b, M):
+    """One solution x of x*A == b over Z/M, or None when none exists."""
+    r = len(A)
+    n = len(A[0]) if r else 0
+    aug = [list(A[i]) + [1 if j == i else 0 for j in range(r)]
+           for i in range(r)]
+    H = howell_form(aug, n + r, M)
+    main = [row for row in H if any(row[:n])]
+    v = reduce_vector(list(b) + [0] * r, main, M)
+    if any(v[:n]):
+        return None
+    return [(-t) % M for t in v[n:]]
 
 
 def eq_up_to_unit(a, b, prec=32):
@@ -98,7 +114,7 @@ def eq_up_to_unit(a, b, prec=32):
                     new.add(tuple((u + mult * v) % ell
                                   for u, v in zip(d0, head)))
             deltas = deltas | new
-    fbar = ring._fbar
+    fbar = _fl_trim(c % ell for c in ring.minpoly)
     for d0 in deltas:
         cand = tuple((u + v) % ell for u, v in zip(base, d0))
         if ring.deg == 1:

@@ -28,6 +28,23 @@ sheaf.gamma = [[1]]
 """
 
 
+def _non_normal_instance():
+    """s3_gamma with the trivial action, its one-dimensional reps, and
+    the non-normal subgroup {e, (12)} with c = 1 in place of A3."""
+    lines = []
+    for line in (FIXTURES / "s3_gamma.inst").read_text().splitlines():
+        key = line.split(" = ")[0]
+        if key.startswith("rep.std2"):
+            continue
+        line = {
+            "group.action": "group.action = [0, 1, 2, 3, 4, 5]",
+            "group.action_order": "group.action_order = 1",
+            "subgroup.a3.h_members": "subgroup.a3.h_members = [0, 3]",
+        }.get(key, line)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -170,6 +187,19 @@ def test_ncl_verify_small_fixture_all_pass(capsys):
     assert any(c.startswith("interpolation") for c in checks)
     assert any(c.startswith("artin") for c in checks)
     assert any(c.startswith("quotient") for c in checks)
+
+
+def test_ncl_verify_skips_the_quotient_by_a_non_normal_subgroup(
+        tmp_path, capsys):
+    inst = tmp_path / "non_normal.inst"
+    inst.write_text(_non_normal_instance())
+    code, out, err = _run(capsys, ["ncl", "verify", "--fixture", str(inst)])
+    assert code == 0
+    assert "subgroup a3 is not normal; quotient check skipped" in err
+    lines = out.strip().splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("pass") for line in lines)
+    assert not any("quotient[" in line for line in lines)
 
 
 # Wall-clock budget for all ncl commands on one fixture: 10 s for ec_f5

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from math import lcm
 
 import pytest
 
@@ -18,6 +19,7 @@ from nclfun.groupalg import (
     GroupData,
     OpenSubgroup,
     Rep,
+    _perm_order,
     group_validate,
     induce_rep,
     push_rep_through_quotient,
@@ -96,6 +98,36 @@ def test_group_validate_diagnostics():
     with pytest.raises(InvalidGroup, match="power of 3"):
         group_validate(gd, ell=3)
     group_validate(gd, ell=2)
+
+
+def test_action_order_messages_are_exact():
+    """A declared order that is not a multiple of the true order, and a
+    proper multiple of it, each get their own message."""
+    with pytest.raises(InvalidGroup) as exc:
+        _cyclic(3, [0, 2, 1], 3)
+    assert str(exc.value) == "action does not have order 3"
+    with pytest.raises(InvalidGroup) as exc:
+        _cyclic(3, [0, 2, 1], 4)
+    assert str(exc.value) == "action_order 4 is not exact; true order is 2"
+
+
+def test_perm_order_is_the_lcm_of_the_cycle_lengths():
+    rng = random.Random(223)
+    for n in range(1, 9):
+        for _ in range(10):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            lengths = []
+            seen = set()
+            for start in range(n):
+                i, k = start, 0
+                while i not in seen:
+                    seen.add(i)
+                    i = perm[i]
+                    k += 1
+                if k:
+                    lengths.append(k)
+            assert _perm_order(perm) == lcm(*lengths), perm
 
 
 def test_gelement_inverse_and_assoc():

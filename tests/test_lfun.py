@@ -28,6 +28,7 @@ from nclfun.lfun import (
     trace_formula_rational,
 )
 from nclfun.linalg import berkowitz_charpoly
+from nclfun.randcases import random_instance
 from series_oracle import recurrence_series_invert, schoolbook_series_mul
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -243,6 +244,49 @@ def test_cyclic_block_det_identity():
         lhs = det_one_minus_matrix(Z9, [list(r) for r in coh.matrices[0]])
         rhs = det_one_minus_scaled(Z9, rho.of(Point(d, 1, d).frobenius()), d)
         assert lhs == rhs
+
+
+def _cohomology_from_points_oracle(cov, rho):
+    """cohomology_from_points as it was: each cyclic block and the
+    direct sum placed entry by entry."""
+    ring = rho.ring
+    r = rho.dim
+    blocks = []
+    for pt in cov.points:
+        d = pt.degree
+        A = rho.of(pt.frobenius())
+        size = d * r
+        B = [[ring.zero] * size for _ in range(size)]
+        for u in range(1, d):
+            for t in range(r):
+                B[u * r + t][(u - 1) * r + t] = ring.one
+        for i in range(r):
+            for j in range(r):
+                B[i][(d - 1) * r + j] = A[i][j]
+        blocks.append(B)
+    total = sum(len(B) for B in blocks)
+    big = [[ring.zero] * total for _ in range(total)]
+    off = 0
+    for B in blocks:
+        s = len(B)
+        for i in range(s):
+            for j in range(s):
+                big[off + i][off + j] = B[i][j]
+        off += s
+    return CohomologySpec(ring, [0], [big])
+
+
+def test_cohomology_from_points_matches_entrywise_oracle():
+    rng = random.Random(149)
+    degrees = set()
+    for trial in range(30):
+        cov, sheaf = random_instance(rng, rng.choice((3, 5)))
+        degrees.add(cov.ring.deg)
+        got = cohomology_from_points(cov, sheaf.rep)
+        want = _cohomology_from_points_oracle(cov, sheaf.rep)
+        assert got.ring == want.ring and got.degrees == want.degrees
+        assert got.matrices == want.matrices, trial
+    assert degrees == {1, 2}
 
 
 def test_trace_equals_euler_on_hand_instances():

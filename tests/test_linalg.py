@@ -9,12 +9,12 @@ from nclfun.coeffring import (
     PolyOps,
     mat_inverse_omega,
     poly_det,
-    solve_left_omega,
 )
 from nclfun.groupalg import GroupData, Rep
 from nclfun.linalg import (
     ZMod,
     berkowitz_charpoly,
+    block_matrix,
     charpoly_reversal,
     det_from_charpoly,
     howell_form,
@@ -25,11 +25,11 @@ from nclfun.linalg import (
     mat_pow,
     mat_vec,
     reduce_vector,
-    solve_left,
     span_size,
     split_components,
     unit_lifting_gcd,
 )
+from series_oracle import solve_left
 
 MODULI = [5, 8, 9, 27, 125]
 
@@ -735,18 +735,58 @@ def test_mat_pow_over_zmod_matches_repeated_products():
                 acc = _oracle_zmod_mul(acc, A, M)
 
 
+# --- block matrices against index arithmetic
+
+
+def test_block_matrix_places_blocks_by_offsets():
+    """Entry (R_i + r, C_j + c) of block_matrix(grid) is entry (r, c) of
+    block (i, j), R_i and C_j the heights and widths of the blocks
+    before it, on seeded grids of unequal block sizes, 1 x 1 included;
+    rows given as tuples come out as lists."""
+    rng = random.Random(139)
+    grids = [[[[[5]]]], [[((1, 2), (3, 4))]]]
+    for _ in range(40):
+        heights = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
+        widths = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
+        grids.append([[[[rng.randrange(100) for _ in range(w)]
+                        for _ in range(h)] for w in widths]
+                      for h in heights])
+    for grid in grids:
+        heights = [len(blocks[0]) for blocks in grid]
+        widths = [len(block[0]) for block in grid[0]]
+        out = block_matrix(grid)
+        assert len(out) == sum(heights)
+        assert all(type(row) is list and len(row) == sum(widths)
+                   for row in out)
+        for i, h in enumerate(heights):
+            for j, w in enumerate(widths):
+                r0, c0 = sum(heights[:i]), sum(widths[:j])
+                for r in range(h):
+                    for c in range(w):
+                        assert out[r0 + r][c0 + c] == grid[i][j][r][c]
+
+
 # --- one Howell form per inverse
+
+
+def _solve_left_omega(ring, A, b):
+    """One Omega solution x of x A == b, or None: row i of A gives D
+    flat rows (its multiples by x^u), and the solution coefficients
+    against them are the coordinates of x_i."""
+    sol = solve_left(ring.omega_rows_to_int_rows(A), ring.flatten_vec(b),
+                     ring.modulus)
+    return None if sol is None else ring.unflatten_vec(sol)
 
 
 def _per_column_inverse(ring, A):
     """mat_inverse_omega as it was: column j of the inverse solves
-    A x = e_j, one solve_left_omega and one Howell form per column."""
+    A x = e_j, one Omega solve and one Howell form per column."""
     n = len(A)
     At = [list(col) for col in zip(*A)]
     ident = mat_identity(ring, n)
     cols = []
     for e in ident:
-        x = solve_left_omega(ring, At, e)
+        x = _solve_left_omega(ring, At, e)
         if x is None:
             return None
         cols.append(x)
