@@ -107,26 +107,35 @@ def _payload_digest(*parts):
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()
 
 
-def _omega_matrix(ring, raw, flag):
+def _square_literal(raw, problem):
+    """The square list-of-lists literal in raw, else InputProblem(problem)."""
     data = ast.literal_eval(raw)
     if (not isinstance(data, list) or not data
             or any(not isinstance(r, list) or len(r) != len(data)
                    for r in data)):
-        raise InputProblem(f"{flag} must be a square matrix literal")
-    out = []
-    for row in data:
-        out.append([ring.int_embed(c) if isinstance(c, int)
-                    else ring.element(c) for c in row])
-    return out
+        raise InputProblem(problem)
+    return data
+
+
+def _entry(ring, c, flag):
+    """A ring element from an int or a list of exactly deg ints."""
+    if isinstance(c, int):
+        return ring.int_embed(c)
+    if (isinstance(c, list) and len(c) == ring.deg
+            and all(isinstance(t, int) for t in c)):
+        return ring.element(c)
+    raise InputProblem(f"{flag}: each ring element is an int or a list of"
+                       f" {ring.deg} ints, not {c!r}")
+
+
+def _omega_matrix(ring, raw, flag):
+    data = _square_literal(raw, f"{flag} must be a square matrix literal")
+    return [[_entry(ring, c, flag) for c in row] for row in data]
 
 
 def _poly_matrix(ring, raw, flag):
-    data = ast.literal_eval(raw)
-    if (not isinstance(data, list) or not data
-            or any(not isinstance(r, list) or len(r) != len(data)
-                   for r in data)):
-        raise InputProblem(f"{flag} must be a square matrix of"
-                           " coefficient lists")
+    data = _square_literal(raw, f"{flag} must be a square matrix of"
+                                " coefficient lists")
     out = []
     for row in data:
         prow = []
@@ -134,8 +143,7 @@ def _poly_matrix(ring, raw, flag):
             if not isinstance(entry, list):
                 raise InputProblem(f"{flag}: each entry is a list of"
                                    " coefficients")
-            coeffs = [ring.int_embed(c) if isinstance(c, int)
-                      else ring.element(c) for c in entry]
+            coeffs = [_entry(ring, c, flag) for c in entry]
             prow.append(Poly(ring, coeffs or [ring.zero]))
         out.append(prow)
     return out

@@ -24,12 +24,12 @@ from .errors import InvariantViolation, NonUnitConstantTerm
 from .linalg import (
     INT_OPS,
     berkowitz_charpoly,
-    charpoly_reversal,
     det_from_charpoly,
     howell_form,
     mat_identity,
     mat_mul,
     mat_pow,
+    power,
     split_components,
 )
 
@@ -303,13 +303,10 @@ class CoeffRing:
             raise InvariantViolation("inverse of a non-unit requested")
         if self.deg == 1:
             b = (pow(a[0], -1, self.modulus),)
+        elif self._unit_order == 1:
+            b = a
         else:
-            b, sq, e = self.one, a, self._unit_order - 1
-            while e:
-                if e & 1:
-                    b = self.mul(b, sq)
-                sq = self.mul(sq, sq)
-                e >>= 1
+            b = power(a, self._unit_order - 1, self.mul)
         if self.mul(a, b) != self.one:
             raise InvariantViolation("unit inversion failed")
         self._inverses[a] = b
@@ -618,21 +615,6 @@ def _poly_dot(ring, xs, ys):
     return _reduce_slots(ring, acc)
 
 
-def power(x, e):
-    """The product of e >= 1 copies of x (a Poly or a Series), by
-    repeated squaring; e = 1 costs no product."""
-    if e < 1:
-        raise InvariantViolation("power exponent must be at least 1")
-    out = None
-    while True:
-        if e & 1:
-            out = x if out is None else out * x
-        e >>= 1
-        if not e:
-            return out
-        x = x * x
-
-
 class PolyOps:
     """Ops object of Omega[T], for the generic matrix layer: products
     and powers of matrices of Poly.  Determinants go through poly_det,
@@ -800,7 +782,7 @@ def is_in_S(a):
 # determinants of polynomial matrices
 # ---------------------------------------------------------------------------
 
-def poly_det(mat, ring=None):
+def poly_det(mat, ring):
     """Determinant of a square matrix of Poly, by Kronecker substitution
     into the integers, computed blockwise.
 
@@ -829,10 +811,6 @@ def poly_det(mat, ring=None):
     determinant to the determinant over Omega[T].
     """
     n = len(mat)
-    if ring is None:
-        if n == 0:
-            raise InvariantViolation("empty matrix needs an explicit ring")
-        ring = mat[0][0].ring
     if n == 0:
         return Poly.one(ring)
     D = ring.deg
@@ -863,7 +841,8 @@ def det_one_minus_scaled(ring, A, d):
     Computed from the characteristic polynomial of A by coefficient
     reversal, then spreading coefficient k to degree d*k.
     """
-    rev = charpoly_reversal(berkowitz_charpoly(ring, A))
+    # det(I - Y A) has the coefficients of det(lambda I - A) reversed
+    rev = reversed(berkowitz_charpoly(ring, A))
     coeffs = []
     for k, c in enumerate(rev):
         while len(coeffs) < d * k:

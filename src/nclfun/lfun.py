@@ -8,18 +8,18 @@ theorem, and the tests treat it as one.
 """
 
 from collections import Counter, namedtuple
+from operator import mul
 
 from .coeffring import (
     Poly,
     RationalFunction,
     Series,
     det_one_minus_scaled,
-    power,
     series_invert,
 )
 from .covering import CohomologySpec
 from .errors import InvariantViolation
-from .linalg import block_matrix, mat_identity, split_components
+from .linalg import block_matrix, mat_identity, power, split_components
 
 
 def euler_product(cov, rho, prec):
@@ -41,7 +41,7 @@ def euler_product(cov, rho, prec):
     for pt, mult in Counter(cov.points).items():
         mat = rho.of(pt.frobenius())
         factor = det_one_minus_scaled(ring, mat, pt.degree)
-        acc = acc * power(factor.truncate(prec), mult)
+        acc = acc * power(factor.truncate(prec), mult, mul)
     return series_invert(acc)
 
 

@@ -58,6 +58,11 @@ __all__ = [
     "ideal_classes_equal",
 ]
 
+# the last level coker_tower takes before it gives up on a repeat
+TOWER_LEVELS = 48
+# how far past prec ideal_classes_equal compares again, in coefficients
+GUARD = 8
+
 
 # ---------------------------------------------------------------------------
 # modules with a gamma action
@@ -72,10 +77,10 @@ class GammaModule:
     stabilized level.  basis is the Howell form over Z/M of the
     flattened relations and their multiples by x^u, taken once: given
     by limit_module, which has it from the tower, and computed here for
-    a module built by hand.  The check and size() read it."""
+    a module built by hand.  The check, run on every module, and size()
+    read it."""
 
-    def __init__(self, ring, rank, relations, gamma, gamma_inv, check=True,
-                 basis=None):
+    def __init__(self, ring, rank, relations, gamma, gamma_inv, basis=None):
         self.ring = ring
         self.rank = rank
         self.relations = tuple(tuple(r) for r in relations)
@@ -90,8 +95,7 @@ class GammaModule:
             basis = howell_form(ring.omega_rows_to_int_rows(self.relations),
                                 rank * ring.deg, ring.modulus)
         self.basis = basis
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         """On flat maps over Z/M, with F that of gamma and G that of
@@ -158,10 +162,11 @@ def _one_minus(F, M):
             for i, row in enumerate(F)]
 
 
-def coker_tower(ring, Phi, n_max=48):
+def coker_tower(ring, Phi):
     """Images of I - Phi^(ell^n) for n = 0, 1, ... until the power
-    sequence literally repeats, which certifies that every later image
-    equals the one at the repeat entry.
+    sequence literally repeats, by level TOWER_LEVELS or it raises,
+    which certifies that every later image equals the one at the repeat
+    entry.
 
     The images are nested downward because I - P^ell factors through
     I - P, so once the power sequence cycles the image chain is pinned
@@ -180,7 +185,7 @@ def coker_tower(ring, Phi, n_max=48):
     F = _flat_map(ring, Phi)
     repeat_at = period = None
     n = 0
-    while n <= n_max:
+    while n <= TOWER_LEVELS:
         key = tuple(map(tuple, F))
         if key in seen:
             repeat_at = seen[key]
@@ -192,7 +197,7 @@ def coker_tower(ring, Phi, n_max=48):
         n += 1
     if repeat_at is None:
         raise InvariantViolation(
-            f"power sequence did not repeat within {n_max} levels")
+            f"power sequence did not repeat within {TOWER_LEVELS} levels")
     width = s * ring.deg
     layers = []
     prev = None
@@ -458,14 +463,14 @@ class IdealClass:
                 f"den={len(self.den_gens)} gens)")
 
 
-def ideal_classes_equal(a, b, prec, guard=8):
-    """Equality at prec and at prec + guard together.
+def ideal_classes_equal(a, b, prec):
+    """Equality at prec and at prec + GUARD together.
 
     Agreement at both precisions is the answer; disagreement between
     them means the smaller precision was lying, and that is reported as
     PrecisionMismatch rather than as a boolean.  The classes are equal
     when num(a) den(b) and num(b) den(a) are; each side's form is
-    computed once, at prec + guard, and cut to prec.  When a class's
+    computed once, at prec + GUARD, and cut to prec.  When a class's
     only denominator is 1, the other class's numerators pass through
     unmultiplied."""
     if a.ring != b.ring:
@@ -473,14 +478,14 @@ def ideal_classes_equal(a, b, prec, guard=8):
     one = (Poly.one(a.ring),)
     wide = [ideal_canonical_form(
         a.ring, x.num_gens if y.den_gens == one else
-        [g * d for g in x.num_gens for d in y.den_gens], prec + guard)
+        [g * d for g in x.num_gens for d in y.den_gens], prec + GUARD)
         for x, y in ((a, b), (b, a))]
     first = _truncate_form(a.ring, wide[0], prec) == _truncate_form(
         a.ring, wide[1], prec)
     second = wide[0] == wide[1]
     if first != second:
         raise PrecisionMismatch(
-            f"ideal comparison flips between T^{prec} and T^{prec + guard}")
+            f"ideal comparison flips between T^{prec} and T^{prec + GUARD}")
     return first
 
 
@@ -607,9 +612,9 @@ def iwasawa_transform(ring, f, s):
     return Poly._from_reduced(ring, out)
 
 
-def verify_mc_commutative(ring, Phi, prec=32, guard=8, tower=None):
+def verify_mc_commutative(ring, Phi, prec=32, tower=None):
     """Fitting ideal of the limit module against the ideal generated by
-    the characteristic element, as a guarded comparison, together with
+    the characteristic element, compared at prec and prec + GUARD, with
     the exact bridge from the Frobenius-variable determinant.
 
     The precision floor 2 (rank * m + rank) keeps maximal minors from
@@ -626,7 +631,7 @@ def verify_mc_commutative(ring, Phi, prec=32, guard=8, tower=None):
     module = limit_module(ring, Phi, tower=tower)
     fit = fitting_ideal(module)
     ch = char_element(ring, Phi)
-    ok = ideal_classes_equal(fit, IdealClass(ring, [ch]), prec, guard)
+    ok = ideal_classes_equal(fit, IdealClass(ring, [ch]), prec)
     from .coeffring import render_poly_terms
     bridged = iwasawa_transform(ring, det_one_minus_scaled(ring, Phi, 1), s)
     return {

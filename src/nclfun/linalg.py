@@ -12,11 +12,12 @@ valuation: over Z/p^m every other entry of the column is then a
 multiple of the pivot's, and one row update clears it.  A left kernel
 is read off one Howell form of [A | I].
 
-Also hosts dense matrix arithmetic (identity, mat-vec, product, power)
-and the Berkowitz characteristic polynomial, written once for any
-commutative ring supplied through an ops object: `zero`, `one` and
-`add`, `sub`, `mul`, `neg`, and `dot(xs, ys)`, the sum of a * b over
-the pairs of zip(xs, ys).  Every matrix entry, and every coefficient
+Also hosts dense matrix arithmetic (identity, mat-vec, product, and
+power(x, e, mul), the one square-and-multiply, which units, Poly and
+Series use too) and the Berkowitz characteristic polynomial, written
+once for any commutative ring supplied through an ops object: `zero`,
+`one` and `add`, `sub`, `mul`, `neg`, and `dot(xs, ys)`, the sum of
+a * b over the pairs of zip(xs, ys).  Every matrix entry, and every coefficient
 of Berkowitz's Toeplitz product, is one `dot`, so a ring can add up a
 whole inner product before it reduces.  A CoeffRing is such an
 object, so Omega matrices pass the ring itself; coeffring.PolyOps is
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import partial
 from math import gcd
 from operator import mul, neg
 from types import SimpleNamespace
@@ -63,10 +65,10 @@ __all__ = [
     "block_matrix",
     "mat_vec",
     "mat_mul",
+    "power",
     "mat_pow",
     "berkowitz_charpoly",
     "det_from_charpoly",
-    "charpoly_reversal",
     "split_components",
     "INT_OPS",
     "ZMod",
@@ -185,21 +187,14 @@ def _pivot_columns(basis: list[list[int]]) -> list[int]:
     return [row.index(next(filter(None, row))) for row in basis]
 
 
-def reduce_vector(v: list[int], basis: list[list[int]], M: int,
-                  coeffs: list[int] | None = None) -> list[int]:
-    """Greedy reduction of v against a Howell basis; returns the residual.
-
-    If `coeffs` is passed (a zeroed list, one slot per basis row), the
-    multiple of each row that was subtracted is recorded there.
-    """
+def reduce_vector(v: list[int], basis: list[list[int]], M: int) -> list[int]:
+    """Greedy reduction of v against a Howell basis; returns the residual."""
     v = [x % M for x in v]
-    for i, (row, c) in enumerate(zip(basis, _pivot_columns(basis))):
+    for row, c in zip(basis, _pivot_columns(basis)):
         q = v[c] // row[c]
         if q:
             # the row is zero before its pivot, so only v[c:] changes
             v[c:] = [(u - q * w) % M for u, w in zip(v[c:], row[c:])]
-            if coeffs is not None:
-                coeffs[i] = (coeffs[i] + q) % M
     return v
 
 
@@ -329,22 +324,31 @@ def _packed_mat_mul(A, B, M):
         for row in A]
 
 
+def power(x, e: int, mul):
+    """The product of e >= 1 copies of x under the associative product
+    mul, by repeated squaring: bit_length(e) - 1 squarings and
+    popcount(e) - 1 other products, each mul(partial, square).  For
+    e = 1 it is x itself, with no product."""
+    if e < 1:
+        raise ValueError("power exponent must be at least 1")
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
 def mat_pow(ops, A, e: int) -> list[list]:
-    """A^e for e >= 0, by repeated squaring.  The result is a new
+    """A^e for e >= 0, by power over mat_mul.  The result is a new
     matrix, never A itself, and no product has an identity factor."""
     if e == 0:
         return mat_identity(ops, len(A))
-    while not e & 1:
-        A = mat_mul(ops, A, A)
-        e >>= 1
-    out = [list(row) for row in A]
-    e >>= 1
-    while e:
-        A = mat_mul(ops, A, A)
-        if e & 1:
-            out = mat_mul(ops, out, A)
-        e >>= 1
-    return out
+    if e == 1:
+        return [list(row) for row in A]
+    return power(A, e, partial(mat_mul, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +391,6 @@ def det_from_charpoly(ops, cp: list):
     """det(A) from the ascending charpoly of A: (-1)^n * constant term."""
     n = len(cp) - 1
     return cp[0] if n % 2 == 0 else ops.neg(cp[0])
-
-
-def charpoly_reversal(cp: list) -> list:
-    """Ascending coefficients of det(I - Y*A) from those of det(lambda*I - A).
-
-    This is the plain coefficient reversal; the constant term of the
-    output is the leading 1 of the input.
-    """
-    return list(reversed(cp))
 
 
 def split_components(n: int, entry_nonzero) -> list[list[int]]:

@@ -8,6 +8,7 @@ determinants, producing an exact rational function in T.
 """
 
 from collections import Counter
+from operator import mul
 
 from .coeffring import (
     Poly,
@@ -16,7 +17,6 @@ from .coeffring import (
     is_in_P,
     is_in_S,
     poly_det,
-    power,
     series_invert,
 )
 from .covering import SheafSpec, push_covering_quotient
@@ -35,7 +35,7 @@ from .groupalg import (
     theta_rho,
 )
 from .lfun import compare_series, euler_product, series_spread
-from .linalg import block_matrix, mat_identity
+from .linalg import block_matrix, mat_identity, power
 
 __all__ = [
     "K1Class",
@@ -280,9 +280,9 @@ def ncl_evaluate(k1, rho, prec=None):
         if prec is not None:
             det = det.truncate(prec)
         if key[1] == 1:
-            num = num * power(det, mult)
+            num = num * power(det, mult, mul)
         else:
-            den = den * power(det, mult)
+            den = den * power(det, mult, mul)
     if prec is None:
         return RationalFunction(num, den)
     return num * series_invert(den)

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .coeffring import CoeffRing, Poly, is_in_S, poly_det
 from .covering import CoveringSpec, Point, SheafSpec
-from .groupalg import GroupData, Rep
+from .groupalg import GroupData, Rep, _perm_order
 from .linalg import mat_identity
 
 __all__ = [
@@ -36,21 +36,11 @@ CatalogEntry = namedtuple("CatalogEntry", ["name", "kind", "param", "build"])
 # group catalog
 # ---------------------------------------------------------------------------
 
-def _mult_order(u, n):
-    if n == 1:
-        return 1
-    k, acc = 1, u % n
-    while acc != 1 % n:
-        acc = (acc * u) % n
-        k += 1
-    return k
-
-
 def _cyclic_entry(n, u=1):
     def build():
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         action = [(u * i) % n for i in range(n)]
-        return GroupData(n, table, action, _mult_order(u, n))
+        return GroupData(n, table, action, _perm_order(action))
     tag = f"C{n}" if u == 1 else f"C{n}.mult{u}"
     return CatalogEntry(tag, "cyclic", (n, u), build)
 

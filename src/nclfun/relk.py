@@ -104,12 +104,8 @@ def verify_d_exactness(ring, alpha, gamma, off, prec):
     k = _check_poly_matrix(ring, gamma)
     if len(off) != n or any(len(r) != k for r in off):
         raise InvariantViolation("off-diagonal block has the wrong shape")
-    zero = Poly.zero(ring)
-    beta = []
-    for i in range(n):
-        beta.append(list(alpha[i]) + list(off[i]))
-    for i in range(k):
-        beta.append([zero] * n + list(gamma[i]))
+    zero = [[Poly.zero(ring)] * n for _ in range(k)]
+    beta = block_matrix([[alpha, off], [zero, gamma]])
     left = d_connecting(ring, beta)
     right = d_connecting(ring, alpha) * d_connecting(ring, gamma)
     ok = ideal_classes_equal(left, right, prec)
@@ -129,16 +125,9 @@ def verify_d_fitting_consistency(ring, Phi, prec):
     becomes the characteristic element, whose ideal the Fitting ideal
     must reproduce."""
     s = len(Phi)
-    one = Poly.one(ring)
-    mat = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            p = Poly(ring, [ring.zero, ring.neg(Phi[i][j])])
-            if i == j:
-                p = p + one
-            row.append(p)
-        mat.append(row)
+    mat = [[Poly._from_reduced(ring, [ring.one if i == j else ring.zero,
+                                      ring.neg(a)])
+            for j, a in enumerate(row)] for i, row in enumerate(Phi)]
     cls = d_connecting(ring, mat)
     bridged = TorsionClass(
         ring, [iwasawa_transform(ring, g, s) for g in cls.num_gens])
@@ -165,54 +154,31 @@ def block_reduction_check(ring, A, b):
     if b < 1:
         raise InvariantViolation("block count must be positive")
     ops = PolyOps(ring)
-    one, zero = ops.one, ops.zero
+    ident = mat_identity(ops, n)
+    zero = [[ops.zero] * n for _ in range(n)]
+    minus_ident = [[-p for p in row] for row in ident]
+    minus_A = [[-p for p in row] for row in A]
 
-    def blk_zero():
-        return [[zero] * n for _ in range(n)]
+    def add(X, Y):
+        return [[p + q for p, q in zip(r, t)] for r, t in zip(X, Y)]
 
-    def blk_ident():
-        return mat_identity(ops, n)
-
-    E = [[blk_zero() for _ in range(b)] for _ in range(b)]
-    for i in range(b):
-        E[i][i] = blk_ident()
-    for i in range(1, b):
-        sub = E[i][i - 1]
-        for t in range(n):
-            sub[t][t] = -one
-    corner = E[0][b - 1]
-    for i in range(n):
-        for j in range(n):
-            corner[i][j] = corner[i][j] - A[i][j]
-
+    small = add(ident, minus_A)
+    E = [[ident if i == j else minus_ident if i == j + 1 else zero
+          for j in range(b)] for i in range(b)]
+    E[0][b - 1] = add(E[0][b - 1], minus_A)
     det_before = poly_det(block_matrix(E), ring)
 
     for i in range(1, b):
-        for bj in range(b):
-            blk = E[i][bj]
-            prev = E[i - 1][bj]
-            E[i][bj] = [[blk[t][u] + prev[t][u] for u in range(n)]
-                        for t in range(n)]
+        E[i] = [add(blk, prev) for blk, prev in zip(E[i], E[i - 1])]
     for j in range(b - 1):
-        for bi in range(b):
-            contrib = poly_mat_mul(ring, E[bi][j], A)
-            blk = E[bi][b - 1]
-            E[bi][b - 1] = [[blk[t][u] + contrib[t][u] for u in range(n)]
-                            for t in range(n)]
+        for row in E:
+            row[b - 1] = add(row[b - 1], poly_mat_mul(ring, row[j], A))
 
-    want_last = blk_ident()
-    for i in range(n):
-        for j in range(n):
-            want_last[i][j] = want_last[i][j] - A[i][j]
-    diagonal_ok = True
-    for bi in range(b):
-        for bj in range(b):
-            want = (want_last if bi == bj == b - 1
-                    else blk_ident() if bi == bj else blk_zero())
-            if E[bi][bj] != want:
-                diagonal_ok = False
+    want = [[ident if i == j else zero for j in range(b)] for i in range(b)]
+    want[b - 1][b - 1] = small
+    diagonal_ok = E == want
     det_after = poly_det(block_matrix(E), ring)
-    det_small = poly_det(want_last, ring)
+    det_small = poly_det(small, ring)
     ok = diagonal_ok and det_before == det_after == det_small
     return {
         "check": "block-reduction",

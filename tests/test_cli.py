@@ -145,6 +145,24 @@ def test_input_error_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["imc", "verify", "--phi", "[[1.5]]"],
+    ["imc", "verify", "--phi", "[[None]]"],
+    ["imc", "verify", "--phi", "[[[1,2,3]]]"],
+    ["imc", "verify", "--phi", "[[[1.5,2]]]"],
+    ["imc", "verify", "--phi", "[[['1',2]]]"],
+    ["kconnect", "d", "--alpha", "[[[[1,2,3]]]]"],
+])
+def test_malformed_inline_entries_are_input_errors(capsys, argv):
+    """An entry that is not an int or a list of exactly D ints is
+    unusable input: exit 2, nothing on stdout, the flag named."""
+    code, out, err = _run(capsys, argv + [
+        "--ell", "3", "--m", "2", "--minpoly", "[1,0,1]"])
+    assert code == 2
+    assert out == ""
+    assert argv[2] in err
+
+
 def test_precision_beyond_complete_points_is_refused(capsys):
     # ec_f5 lists every closed point through degree 6, which supports
     # series mod T^7 and no further: a higher precision is an input

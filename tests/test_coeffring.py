@@ -174,10 +174,10 @@ def test_unit_memo_matches_uncached_code():
     and on an equal one that shares its memo, answer as the uncached
     code on every element; inv of a non-unit raises every time and
     leaves nothing behind.  The rings are inert and split quadratic
-    ones with m = 1 and 2, and a cubic one with residue degrees 1 and
-    2."""
+    ones with m = 1 and 2, a cubic one with residue degrees 1 and 2, and
+    Z/2[x]/(x^2 + x), whose unit group is {1}."""
     for args in ((3, 2, [1, 0, 1]), (5, 1, [1, 1, 1]), (3, 1, [2, 0, 1]),
-                 (3, 2, [2, 0, 1]), (5, 1, [2, 0, 0, 1])):
+                 (3, 2, [2, 0, 1]), (5, 1, [2, 0, 0, 1]), (2, 1, [0, 1, 1])):
         first, second = CoeffRing(*args), CoeffRing(*args)
         assert first._inverses is second._inverses
         assert first._projections is second._projections
@@ -402,7 +402,7 @@ def test_products_trim_like_the_constructor():
     assert PolyOps(Z9).dot(xs, ys) == Poly(Z9, _poly_dot(
         Z9, [a.coeffs for a in xs], [b.coeffs for b in ys]))
     assert poly_det([[three_t, Poly.zero(Z9)],
-                     [Poly.zero(Z9), three_t]]).coeffs == ()
+                     [Poly.zero(Z9), three_t]], Z9).coeffs == ()
     rng = random.Random(151)
     for ring in DOT_RINGS:
         # top coefficients ell^(m-1) and ell, whose product is zero, on

@@ -1,12 +1,16 @@
 import itertools
 import random
+from functools import partial
 from math import gcd
 from operator import mul
+
+import pytest
 
 from nclfun.coeffring import (
     CoeffRing,
     Poly,
     PolyOps,
+    Series,
     mat_inverse_omega,
     poly_det,
 )
@@ -15,7 +19,6 @@ from nclfun.linalg import (
     ZMod,
     berkowitz_charpoly,
     block_matrix,
-    charpoly_reversal,
     det_from_charpoly,
     howell_form,
     in_span,
@@ -24,6 +27,7 @@ from nclfun.linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
+    power,
     reduce_vector,
     span_size,
     split_components,
@@ -210,8 +214,8 @@ def test_membership_agrees_with_enumeration():
         assert in_span(list(v), H, M) == (v in S)
 
 
-def test_reduce_vector_records_the_combination():
-    # residual + sum coeffs[i] * basis[i] == v
+def test_reduce_vector_subtracts_a_span_element():
+    # v - residual lies in the span of the basis
     rng = random.Random(61)
     for M in MODULI:
         for _ in range(20):
@@ -219,11 +223,8 @@ def test_reduce_vector_records_the_combination():
             H = howell_form(_rand_rows(rng, rng.randrange(1, 5), n, M), n, M)
             for _ in range(5):
                 v = [rng.randrange(M) for _ in range(n)]
-                coeffs = [0] * len(H)
-                res = reduce_vector(v, H, M, coeffs)
-                back = [(r + sum(c * row[j] for c, row in zip(coeffs, H)))
-                        % M for j, r in enumerate(res)]
-                assert back == v
+                res = reduce_vector(v, H, M)
+                assert in_span([a - r for a, r in zip(v, res)], H, M)
 
 
 def test_left_kernel_complete_and_sound():
@@ -363,7 +364,7 @@ def test_charpoly_reversal_evaluates_correctly():
         for _ in range(15):
             n = rng.randrange(1, 4)
             A = _rand_mat(rng, ring, n)
-            rev = charpoly_reversal(berkowitz_charpoly(ring, A))
+            rev = berkowitz_charpoly(ring, A)[::-1]
             assert rev[0] == ring.one
             for y in [ring.zero, ring.one, _rand_elem(rng, ring)]:
                 lhs, yk = ring.zero, ring.one
@@ -733,6 +734,41 @@ def test_mat_pow_over_zmod_matches_repeated_products():
             for e in range(6):
                 assert mat_pow(zm, A, e) == acc
                 acc = _oracle_zmod_mul(acc, A, M)
+
+
+def _counting(product, calls):
+    """product, recording for each call whether it squared one object."""
+    def counted(a, b):
+        calls.append(a is b)
+        return product(a, b)
+    return counted
+
+
+def test_power_matches_repeated_products_and_counts_its_products():
+    """power(x, e, mul) equals x mul x mul ... mul x (e factors) for
+    e = 1..17 on ring elements, Poly, Series, ZMod matrices and Omega
+    matrices, with bit_length(e) - 1 squarings and popcount(e) - 1 other
+    products; e = 0 is refused."""
+    rng = random.Random(131)
+    cases = [
+        (GAUSS9.mul, _rand_elem(rng, GAUSS9)),
+        (SPLIT5.mul, _rand_elem(rng, SPLIT5)),
+        (Z27.mul, _rand_elem(rng, Z27)),
+        (mul, Poly(GAUSS9, [_rand_elem(rng, GAUSS9) for _ in range(3)])),
+        (mul, Series(SPLIT5, 7, [_rand_elem(rng, SPLIT5) for _ in range(7)])),
+        (partial(mat_mul, ZMod(25)), _rand_rows(rng, 3, 3, 25)),
+        (partial(mat_mul, GAUSS9), _rand_mat(rng, GAUSS9, 2)),
+    ]
+    for product, x in cases:
+        want = x
+        for e in range(1, 18):
+            calls = []
+            assert power(x, e, _counting(product, calls)) == want, e
+            assert calls.count(True) == e.bit_length() - 1
+            assert calls.count(False) == bin(e).count("1") - 1
+            want = product(want, x)
+        with pytest.raises(ValueError):
+            power(x, 0, product)
 
 
 # --- block matrices against index arithmetic

@@ -3,14 +3,18 @@
 Every name a module lists in `__all__` must exist, and every nclfun
 name the benchmark traces or imports must still resolve, so a deletion
 that would break `perfbench/` fails here too.  The other way round,
-every module-level def and class must have a user.  The benchmark
-files are read as syntax trees, never run.
+every module-level def and class must have a user, and every parameter
+with a default must be passed by some call in the package, the
+benchmark or the demos.  The package imports nothing outside the
+standard library.  The benchmark files are read as syntax trees, never
+run.
 """
 
 import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import nclfun
@@ -85,3 +89,96 @@ def test_no_dead_module_level_helpers():
             if not re.search(rf"\b{node.name}\b", "\n".join(rest + others)):
                 dead.append(f"{module}.{node.name}")
     assert not dead
+
+
+PACKAGE = Path(nclfun.__file__).parent
+# parameters no caller is expected to pass: the console-script entry
+# point takes its argv from sys.argv
+ENTRY_POINTS = {("cli", "main", "argv")}
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _defaulted_parameters(tree):
+    """(name, parameter, positional index or None) of every parameter
+    with a default, for each def of the module.  Methods drop their
+    first parameter (the package has no static methods), and __init__
+    goes by its class's name."""
+    out = []
+    owners = {id(fn): node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for fn in node.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        owner = owners.get(id(fn))
+        name = owner.name if owner and fn.name == "__init__" else fn.name
+        a = fn.args
+        first = len(a.args) - len(a.defaults)
+        out += [(name, arg.arg, i - bool(owner))
+                for i, arg in enumerate(a.args) if i >= first]
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((name, arg.arg, None))
+    return out
+
+
+def _calls(trees):
+    """callee name -> list of (positional count, keyword names) over every
+    call in the trees; a *args or **kwargs passes everything."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(x, ast.Starred) for x in node.args)
+            kwds = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in kwds else kwds))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A parameter with a default that no call in the package, the
+    benchmark or the demos ever passes has one value in use, and should
+    be a constant.  A call passes it by keyword, or by more positional
+    arguments than the parameter's index."""
+    package = _package_trees()
+    others = [ast.parse(path.read_text())
+              for folder in (PERFBENCH, PERFBENCH.parent / "demos")
+              for path in sorted(folder.glob("*.py"))]
+    calls = _calls(list(package.values()) + others)
+    unused = []
+    for module, tree in package.items():
+        for name, param, index in _defaulted_parameters(tree):
+            if (module, name, param) in ENTRY_POINTS:
+                continue
+            if not any(kwds is None or param in kwds
+                       or (index is not None and npos > index)
+                       for npos, kwds in calls.get(name, ())):
+                unused.append(f"{module}.{name}({param})")
+    assert not unused
+
+
+def test_package_imports_only_the_standard_library():
+    """nclfun runs on the standard library alone (pyproject.toml lists no
+    dependencies): every import is relative or of a stdlib module."""
+    foreign = []
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{module}: {n}" for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign

@@ -3,9 +3,23 @@ import time
 
 import pytest
 
-from nclfun.coeffring import CoeffRing, Poly, is_in_S, poly_det
+from nclfun.coeffring import (
+    CoeffRing,
+    Poly,
+    PolyOps,
+    is_in_S,
+    poly_det,
+    render_poly_terms,
+)
 from nclfun.errors import InvariantViolation, NotSQuasiIso
-from nclfun.limits import ideal_classes_equal
+from nclfun.limits import (
+    fitting_ideal,
+    ideal_classes_equal,
+    iwasawa_transform,
+    limit_module,
+    ngens,
+)
+from nclfun.linalg import block_matrix, mat_identity
 from nclfun.randcases import random_poly
 from nclfun.relk import (
     TorsionClass,
@@ -259,3 +273,177 @@ def test_d_fitting_consistency_random_small():
                     for _ in range(s)] for _ in range(s)]
             out = verify_d_fitting_consistency(ring, Phi, prec=24)
             assert out["ok"], (ring, Phi)
+
+
+# ---------------------------------------------------------------------------
+# the verifiers against their hand-placed block builds
+# ---------------------------------------------------------------------------
+
+GAUSS9 = CoeffRing(3, 2, minpoly=[1, 0, 1])
+ORACLE_RINGS = (Z9, GAUSS9, SPLIT3)
+
+
+def _exactness_oracle(ring, alpha, gamma, off, prec):
+    """verify_d_exactness with beta placed row by row."""
+    n, k = len(alpha), len(gamma)
+    zero = Poly.zero(ring)
+    beta = []
+    for i in range(n):
+        beta.append(list(alpha[i]) + list(off[i]))
+    for i in range(k):
+        beta.append([zero] * n + list(gamma[i]))
+    left = d_connecting(ring, beta)
+    right = d_connecting(ring, alpha) * d_connecting(ring, gamma)
+    ok = ideal_classes_equal(left, right, prec)
+    return {
+        "check": "d-exactness",
+        "ok": ok,
+        "left": str(left.num_gens[0]),
+        "right": " * ".join(str(g) for g in right.num_gens),
+    }
+
+
+def _fitting_consistency_oracle(ring, Phi, prec):
+    """verify_d_fitting_consistency with I - T Phi built by Poly sums."""
+    s = len(Phi)
+    one = Poly.one(ring)
+    mat = []
+    for i in range(s):
+        row = []
+        for j in range(s):
+            p = Poly(ring, [ring.zero, ring.neg(Phi[i][j])])
+            if i == j:
+                p = p + one
+            row.append(p)
+        mat.append(row)
+    cls = d_connecting(ring, mat)
+    bridged = TorsionClass(
+        ring, [iwasawa_transform(ring, g, s) for g in cls.num_gens])
+    fit = fitting_ideal(limit_module(ring, Phi))
+    ok = ideal_classes_equal(bridged, fit, prec)
+    return {
+        "check": "d-fitting-consistency",
+        "ok": ok,
+        "left": render_poly_terms(ring, bridged.num_gens[0].coeffs, var="Y"),
+        "right": "Fitt with " + ngens(len(fit.num_gens)),
+    }
+
+
+def _block_reduction_oracle(ring, A, b):
+    """block_reduction_check with every block entry placed by index."""
+    n = len(A)
+    ops = PolyOps(ring)
+    one, zero = ops.one, ops.zero
+
+    def blk_zero():
+        return [[zero] * n for _ in range(n)]
+
+    def blk_ident():
+        return mat_identity(ops, n)
+
+    E = [[blk_zero() for _ in range(b)] for _ in range(b)]
+    for i in range(b):
+        E[i][i] = blk_ident()
+    for i in range(1, b):
+        sub = E[i][i - 1]
+        for t in range(n):
+            sub[t][t] = -one
+    corner = E[0][b - 1]
+    for i in range(n):
+        for j in range(n):
+            corner[i][j] = corner[i][j] - A[i][j]
+
+    det_before = poly_det(block_matrix(E), ring)
+
+    for i in range(1, b):
+        for bj in range(b):
+            blk = E[i][bj]
+            prev = E[i - 1][bj]
+            E[i][bj] = [[blk[t][u] + prev[t][u] for u in range(n)]
+                        for t in range(n)]
+    for j in range(b - 1):
+        for bi in range(b):
+            contrib = poly_mat_mul(ring, E[bi][j], A)
+            blk = E[bi][b - 1]
+            E[bi][b - 1] = [[blk[t][u] + contrib[t][u] for u in range(n)]
+                            for t in range(n)]
+
+    want_last = blk_ident()
+    for i in range(n):
+        for j in range(n):
+            want_last[i][j] = want_last[i][j] - A[i][j]
+    diagonal_ok = True
+    for bi in range(b):
+        for bj in range(b):
+            want = (want_last if bi == bj == b - 1
+                    else blk_ident() if bi == bj else blk_zero())
+            if E[bi][bj] != want:
+                diagonal_ok = False
+    det_after = poly_det(block_matrix(E), ring)
+    det_small = poly_det(want_last, ring)
+    ok = diagonal_ok and det_before == det_after == det_small
+    return {
+        "check": "block-reduction",
+        "ok": ok,
+        "diagonal_exact": diagonal_ok,
+        "left": str(det_before),
+        "right": str(det_small),
+    }
+
+
+def _rand_poly_matrix(rng, ring, rows, cols):
+    return [[random_poly(rng, ring, 2) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _rand_s_poly_matrix(rng, ring, size):
+    while True:
+        mat = _rand_poly_matrix(rng, ring, size, size)
+        if is_in_S(poly_det(mat, ring)):
+            return mat
+
+
+def test_block_reduction_matches_the_hand_placed_oracle():
+    """Full result dicts, on seeded A of sizes 1 and 2 with entries of
+    degree <= 2, for b = 1..6."""
+    rng = random.Random(1414)
+    for ring in ORACLE_RINGS:
+        for b in range(1, 7):
+            for n in (1, 2):
+                A = _rand_poly_matrix(rng, ring, n, n)
+                got = block_reduction_check(ring, A, b)
+                assert got == _block_reduction_oracle(ring, A, b), (ring, b)
+                assert got["ok"]
+
+
+def test_d_exactness_matches_the_hand_placed_oracle():
+    """Full result dicts for every pair of block sizes (n, k) in
+    {1, 2, 3}^2, entries of degree <= 2."""
+    rng = random.Random(1415)
+    for ring in ORACLE_RINGS:
+        for n in range(1, 4):
+            for k in range(1, 4):
+                alpha = _rand_s_poly_matrix(rng, ring, n)
+                gamma = _rand_s_poly_matrix(rng, ring, k)
+                off = _rand_poly_matrix(rng, ring, n, k)
+                got = verify_d_exactness(ring, alpha, gamma, off, 30)
+                assert got == _exactness_oracle(
+                    ring, alpha, gamma, off, 30), (ring, n, k)
+                assert got["ok"]
+
+
+def test_d_fitting_consistency_matches_the_hand_placed_oracle():
+    """Full result dicts on random Phi of sizes 1-4, zero entries
+    included."""
+    rng = random.Random(1416)
+    for ring in ORACLE_RINGS:
+        for s in range(1, 5):
+            for _ in range(2):
+                Phi = [[ring.element([rng.randrange(ring.modulus)
+                                      if rng.random() < 0.7 else 0
+                                      for _ in range(ring.deg)])
+                        for _ in range(s)] for _ in range(s)]
+                got = verify_d_fitting_consistency(ring, Phi, 24)
+                assert got == _fitting_consistency_oracle(
+                    ring, Phi, 24), (ring, Phi)
+                assert got["ok"]
