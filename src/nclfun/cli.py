@@ -98,6 +98,10 @@ def _inline_ring(args):
         raise InputProblem("--ell is required for inline inputs")
     try:
         minpoly = ast.literal_eval(args.minpoly) if args.minpoly else None
+        if minpoly is not None and (not isinstance(minpoly, list) or any(
+                type(c) is not int for c in minpoly)):
+            raise InputProblem(
+                f"--minpoly must be a list of ints, not {args.minpoly}")
         return CoeffRing(args.ell, args.m, minpoly)
     except (ValueError, SyntaxError, InvariantViolation) as exc:
         raise InputProblem(f"cannot build the coefficient ring: {exc}")
@@ -118,11 +122,12 @@ def _square_literal(raw, problem):
 
 
 def _entry(ring, c, flag):
-    """A ring element from an int or a list of exactly deg ints."""
-    if isinstance(c, int):
+    """A ring element from an int or a list of exactly deg ints; bool is
+    a subclass of int, but True is no ring element."""
+    if type(c) is int:
         return ring.int_embed(c)
     if (isinstance(c, list) and len(c) == ring.deg
-            and all(isinstance(t, int) for t in c)):
+            and all(type(t) is int for t in c)):
         return ring.element(c)
     raise InputProblem(f"{flag}: each ring element is an int or a list of"
                        f" {ring.deg} ints, not {c!r}")

@@ -222,12 +222,6 @@ class CoeffRing:
     def int_embed(self, n):
         return (n % self.modulus,) + (0,) * (self.deg - 1)
 
-    def gen(self):
-        """The class of x (for deg 1 this is the image of x, a constant)."""
-        if self.deg == 1:
-            return ((-self.minpoly[0]) % self.modulus,)
-        return (0, 1) + (0,) * (self.deg - 2)
-
     # --- arithmetic ------------------------------------------------------
 
     def add(self, a, b):
@@ -465,9 +459,6 @@ class Poly:
         self._need_same_ring(other)
         return Poly._from_reduced(
             self.ring, _poly_dot(self.ring, (self.coeffs,), (other.coeffs,)))
-
-    def scale(self, c):
-        return Poly(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring == other.ring

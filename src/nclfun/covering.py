@@ -90,10 +90,6 @@ class SheafSpec:
     """The coefficient sheaf: a representation of the covering group."""
     rep: Rep
 
-    @property
-    def rank(self):
-        return self.rep.dim
-
 
 class CohomologySpec:
     """Finitely generated gamma-modules in a run of degrees: one square
@@ -117,9 +113,6 @@ class CohomologySpec:
             raise InvariantViolation("one matrix per degree required")
         self.matrices = tuple(mats)
 
-    def matrix(self, degree):
-        return [list(row) for row in self.matrices[self.degrees.index(degree)]]
-
 
 @dataclass
 class Instance:
@@ -135,20 +128,22 @@ class Instance:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_value(raw, lineno):
+def _parse_value(key, raw, lineno):
     raw = raw.strip()
     try:
         val = ast.literal_eval(raw)
     except (ValueError, SyntaxError):
         raise ParseError(f"line {lineno}: cannot parse value {raw!r}")
     def ok(v):
-        if isinstance(v, int):
+        # bool is a subclass of int, but True is no integer entry
+        if type(v) is int:
             return True
         if isinstance(v, list):
             return all(ok(x) for x in v)
         return False
     if not ok(val):
-        raise ParseError(f"line {lineno}: only integers and bracket lists allowed")
+        raise ParseError(
+            f"line {lineno}: {key}: only integers and bracket lists allowed")
     return val
 
 
@@ -169,7 +164,7 @@ def _collect(text):
         if key == "format":
             out[key] = (lineno, raw.strip())
         else:
-            out[key] = (lineno, _parse_value(raw, lineno))
+            out[key] = (lineno, _parse_value(key, raw, lineno))
     return out
 
 
@@ -183,10 +178,10 @@ def _take(fields, key, required=True, default=None):
 
 def _entry_to_elem(ring, v, context):
     if ring.deg == 1:
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise ParseError(f"{context}: expected a bare integer entry")
         return ring.int_embed(v)
-    if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
+    if not isinstance(v, list) or not all(type(c) is int for c in v):
         raise ParseError(f"{context}: expected a coefficient list entry")
     if len(v) > ring.deg:
         raise ParseError(f"{context}: entry has more than {ring.deg} coefficients")
@@ -331,10 +326,6 @@ def _render_matrix(ring, mat):
     return [[_render_entry(ring, c) for c in row] for row in mat]
 
 
-def _fmt(v):
-    return repr(v)
-
-
 def render_instance(inst):
     """Canonical text form; parse . render is idempotent."""
     cov = inst.covering
@@ -344,12 +335,12 @@ def render_instance(inst):
         f"q = {cov.q}",
         f"ell = {cov.ell}",
         f"m = {cov.m}",
-        f"omega.minpoly = {_fmt(list(ring.minpoly))}",
+        f"omega.minpoly = {list(ring.minpoly)!r}",
         f"group.order = {cov.group.order}",
-        f"group.table = {_fmt([list(r) for r in cov.group.table])}",
-        f"group.action = {_fmt(list(cov.group.action))}",
+        f"group.table = {[list(r) for r in cov.group.table]!r}",
+        f"group.action = {list(cov.group.action)!r}",
         f"group.action_order = {cov.group.action_order}",
-        f"points = {_fmt([[p.degree, p.h, p.gamma_exp] for p in cov.points])}",
+        f"points = {[[p.degree, p.h, p.gamma_exp] for p in cov.points]!r}",
     ]
     if cov.complete_through is not None:
         lines.append(f"points.complete_through = {cov.complete_through}")
@@ -357,23 +348,23 @@ def render_instance(inst):
     def rep_lines(prefix, rep):
         out = [f"{prefix}.rank = {rep.dim}"]
         if rep.ring != ring:
-            out.append(f"{prefix}.minpoly = {_fmt(list(rep.ring.minpoly))}")
+            out.append(f"{prefix}.minpoly = {list(rep.ring.minpoly)!r}")
         out.append(f"{prefix}.h_images = "
-                   f"{_fmt([_render_matrix(rep.ring, m) for m in rep.h_images])}")
-        out.append(f"{prefix}.gamma = {_fmt(_render_matrix(rep.ring, rep.gamma))}")
+                   f"{[_render_matrix(rep.ring, m) for m in rep.h_images]!r}")
+        out.append(f"{prefix}.gamma = {_render_matrix(rep.ring, rep.gamma)!r}")
         return out
 
     lines.extend(rep_lines("sheaf", inst.sheaf.rep))
     if inst.cohomology is not None:
         coh = inst.cohomology
-        lines.append(f"cohomology.degrees = {_fmt(list(coh.degrees))}")
+        lines.append(f"cohomology.degrees = {list(coh.degrees)!r}")
         lines.append(f"cohomology.matrices = "
-                     f"{_fmt([_render_matrix(coh.ring, [list(r) for r in m]) for m in coh.matrices])}")
+                     f"{[_render_matrix(coh.ring, m) for m in coh.matrices]!r}")
     for name in sorted(inst.reps):
         lines.extend(rep_lines(f"rep.{name}", inst.reps[name]))
     for name in sorted(inst.subgroups):
         U = inst.subgroups[name]
-        lines.append(f"subgroup.{name}.h_members = {_fmt(list(U.h_members))}")
+        lines.append(f"subgroup.{name}.h_members = {list(U.h_members)!r}")
         lines.append(f"subgroup.{name}.c = {U.c}")
     return "\n".join(lines) + "\n"
 

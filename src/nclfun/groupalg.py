@@ -45,9 +45,9 @@ class GroupData:
 
     table[i][j] is the index of h_i * h_j; index 0 is the identity.
     action is a permutation giving alpha(h_i) = h_{action[i]}, and
-    action_order its exact order.  Construction runs the structural
-    checks; group_validate re-runs everything and additionally enforces
-    the prime-power constraint on action_order.
+    action_order its exact order.  Construction runs every structural
+    check; group_validate adds the prime-power constraint on
+    action_order.
     """
 
     def __init__(self, order, table, action, action_order):
@@ -56,19 +56,8 @@ class GroupData:
         self.action = tuple(int(x) for x in action)
         self.action_order = int(action_order)
         _check_structure(self)
-        self.inv = self._build_inverses()
+        self.inv = tuple(row.index(0) for row in self.table)
         self._action_pows = self._build_action_pows()
-
-    def _build_inverses(self):
-        inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise InvalidGroup(f"element {i} has no inverse")
-        return tuple(inv)
 
     def _build_action_pows(self):
         pows = [tuple(range(self.order))]
@@ -166,17 +155,15 @@ def _perm_order(perm):
     return e
 
 
-def group_validate(gd: GroupData, ell=None):
-    """Full structural audit; with ell set, also requires action_order to
-    be a power of ell.  Raises InvalidGroup naming the first failure."""
-    _check_structure(gd)
-    if ell is not None:
-        e = gd.action_order
-        while e % ell == 0:
-            e //= ell
-        if e != 1:
-            raise InvalidGroup(
-                f"action_order {gd.action_order} is not a power of {ell}")
+def group_validate(gd: GroupData, ell):
+    """Requires action_order to be a power of ell, else raises
+    InvalidGroup; GroupData has already checked the structure."""
+    e = gd.action_order
+    while e % ell == 0:
+        e //= ell
+    if e != 1:
+        raise InvalidGroup(
+            f"action_order {gd.action_order} is not a power of {ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +251,6 @@ class CrossedLaurent:
                         row[tgt] = R.add(row[tgt], R.mul(cv, cw))
         return CrossedLaurent(R, gd, {a: tuple(v) for a, v in acc.items()})
 
-    def scale(self, c):
-        R = self.ring
-        return CrossedLaurent(
-            R, self.group,
-            {a: tuple(R.mul(c, v) for v in vec)
-             for a, vec in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, CrossedLaurent)
                 and self.ring == other.ring and self.group == other.group
@@ -333,9 +313,9 @@ class Rep:
                 if tuple(tuple(row) for row in prod) != self.h_images[gd.table[i][j]]:
                     raise InvariantViolation(
                         f"matrices break the table at ({i},{j})")
-        if self.gamma_inv() is None:
-            raise InvariantViolation("gamma image is not invertible")
         gi = self.gamma_inv()
+        if gi is None:
+            raise InvariantViolation("gamma image is not invertible")
         for i in range(gd.order):
             conj = mat_mul(R, mat_mul(R, self.gamma, self.h_images[i]), gi)
             if tuple(tuple(row) for row in conj) != self.h_images[gd.act(1, i)]:
@@ -344,12 +324,8 @@ class Rep:
 
     def gamma_inv(self):
         if self._gamma_inv is None:
-            self._gamma_inv = mat_inverse_omega(self.ring,
-                                                [list(r) for r in self.gamma])
+            self._gamma_inv = mat_inverse_omega(self.ring, self.gamma)
         return self._gamma_inv
-
-    def h_mat(self, i):
-        return [list(row) for row in self.h_images[i]]
 
     def gamma_pow(self, a):
         if a in self._gamma_pows:
@@ -365,14 +341,7 @@ class Rep:
 
     def of(self, g: GElement):
         """Matrix of the group element h * gamma^a."""
-        return mat_mul(self.ring, self.h_mat(g.h), self.gamma_pow(g.a))
-
-    def character(self, g: GElement):
-        mat = self.of(g)
-        tr = self.ring.zero
-        for i in range(self.dim):
-            tr = self.ring.add(tr, mat[i][i])
-        return tr
+        return mat_mul(self.ring, self.h_images[g.h], self.gamma_pow(g.a))
 
     def __eq__(self, other):
         return (isinstance(other, Rep)
@@ -435,9 +404,9 @@ def tensor_rep(r1: Rep, r2: Rep) -> Rep:
 
     hs = []
     for i in range(r1.group.order):
-        hs.append(kron(emb(r1.h_mat(i), r1.ring), emb(r2.h_mat(i), r2.ring)))
-    gam = kron(emb([list(r) for r in r1.gamma], r1.ring),
-               emb([list(r) for r in r2.gamma], r2.ring))
+        hs.append(kron(emb(r1.h_images[i], r1.ring),
+                       emb(r2.h_images[i], r2.ring)))
+    gam = kron(emb(r1.gamma, r1.ring), emb(r2.gamma, r2.ring))
     return Rep(ring, r1.group, r1.dim * r2.dim, hs, gam, check=False)
 
 
@@ -527,9 +496,6 @@ class OpenSubgroup:
     def index(self):
         return (self.group.order // len(self.h_members)) * self.c
 
-    def contains(self, g: GElement) -> bool:
-        return g.a % self.c == 0 and g.h in set(self.h_members)
-
     def __repr__(self):
         return f"OpenSubgroup(members={list(self.h_members)}, c={self.c})"
 
@@ -557,7 +523,7 @@ def restrict_rep(rho: Rep, U: OpenSubgroup) -> Rep:
     alpha^c, so the result is a representation and is not validated
     again."""
     sub_gd, loc_to_amb = subgroup_group_data(U)
-    hs = [rho.h_mat(h) for h in loc_to_amb]
+    hs = [rho.h_images[h] for h in loc_to_amb]
     return Rep(rho.ring, sub_gd, rho.dim, hs, rho.gamma_pow(U.c),
                check=False)
 
@@ -620,7 +586,7 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
             if u.h not in amb_to_loc:
                 raise InvariantViolation("little element escaped the subgroup")
             lu = amb_to_loc[u.h]
-            grid[j][i] = mat_mul(R, rho_sub.h_mat(lu), rho_sub.gamma_pow(k))
+            grid[j][i] = mat_mul(R, rho_sub.h_images[lu], rho_sub.gamma_pow(k))
         return block_matrix(grid)
 
     hs = [act_matrix(GElement(h, 0)) for h in range(amb.order)]
@@ -675,6 +641,5 @@ def push_rep_through_quotient(rho_q: Rep, gd: GroupData, proj) -> Rep:
     The result is validated: it is a representation only when proj is
     a homomorphism carrying the action along, which nothing here
     checks."""
-    hs = [rho_q.h_mat(proj[h]) for h in range(gd.order)]
-    return Rep(rho_q.ring, gd, rho_q.dim, hs,
-               [list(r) for r in rho_q.gamma])
+    hs = [rho_q.h_images[proj[h]] for h in range(gd.order)]
+    return Rep(rho_q.ring, gd, rho_q.dim, hs, rho_q.gamma)

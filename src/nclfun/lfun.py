@@ -66,7 +66,7 @@ def trace_formula_rational(coh):
     num = Poly.one(ring)
     den = Poly.one(ring)
     for d, mat in zip(coh.degrees, coh.matrices):
-        f = det_one_minus_matrix(ring, [list(r) for r in mat])
+        f = det_one_minus_matrix(ring, mat)
         if d % 2:
             num = num * f
         else:

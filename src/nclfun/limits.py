@@ -12,9 +12,9 @@ x^u times column j of A, flattened, and a flat vector v goes to A v as
 the row vector v times it.  The flat map of A B is then the flat map of
 B times that of A.  Phi is flattened once; its powers, every I - P,
 the trace sums and their composites are ZMod(M) matrices (linalg's ops
-object of Z/M), and only tower_power and the limit module's gamma_inv
-are read back as Omega matrices.  GammaModule's check runs on flat
-maps too, and a limit module hands it the tower's Howell rows.
+object of Z/M), and only the limit module's gamma_inv is read back as
+an Omega matrix.  GammaModule's check runs on flat maps too, and a
+limit module hands it the tower's Howell rows.
 
 The Y side works on coefficient lists of Omega[Y], not on Poly
 products: the Fitting elimination updates each entry by one unreduced
@@ -29,7 +29,15 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .coeffring import Poly, _poly_dot, _strip, is_in_P, poly_det
+from .coeffring import (
+    Poly,
+    _poly_dot,
+    _strip,
+    det_one_minus_scaled,
+    is_in_P,
+    poly_det,
+    render_poly_terms,
+)
 from .errors import InvariantViolation, PrecisionMismatch
 from .linalg import (
     ZMod,
@@ -47,7 +55,6 @@ __all__ = [
     "GammaModule",
     "IdealClass",
     "coker_tower",
-    "tower_power",
     "limit_module",
     "kernel_chain_report",
     "fitting_ideal",
@@ -128,15 +135,14 @@ class GammaModule:
 # the coinvariant tower and its certified stabilization
 # ---------------------------------------------------------------------------
 
-TowerLayer = namedtuple("TowerLayer", ["n", "image_rows", "coker_size"])
+TowerLayer = namedtuple("TowerLayer", ["image_rows", "coker_size"])
 
 # powers[n] is the flat map of Phi^(ell^n) for n < repeat_at + period;
-# the sequence cycles from repeat_at on, so tower_power reads off any
-# later one
+# the sequence cycles from repeat_at on, so _power_index finds any
+# later one among them
 TowerReport = namedtuple(
     "TowerReport",
-    ["ell", "rank", "layers", "stable_from", "first_stall",
-     "repeat_at", "period", "powers"])
+    ["layers", "stable_from", "repeat_at", "period", "powers"])
 
 
 def _flat_map(ring, A):
@@ -201,29 +207,20 @@ def coker_tower(ring, Phi):
     width = s * ring.deg
     layers = []
     prev = None
-    first_stall = None
-    for n, F in enumerate(powers):
+    for F in powers:
         rows = howell_form(_one_minus(F, M), width, M)
         if prev is not None:
             for r in rows:
                 if not in_span(list(r), prev, M):
                     raise InvariantViolation(
                         "image chain is not nested; tower data is corrupt")
-            if first_stall is None and rows == prev:
-                first_stall = n - 1
         csize = M ** width // span_size(rows, M)
-        layers.append(TowerLayer(n, rows, csize))
+        layers.append(TowerLayer(rows, csize))
         prev = rows
     limit_rows = layers[repeat_at].image_rows
     stable_from = next(n for n, lay in enumerate(layers)
                        if lay.image_rows == limit_rows)
-    if first_stall is None:
-        # the next uncomputed layer repeats an already-seen power, so
-        # the chain is constant from stable_from on without ever having
-        # shown two equal consecutive layers inside the computed range
-        first_stall = stable_from
-    return TowerReport(ell, s, layers, stable_from, first_stall,
-                       repeat_at, period, powers)
+    return TowerReport(layers, stable_from, repeat_at, period, powers)
 
 
 def _power_index(tower, n):
@@ -232,11 +229,6 @@ def _power_index(tower, n):
     if n >= tower.repeat_at:
         n = tower.repeat_at + (n - tower.repeat_at) % tower.period
     return n
-
-
-def tower_power(tower, n):
-    """Phi^(ell^n) over Omega, read off the flat map the tower stored."""
-    return _omega_matrix(tower.powers[_power_index(tower, n)], tower.rank)
 
 
 def limit_module(ring, Phi, tower=None):
@@ -264,12 +256,11 @@ def limit_module(ring, Phi, tower=None):
 # kernel chain and its certified vanishing
 # ---------------------------------------------------------------------------
 
-KernelLayer = namedtuple("KernelLayer", ["n", "kernel_rows", "size"])
+KernelLayer = namedtuple("KernelLayer", ["kernel_rows", "size"])
 
 KernelChainReport = namedtuple(
     "KernelChainReport",
-    ["ell", "rank", "layers", "stable_from", "trace_is_mult_by_ell",
-     "vanishing_certified"])
+    ["layers", "stable_from", "trace_is_mult_by_ell", "vanishing_certified"])
 
 
 def _kernel_rows(F, M):
@@ -295,7 +286,6 @@ def kernel_chain_report(ring, Phi, tower=None):
     product of K with the flat map of V."""
     if tower is None:
         tower = coker_tower(ring, Phi)
-    s = len(Phi)
     ell = ring.ell
     M = ring.modulus
     zm = ZMod(M)
@@ -305,8 +295,7 @@ def kernel_chain_report(ring, Phi, tower=None):
     kernel_of = {i: _kernel_rows(tower.powers[i], M)
                  for i in dict.fromkeys(idx)}
     kernels = [kernel_of[i] for i in idx]
-    layers = [KernelLayer(n, rows, span_size(rows, M))
-              for n, rows in enumerate(kernels)]
+    layers = [KernelLayer(rows, span_size(rows, M)) for rows in kernels]
     # transitions: trace from level n+1 to level n, the sum of P^k over
     # k < ell for P = Phi^(ell^n); its flat map is the sum of F^k
     trace_of = {}
@@ -341,7 +330,7 @@ def kernel_chain_report(ring, Phi, tower=None):
     for n in range(stable_from + 1, stable_from + ring.m):
         comp = mat_mul(zm, comp, traces[n])
     vanished = not any(map(any, mat_mul(zm, stable, comp)))
-    return KernelChainReport(ell, s, layers, stable_from, mult_ok, vanished)
+    return KernelChainReport(layers, stable_from, mult_ok, vanished)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +609,6 @@ def verify_mc_commutative(ring, Phi, prec=32, tower=None):
     The precision floor 2 (rank * m + rank) keeps maximal minors from
     being truncated into agreement.  A caller that also needs the
     coinvariant tower of Phi may pass it in."""
-    from .coeffring import det_one_minus_scaled
     s = len(Phi)
     floor = 2 * (s * ring.m + s)
     if prec < floor:
@@ -632,7 +620,6 @@ def verify_mc_commutative(ring, Phi, prec=32, tower=None):
     fit = fitting_ideal(module)
     ch = char_element(ring, Phi)
     ok = ideal_classes_equal(fit, IdealClass(ring, [ch]), prec)
-    from .coeffring import render_poly_terms
     bridged = iwasawa_transform(ring, det_one_minus_scaled(ring, Phi, 1), s)
     return {
         "check": "mc-commutative",

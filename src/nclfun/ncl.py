@@ -19,7 +19,12 @@ from .coeffring import (
     poly_det,
     series_invert,
 )
-from .covering import SheafSpec, push_covering_quotient
+from .covering import (
+    SheafSpec,
+    push_covering_quotient,
+    restrict_sheaf,
+    subcover_points,
+)
 from .errors import (
     InvariantViolation,
     NotSQuasiIso,
@@ -30,6 +35,7 @@ from .groupalg import (
     CrossedLaurent,
     GElement,
     Rep,
+    induce_rep,
     push_rep_through_quotient,
     tensor_rep,
     theta_rho,
@@ -313,9 +319,9 @@ def ncl_push_quotient(cov, sheaf, members):
     are returned alongside so callers can rebuild independently."""
     rep = sheaf.rep
     ring = rep.ring
-    ident = mat_identity(ring, rep.dim)
+    ident = tuple(map(tuple, mat_identity(ring, rep.dim)))
     for k in sorted(set(members)):
-        if [list(r) for r in rep.h_mat(k)] != ident:
+        if rep.h_images[k] != ident:
             raise InvariantViolation(
                 "sheaf does not factor through the quotient")
     cov_q, proj = push_covering_quotient(cov, members)
@@ -324,9 +330,8 @@ def ncl_push_quotient(cov, sheaf, members):
     for h, qi in enumerate(proj):
         if qi not in reps_of:
             reps_of[qi] = h
-    h_images_q = [rep.h_mat(reps_of[qi]) for qi in range(gd_q.order)]
-    rep_q = Rep(ring, gd_q, rep.dim, h_images_q,
-                [list(r) for r in rep.gamma])
+    h_images_q = [rep.h_images[reps_of[qi]] for qi in range(gd_q.order)]
+    rep_q = Rep(ring, gd_q, rep.dim, h_images_q, rep.gamma)
     k1 = ncl_from_points(cov, sheaf)
     factors_q = []
     for mat, exp in k1.factors:
@@ -393,9 +398,6 @@ def verify_artin_induction(cov, sheaf, U, rho_sub, prec):
     """Euler product against the induced representation, compared with
     the subcovering Euler product of the restricted data spread out by
     the index step T -> T^c."""
-    from .covering import restrict_sheaf, subcover_points
-    from .groupalg import induce_rep
-
     rho_ind = induce_rep(U, rho_sub)
     left = euler_product(cov, tensor_rep(sheaf.rep, rho_ind), prec)
     subcov, _ = subcover_points(cov, U)

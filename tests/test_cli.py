@@ -163,6 +163,32 @@ def test_malformed_inline_entries_are_input_errors(capsys, argv):
     assert argv[2] in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--phi", "[[True]]"], "--phi"),
+    (["--minpoly", "[1,0,1]", "--phi", "[[[True,0]]]"], "--phi"),
+    (["--minpoly", "[True, 0, 1]", "--phi", "[[1]]"], "--minpoly"),
+])
+def test_inline_booleans_are_input_errors(capsys, argv, flag):
+    """True is an int to Python but no integer input: exit 2, nothing
+    on stdout, the flag named."""
+    code, out, err = _run(capsys, [
+        "imc", "verify", "--ell", "3", "--m", "2"] + argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_fixture_boolean_is_an_input_error(tmp_path, capsys):
+    inst = tmp_path / "bool.inst"
+    inst.write_text(ONE_POINT_INSTANCE.replace(
+        "sheaf.gamma = [[1]]", "sheaf.gamma = [[True]]"))
+    code, out, err = _run(capsys, [
+        "lfun", "euler", "--fixture", str(inst), "--precision", "4"])
+    assert code == 2
+    assert out == ""
+    assert "sheaf.gamma" in err
+
+
 def test_precision_beyond_complete_points_is_refused(capsys):
     # ec_f5 lists every closed point through degree 6, which supports
     # series mod T^7 and no further: a higher precision is an input

@@ -55,7 +55,7 @@ def test_parse_good_instance():
     assert cov.q == 5 and cov.ell == 3 and cov.m == 2
     assert cov.group.order == 2
     assert [p.degree for p in cov.points] == [1, 1, 2]
-    assert inst.sheaf.rank == 1
+    assert inst.sheaf.rep.dim == 1
     assert set(inst.reps) == {"sign"}
     assert inst.reps["sign"].h_images[1] == (((8,),),)
     assert set(inst.subgroups) == {"whole", "gammaonly"}
@@ -101,6 +101,21 @@ def test_parse_error_catalogue():
         parse_instance("format = covering-instance-v2\n")
     with pytest.raises(ParseError, match="out of range"):
         parse_instance(GOOD.replace("[1, 0, 1]", "[1, 7, 1]"))
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("sheaf.gamma = [[1]]", "sheaf.gamma = [[True]]"),
+    ("q = 5", "q = True"),
+    ("rep.sign.h_images = [[[1]], [[-1]]]",
+     "rep.sign.h_images = [[[1]], [[False]]]"),
+], ids=["sheaf.gamma", "q", "rep.sign.h_images"])
+def test_booleans_are_not_integers(line, bad):
+    """bool is a subclass of int, but a boolean value is refused, and
+    the message names its key."""
+    key = bad.split(" = ")[0]
+    with pytest.raises(ParseError,
+                       match=f"{key}: only integers and bracket lists"):
+        parse_instance(GOOD.replace(line, bad))
 
 
 def test_semantic_errors_keep_their_types():
@@ -229,7 +244,7 @@ def test_parse_cohomology_section():
     )
     inst = parse_instance(text)
     assert inst.cohomology.degrees == (0, 1)
-    assert inst.cohomology.matrix(1) == [[(0,), (7,)], [(1,), (2,)]]
+    assert inst.cohomology.matrices[1] == (((0,), (7,)), ((1,), (2,)))
     out = render_instance(inst)
     assert "cohomology.degrees = [0, 1]" in out
     assert parse_instance(out).cohomology.matrices == inst.cohomology.matrices

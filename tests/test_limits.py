@@ -36,6 +36,7 @@ from nclfun.limits import (
     TowerLayer,
     _flat_map,
     _omega_matrix,
+    _power_index,
     _truncate_form,
     char_element,
     coker_tower,
@@ -45,10 +46,10 @@ from nclfun.limits import (
     iwasawa_transform,
     kernel_chain_report,
     limit_module,
-    tower_power,
     verify_mc_commutative,
 )
 from series_oracle import eq_up_to_unit
+from test_coeffring import gen, scale
 from test_linalg import pairwise_howell
 
 Z9 = CoeffRing(3, 2)
@@ -136,33 +137,26 @@ def _coker_tower_oracle(ring, Phi, n_max=48):
     width = s * ring.deg
     layers = []
     prev = None
-    first_stall = None
-    for n, Pn in enumerate(powers):
+    for Pn in powers:
         A = [[ring.sub(ident[i][j], Pn[i][j]) for j in range(s)]
              for i in range(s)]
         rows = _image_rows(ring, A)
         if prev is not None:
             for r in rows:
                 assert in_span(list(r), prev, ring.modulus)
-            if first_stall is None and rows == prev:
-                first_stall = n - 1
         csize = ring.modulus ** width // span_size(rows, ring.modulus)
-        layers.append(TowerLayer(n, rows, csize))
+        layers.append(TowerLayer(rows, csize))
         prev = rows
     limit_rows = layers[repeat_at].image_rows
     stable_from = next(n for n, lay in enumerate(layers)
                        if lay.image_rows == limit_rows)
-    if first_stall is None:
-        first_stall = stable_from
-    return (ell, s, layers, stable_from, first_stall, repeat_at, period,
-            powers)
+    return layers, stable_from, repeat_at, period, powers
 
 
 def test_tower_of_four_over_z9():
     t = coker_tower(Z9, _mat(Z9, [[4]]))
     assert [lay.coker_size for lay in t.layers] == [3, 9]
     assert t.stable_from == 1
-    assert t.first_stall == 1
     assert t.repeat_at == 1 and t.period == 1
 
 
@@ -193,7 +187,6 @@ def test_tower_coker_sizes_never_decrease():
             t = coker_tower(ring, _rand_mat(ring, rng, s))
             sizes = [lay.coker_size for lay in t.layers]
             assert sizes == sorted(sizes)
-            assert t.first_stall == t.stable_from
 
 
 # --- limit module
@@ -207,7 +200,7 @@ def test_limit_module_of_four_frozen():
 
 
 def test_limit_module_split_ring_relations():
-    x = SPLIT3.gen()
+    x = gen(SPLIT3)
     Phi = [[x]]
     mod = limit_module(SPLIT3, Phi)
     assert mod.relations == ((SPLIT3.element([1, 2]),),)
@@ -428,7 +421,7 @@ def _kernel_chain_oracle(ring, Phi, stable_from):
 def _tower_cases(rng):
     """(ring, Phi): [[x]] over Z/9[x]/(x^2+1), whose powers x^(3^n)
     alternate between x and -x, then seeded matrices of sizes 1-3."""
-    yield GAUSS9, [[GAUSS9.gen()]]
+    yield GAUSS9, [[gen(GAUSS9)]]
     for ring in (Z9, Z25, GAUSS9, SPLIT3, CoeffRing(3, 3)):
         for _ in range(5):
             yield ring, _rand_mat(ring, rng, rng.randrange(1, 4))
@@ -464,7 +457,7 @@ def test_flat_map_algebra():
 
 def test_tower_matches_omega_oracle():
     """Every TowerReport field equals the Omega-side tower's, with the
-    powers read back through tower_power."""
+    powers read back as Omega matrices."""
     rng = random.Random(67)
     cases = list(_tower_cases(rng)) + [
         (CUBIC25, _rand_mat(CUBIC25, rng, rng.randrange(1, 4)))
@@ -473,7 +466,7 @@ def test_tower_matches_omega_oracle():
         t = coker_tower(ring, Phi)
         want = _coker_tower_oracle(ring, Phi)
         assert tuple(t)[:-1] == want[:-1], (ring, Phi)
-        assert [tower_power(t, n) for n in range(len(t.powers))] == want[-1]
+        assert [_omega_matrix(F, len(Phi)) for F in t.powers] == want[-1]
 
 
 def test_tower_power_lookup_equals_mat_pow():
@@ -485,7 +478,8 @@ def test_tower_power_lookup_equals_mat_pow():
         assert len(t.powers) == t.repeat_at + t.period
         for n in range(t.repeat_at + 3 * t.period + 1):
             want = mat_pow(ring, Phi, ring.ell ** n)
-            assert [list(r) for r in tower_power(t, n)] == want
+            got = _omega_matrix(t.powers[_power_index(t, n)], len(Phi))
+            assert [list(r) for r in got] == want
     assert periods[0] == (0, 2)
     assert sum(1 for _, period in periods if period == 1) >= 10
 
@@ -494,7 +488,7 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
     """No mat_pow, one kernel per distinct stored power, and no dot
     over Omega: the chain runs on the tower's flat maps over Z/M."""
     import nclfun.limits as limits_mod
-    from nclfun.limits import _kernel_rows, _power_index
+    from nclfun.limits import _kernel_rows
     rng = random.Random(59)
     calls, kernel_calls = [], []
 
@@ -583,7 +577,7 @@ def _y(ring):
 
 def test_ideal_canonical_form_unit_times_generator():
     f = Poly.from_ints(Z9, [3, 1])
-    g = f.scale(Z9.int_embed(2))
+    g = scale(f, Z9.int_embed(2))
     assert ideal_canonical_form(Z9, [f], 12) == ideal_canonical_form(Z9, [g], 12)
 
 
@@ -597,7 +591,7 @@ def test_ideal_canonical_form_separates_proper_ideals():
 
 def test_ideal_canonical_form_x_closure():
     # x is a unit of the Gaussian ring, so (x) is everything
-    x = Poly(GAUSS9, [GAUSS9.gen()])
+    x = Poly(GAUSS9, [gen(GAUSS9)])
     one = Poly.one(GAUSS9)
     assert (ideal_canonical_form(GAUSS9, [x], 8)
             == ideal_canonical_form(GAUSS9, [one], 8))
@@ -793,7 +787,7 @@ def test_howell_width_is_the_certified_bound(monkeypatch):
 
     monkeypatch.setattr(limits, "howell_form", recording)
     split9 = CoeffRing(3, 2, (8, 0, 1))
-    x = split9.gen()
+    x = gen(split9)
     # x - 1 is a unit where x = -1 (c = 0) and vanishes where x = 1,
     # where the T coefficient 1 gives c = 1, so b = m c = 2
     g = Poly(split9, [split9.sub(x, split9.one), split9.one])
@@ -971,7 +965,7 @@ def _poly_row_fitting(module):
         reduced = []
         for row in rows:
             if not row[c].is_zero():
-                mult = row[c].scale(u_inv)
+                mult = scale(row[c], u_inv)
                 row = [a - mult * b for a, b in zip(row, prow)]
             row = row[:c] + row[c + 1:]
             if not all(p.is_zero() for p in row):
@@ -997,7 +991,7 @@ def _char_element_oracle(ring, Phi):
     acc = Poly.one(ring)
     out = Poly.zero(ring)
     for c in cp:
-        out = out + acc.scale(c)
+        out = out + scale(acc, c)
         acc = acc * one_plus_y
     return out
 
@@ -1011,7 +1005,7 @@ def _iwasawa_transform_oracle(ring, f, s):
         pows.append(pows[-1] * one_plus_y)
     out = Poly.zero(ring)
     for k in range(f.degree + 1):
-        out = out + pows[s - k].scale(f.coeff(k))
+        out = out + scale(pows[s - k], f.coeff(k))
     return out
 
 
@@ -1133,7 +1127,7 @@ def test_fitting_ideal_hand_presentations():
     fit = _assert_matches_all_minors(vanish)
     assert [p.coeffs for p in fit.num_gens] == [y.coeffs]
     # non-unit relations of a twisted action over a quadratic ring
-    x = GAUSS9.gen()
+    x = gen(GAUSS9)
     three = GAUSS9.int_embed(3)
     twist = GammaModule(GAUSS9, 2, [(three, GAUSS9.zero),
                                     (GAUSS9.zero, three)],
@@ -1248,7 +1242,7 @@ def test_iwasawa_transform_bridges_determinants():
 
 def test_unit_certificate_for_the_worked_example():
     # 2 * (1 - 4T) = 2 + T = T - 7 over Z/9, exactly
-    lhs = Poly.from_ints(Z9, [1, -4]).scale(Z9.int_embed(2))
+    lhs = scale(Poly.from_ints(Z9, [1, -4]), Z9.int_embed(2))
     rhs = Poly.from_ints(Z9, [-7, 1])
     assert lhs == rhs
     assert eq_up_to_unit(Poly.from_ints(Z9, [-7, 1]),

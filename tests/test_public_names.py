@@ -3,9 +3,9 @@
 Every name a module lists in `__all__` must exist, and every nclfun
 name the benchmark traces or imports must still resolve, so a deletion
 that would break `perfbench/` fails here too.  The other way round,
-every module-level def and class must have a user, and every parameter
-with a default must be passed by some call in the package, the
-benchmark or the demos.  The package imports nothing outside the
+every module-level def and class and every method must have a user,
+and every parameter with a default must be passed by some call in the
+package, the benchmark or the demos.  The package imports nothing outside the
 standard library.  The benchmark files are read as syntax trees, never
 run.
 """
@@ -102,6 +102,40 @@ def _package_trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _outside_texts():
+    """The source of every benchmark and demo file."""
+    return [path.read_text()
+            for folder in (PERFBENCH, PERFBENCH.parent / "demos")
+            for path in sorted(folder.glob("*.py"))]
+
+
+def test_no_dead_methods():
+    """Every method of an nclfun class, dunders aside, is named as
+    `.name` in the package outside its own def (a word match), in the
+    benchmark or in the demos.  A method that only the tests call fails
+    here: it leaves the package, and the tests keep a helper of their
+    own."""
+    texts = {path.stem: path.read_text()
+             for path in sorted(PACKAGE.glob("*.py"))}
+    others = _outside_texts()
+    dead = []
+    for module, text in texts.items():
+        lines = text.splitlines()
+        rest_of_package = [t for m, t in texts.items() if m != module]
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("__")):
+                    continue
+                rest = lines[:fn.lineno - 1] + lines[fn.end_lineno:]
+                if not re.search(rf"\.{fn.name}\b",
+                                 "\n".join(rest + rest_of_package + others)):
+                    dead.append(f"{module}.{cls.name}.{fn.name}")
+    assert not dead
+
+
 def _defaulted_parameters(tree):
     """(name, parameter, positional index or None) of every parameter
     with a default, for each def of the module.  Methods drop their
@@ -151,9 +185,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     be a constant.  A call passes it by keyword, or by more positional
     arguments than the parameter's index."""
     package = _package_trees()
-    others = [ast.parse(path.read_text())
-              for folder in (PERFBENCH, PERFBENCH.parent / "demos")
-              for path in sorted(folder.glob("*.py"))]
+    others = [ast.parse(text) for text in _outside_texts()]
     calls = _calls(list(package.values()) + others)
     unused = []
     for module, tree in package.items():
