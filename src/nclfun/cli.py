@@ -431,9 +431,11 @@ def cmd_suite_run(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    # --precision goes only to the commands that read it
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, default=32,
+                           help="series precision (number of coefficients)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=32,
-                        help="series precision (number of coefficients)")
     common.add_argument("--format", choices=("text", "json-lines"),
                         default="text")
 
@@ -455,29 +457,29 @@ def build_parser():
 
     lf = sub.add_parser("lfun", help="L-functions two ways")
     lfs = lf.add_subparsers(dest="sub_cmd", required=True)
-    lfs.add_parser("euler", parents=[common, fixture]) \
+    lfs.add_parser("euler", parents=[precision, common, fixture]) \
        .set_defaults(func=cmd_lfun_euler)
-    lfs.add_parser("trace", parents=[common, fixture]) \
+    lfs.add_parser("trace", parents=[precision, common, fixture]) \
        .set_defaults(func=cmd_lfun_trace)
-    lfs.add_parser("check", parents=[common, fixture]) \
+    lfs.add_parser("check", parents=[precision, common, fixture]) \
        .set_defaults(func=cmd_lfun_check)
 
     nc = sub.add_parser("ncl", help="noncommutative classes")
     ncs = nc.add_subparsers(dest="sub_cmd", required=True)
-    ncs.add_parser("compute", parents=[common, fixture]) \
+    ncs.add_parser("compute", parents=[precision, common, fixture]) \
        .set_defaults(func=cmd_ncl_compute)
-    ev = ncs.add_parser("evaluate", parents=[common, fixture])
+    ev = ncs.add_parser("evaluate", parents=[precision, common, fixture])
     ev.add_argument("--rep", required=True)
     ev.set_defaults(func=cmd_ncl_evaluate)
-    ncs.add_parser("verify", parents=[common, fixture]) \
+    ncs.add_parser("verify", parents=[precision, common, fixture]) \
        .set_defaults(func=cmd_ncl_verify)
 
     im = sub.add_parser("imc", help="limit modules and ideals")
     ims = im.add_subparsers(dest="sub_cmd", required=True)
-    for name, fn in (("limit", cmd_imc_limit),
-                     ("fitting", cmd_imc_fitting),
-                     ("verify", cmd_imc_verify)):
-        p = ims.add_parser(name, parents=[common, inline])
+    for name, fn, parents in (("limit", cmd_imc_limit, []),
+                              ("fitting", cmd_imc_fitting, []),
+                              ("verify", cmd_imc_verify, [precision])):
+        p = ims.add_parser(name, parents=parents + [common, inline])
         p.add_argument("--phi", required=True,
                        help="square matrix literal, e.g. '[[4]]'")
         p.set_defaults(func=fn)
@@ -488,7 +490,7 @@ def build_parser():
     kd.add_argument("--alpha", required=True,
                     help="matrix of coefficient lists, e.g. '[[[1,5]]]'")
     kd.set_defaults(func=cmd_kconnect_d)
-    kv = kcs.add_parser("verify", parents=[common, inline])
+    kv = kcs.add_parser("verify", parents=[precision, common, inline])
     kv.add_argument("--alpha", default=None)
     kv.add_argument("--beta", default=None)
     kv.add_argument("--phi", default=None)
@@ -496,7 +498,7 @@ def build_parser():
 
     st = sub.add_parser("suite", help="seeded random batches")
     sts = st.add_subparsers(dest="sub_cmd", required=True)
-    sr = sts.add_parser("run", parents=[common])
+    sr = sts.add_parser("run", parents=[precision, common])
     sr.add_argument("--seed", type=int, default=0)
     sr.add_argument("--count", type=int, default=9)
     sr.set_defaults(func=cmd_suite_run)

@@ -430,9 +430,6 @@ class Poly:
     def coeff(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ring.zero
 
-    def constant(self):
-        return self.coeff(0)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -662,10 +659,6 @@ class Series:
         self.coeffs = tuple(cs[:prec])
 
     @classmethod
-    def from_ints(cls, ring, prec, ints):
-        return cls(ring, prec, [ring.int_embed(n) for n in ints])
-
-    @classmethod
     def one(cls, ring, prec):
         return cls(ring, prec, [ring.one])
 
@@ -748,9 +741,7 @@ def series_invert(s):
 
 def is_in_P(a):
     """Unit constant term.  Works for Poly and Series alike."""
-    if isinstance(a, Poly):
-        return a.ring.is_unit(a.constant())
-    return a.ring.is_unit(a.coeffs[0])
+    return a.ring.is_unit(a.coeff(0))
 
 
 def is_in_S(a):
@@ -867,10 +858,6 @@ class RationalFunction:
         self.ring = num.ring
         self.num = num
         self.den = den
-
-    @classmethod
-    def one(cls, ring):
-        return cls(Poly.one(ring))
 
     def __mul__(self, other):
         if self.ring != other.ring:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .coeffring import CoeffRing
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, NotASubgroup, ParseError
 from .groupalg import (
     GElement,
     GroupData,
@@ -303,7 +303,12 @@ def parse_instance(text):
         c = _take(fields, f"subgroup.{name}.c")
         if not isinstance(members, list) or not isinstance(c, int):
             raise ParseError(f"subgroup.{name}: h_members list and integer c required")
-        subgroups[name] = OpenSubgroup(group, members, c)
+        if c < 1:
+            raise ParseError(f"subgroup.{name}.c must be positive")
+        try:
+            subgroups[name] = OpenSubgroup(group, members, c)
+        except NotASubgroup as exc:
+            raise NotASubgroup(f"subgroup.{name}.h_members: {exc}") from None
 
     if fields:
         stray = sorted(fields)[0]

@@ -40,6 +40,15 @@ __all__ = [
 ]
 
 
+def _nested_ints(value, depth):
+    """Whether value is an integer (depth 0), or a list or tuple of
+    values of depth - 1."""
+    if depth == 0:
+        return isinstance(value, int)
+    return (isinstance(value, (list, tuple))
+            and all(_nested_ints(v, depth - 1) for v in value))
+
+
 class GroupData:
     """Multiplication table of H plus the action of gamma.
 
@@ -51,10 +60,17 @@ class GroupData:
     """
 
     def __init__(self, order, table, action, action_order):
-        self.order = int(order)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.action = tuple(int(x) for x in action)
-        self.action_order = int(action_order)
+        for key, value, depth, what in (
+                ("order", order, 0, "an integer"),
+                ("table", table, 2, "a list of rows of integers"),
+                ("action", action, 1, "a list of integers"),
+                ("action_order", action_order, 0, "an integer")):
+            if not _nested_ints(value, depth):
+                raise InvalidGroup(f"group.{key} must be {what}")
+        self.order = order
+        self.table = tuple(tuple(row) for row in table)
+        self.action = tuple(action)
+        self.action_order = action_order
         _check_structure(self)
         self.inv = tuple(row.index(0) for row in self.table)
         self._action_pows = self._build_action_pows()
@@ -93,9 +109,6 @@ class GElement:
     """h * gamma^a inside H \\rtimes Gamma."""
     h: int
     a: int
-
-    def name(self) -> str:
-        return f"h{self.h}*g^{self.a}"
 
 
 def _check_structure(gd: GroupData):
@@ -193,10 +206,6 @@ class CrossedLaurent:
             if any(not ring.is_zero(c) for c in vec):
                 clean[int(a)] = vec
         self.terms = clean
-
-    @classmethod
-    def zero(cls, ring, group):
-        return cls(ring, group, {})
 
     @classmethod
     def one(cls, ring, group):
@@ -465,6 +474,28 @@ def theta_rho(x: CrossedLaurent, rho: Rep):
 # open subgroups, restriction, induction, quotients
 # ---------------------------------------------------------------------------
 
+def _member_set(gd: GroupData, members):
+    """The members as a sorted tuple, refused with NotASubgroup unless
+    they are indices of H that hold the identity and are closed under
+    the table."""
+    if not all(isinstance(h, int) for h in members):
+        raise NotASubgroup("members must be integers")
+    mem = tuple(sorted(set(members)))
+    for h in mem:
+        if not 0 <= h < gd.order:
+            raise NotASubgroup(
+                f"member h{h} out of range for a group of order {gd.order}")
+    if 0 not in mem:
+        raise NotASubgroup("identity missing from the member set")
+    mset = set(mem)
+    for i in mem:
+        for j in mem:
+            if gd.table[i][j] not in mset:
+                raise NotASubgroup(
+                    f"member set not closed: h{i}*h{j} escapes")
+    return mem
+
+
 class OpenSubgroup:
     """U = H_U \\rtimes gamma^{c Z} inside H \\rtimes Gamma.
 
@@ -475,20 +506,12 @@ class OpenSubgroup:
 
     def __init__(self, group: GroupData, h_members, c):
         self.group = group
-        mem = tuple(sorted(set(int(h) for h in h_members)))
-        self.h_members = mem
         self.c = int(c)
         if self.c < 1:
             raise NotASubgroup("gamma index must be positive")
-        if 0 not in mem:
-            raise NotASubgroup("identity missing from the member set")
-        mset = set(mem)
-        for i in mem:
-            for j in mem:
-                if group.table[i][j] not in mset:
-                    raise NotASubgroup(
-                        f"member set not closed: h{i}*h{j} escapes")
-        if {group.act(self.c, h) for h in mem} != mset:
+        mem = _member_set(group, h_members)
+        self.h_members = mem
+        if {group.act(self.c, h) for h in mem} != set(mem):
             raise NotASubgroup(
                 "member set is not stable under alpha^c")
 
@@ -600,14 +623,8 @@ def quotient_by_normal(gd: GroupData, members):
     Returns (GroupData of the quotient, projection list H -> cosets).
     Cosets are named by their smallest member, the identity coset first.
     """
-    mem = tuple(sorted(set(int(h) for h in members)))
+    mem = _member_set(gd, members)
     mset = set(mem)
-    if 0 not in mset:
-        raise NotASubgroup("identity missing from the member set")
-    for i in mem:
-        for j in mem:
-            if gd.table[i][j] not in mset:
-                raise NotASubgroup("member set not closed under the table")
     for h in range(gd.order):
         conj = {gd.table[gd.table[h][k]][gd.inv[h]] for k in mem}
         if conj != mset:

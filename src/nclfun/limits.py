@@ -34,7 +34,6 @@ from .coeffring import (
     _poly_dot,
     _strip,
     det_one_minus_scaled,
-    is_in_P,
     poly_det,
     render_poly_terms,
 )
@@ -420,36 +419,31 @@ def _truncate_form(ring, form, prec):
 
 
 class IdealClass:
-    """A fractional ideal written as numerator and denominator
-    generator lists over Omega[T].
+    """An ideal of Omega[[T]], written as a list of generators over
+    Omega[T].
 
-    Equality is decided in ideal_classes_equal, by cross multiplying and
-    comparing canonical forms of the resulting honest ideals.
+    A class carries no denominators: an element of P (unit constant
+    term) is a unit of Omega[[T]]/T^prec at every precision, so
+    multiplying the generators by such elements changes neither the
+    ideal nor any comparison.  Equality is decided in
+    ideal_classes_equal, by comparing canonical forms.
     """
 
-    def __init__(self, ring, num_gens, den_gens=None):
+    def __init__(self, ring, num_gens):
         self.ring = ring
         self.num_gens = tuple(num_gens)
-        self.den_gens = tuple(den_gens) if den_gens else (Poly.one(ring),)
-        for p in self.num_gens + self.den_gens:
+        for p in self.num_gens:
             if p.ring != ring:
                 raise InvariantViolation("generator over the wrong ring")
-        for p in self.den_gens:
-            if not is_in_P(p):
-                raise InvariantViolation(
-                    "denominator generators must have unit constant term")
 
     def __mul__(self, other):
         if self.ring != other.ring:
             raise InvariantViolation("ideal classes over different rings")
         return IdealClass(
-            self.ring,
-            [a * b for a in self.num_gens for b in other.num_gens],
-            [a * b for a in self.den_gens for b in other.den_gens])
+            self.ring, [a * b for a in self.num_gens for b in other.num_gens])
 
     def __repr__(self):
-        return (f"IdealClass(num={len(self.num_gens)} gens, "
-                f"den={len(self.den_gens)} gens)")
+        return f"IdealClass({len(self.num_gens)} gens)"
 
 
 def ideal_classes_equal(a, b, prec):
@@ -457,18 +451,15 @@ def ideal_classes_equal(a, b, prec):
 
     Agreement at both precisions is the answer; disagreement between
     them means the smaller precision was lying, and that is reported as
-    PrecisionMismatch rather than as a boolean.  The classes are equal
-    when num(a) den(b) and num(b) den(a) are; each side's form is
-    computed once, at prec + GUARD, and cut to prec.  When a class's
-    only denominator is 1, the other class's numerators pass through
-    unmultiplied."""
+    PrecisionMismatch rather than as a boolean.  Each class's form is
+    computed once, at prec + GUARD, and cut to prec.  No product is
+    taken: the classes hold ideals, and a generator list times elements
+    of P, which are units mod every power of T, would give the same
+    forms and so the same verdict."""
     if a.ring != b.ring:
         raise InvariantViolation("ideal classes over different rings")
-    one = (Poly.one(a.ring),)
-    wide = [ideal_canonical_form(
-        a.ring, x.num_gens if y.den_gens == one else
-        [g * d for g in x.num_gens for d in y.den_gens], prec + GUARD)
-        for x, y in ((a, b), (b, a))]
+    wide = [ideal_canonical_form(a.ring, x.num_gens, prec + GUARD)
+            for x in (a, b)]
     first = _truncate_form(a.ring, wide[0], prec) == _truncate_form(
         a.ring, wide[1], prec)
     second = wide[0] == wide[1]

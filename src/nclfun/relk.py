@@ -21,7 +21,6 @@ from .limits import (
 )
 
 __all__ = [
-    "TorsionClass",
     "d_connecting",
     "poly_mat_mul",
     "verify_d_multiplicative",
@@ -29,14 +28,6 @@ __all__ = [
     "verify_d_fitting_consistency",
     "block_reduction_check",
 ]
-
-
-class TorsionClass(IdealClass):
-    """Class of an S-torsion module, carried by ideal generators.
-
-    Same arithmetic as an ideal class; the separate name records that
-    these arise as cokernels of S-invertible matrices, not as Fitting
-    ideals of limit modules."""
 
 
 def _check_poly_matrix(ring, mat):
@@ -52,7 +43,8 @@ def _check_poly_matrix(ring, mat):
 
 
 def d_connecting(ring, alpha):
-    """Torsion class of the cokernel of alpha.
+    """Torsion class of the cokernel of alpha: the ideal class of its
+    determinant.
 
     The determinant must lie in S; a determinant dying in some residue
     component means the cokernel has a free part and no torsion class,
@@ -61,7 +53,7 @@ def d_connecting(ring, alpha):
     det = poly_det(alpha, ring)
     if not is_in_S(det):
         raise NotSQuasiIso("determinant is not in S")
-    return TorsionClass(ring, [det])
+    return IdealClass(ring, [det])
 
 
 def poly_mat_mul(ring, A, B):
@@ -129,7 +121,7 @@ def verify_d_fitting_consistency(ring, Phi, prec):
                                       ring.neg(a)])
             for j, a in enumerate(row)] for i, row in enumerate(Phi)]
     cls = d_connecting(ring, mat)
-    bridged = TorsionClass(
+    bridged = IdealClass(
         ring, [iwasawa_transform(ring, g, s) for g in cls.num_gens])
     fit = fitting_ideal(limit_module(ring, Phi))
     ok = ideal_classes_equal(bridged, fit, prec)

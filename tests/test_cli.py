@@ -207,6 +207,39 @@ def test_precision_beyond_complete_points_is_refused(capsys):
     assert out.startswith("pass lfun.check")
 
 
+@pytest.mark.parametrize("command, line, bad", [
+    ("ncl verify", "subgroup.gsq.h_members = [0, 1]", "[0, 7]"),
+    ("ncl verify", "subgroup.gsq.h_members = [0, 1]", "[0, -1]"),
+    ("lfun euler", "group.table = [[0, 1], [1, 0]]", "[[0, 1], 1]"),
+])
+def test_malformed_group_data_exits_2_naming_the_key(
+        tmp_path, capsys, command, line, bad):
+    key = line.split(" = ")[0]
+    inst = tmp_path / "bad.inst"
+    inst.write_text((FIXTURES / "z2xgamma.inst").read_text().replace(
+        line, f"{key} = {bad}"))
+    code, out, err = _run(capsys, command.split() + ["--fixture", str(inst)])
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["imc", "limit", "--ell", "3", "--m", "2", "--phi", "[[4]]"],
+    ["imc", "fitting", "--ell", "3", "--m", "2", "--phi", "[[4]]"],
+    ["kconnect", "d", "--ell", "3", "--m", "2", "--alpha", "[[[1,5]]]"],
+], ids=["imc limit", "imc fitting", "kconnect d"])
+def test_precision_is_refused_where_nothing_reads_it(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and out
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--precision", "8"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --precision 8" in captured.err
+
+
 def test_ncl_evaluate_names_available_reps(capsys):
     code, _, err = _run(capsys, [
         "ncl", "evaluate", "--fixture", str(FIXTURES / "trivial.inst"),

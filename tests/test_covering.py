@@ -101,6 +101,10 @@ def test_parse_error_catalogue():
         parse_instance("format = covering-instance-v2\n")
     with pytest.raises(ParseError, match="out of range"):
         parse_instance(GOOD.replace("[1, 0, 1]", "[1, 7, 1]"))
+    with pytest.raises(ParseError,
+                       match=r"subgroup\.whole\.c must be positive"):
+        parse_instance(GOOD.replace("subgroup.whole.c = 3",
+                                    "subgroup.whole.c = 0"))
 
 
 @pytest.mark.parametrize("line, bad", [
@@ -128,6 +132,32 @@ def test_semantic_errors_keep_their_types():
             "subgroup.gammaonly.h_members = [1]"))
     with pytest.raises(InvariantViolation):
         parse_instance(GOOD.replace("q = 5", "q = 6"))   # 3 divides 6
+
+
+@pytest.mark.parametrize("members, reason", [
+    ("[0, 7]", "member h7 out of range"),
+    ("[0, -1]", "member h-1 out of range"),
+    ("[0, [1]]", "members must be integers"),
+])
+def test_bad_subgroup_members_are_refused_by_key(members, reason):
+    """A member index outside H, past the order or negative, or a member
+    that is no integer, is refused, and the message names its key."""
+    with pytest.raises(NotASubgroup,
+                       match=rf"subgroup\.whole\.h_members: {reason}"):
+        parse_instance(GOOD.replace("subgroup.whole.h_members = [0, 1]",
+                                    f"subgroup.whole.h_members = {members}"))
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("group.table", "[[0, 1], 1]"),
+    ("group.table", "[[0, [1]], [1, 0]]"),
+    ("group.action", "1"),
+    ("group.order", "[2]"),
+])
+def test_group_fields_of_the_wrong_shape_are_refused(key, bad):
+    line = next(x for x in GOOD.splitlines() if x.startswith(key + " "))
+    with pytest.raises(InvalidGroup, match=rf"{key} must be"):
+        parse_instance(GOOD.replace(line, f"{key} = {bad}"))
 
 
 def test_point_invariants():

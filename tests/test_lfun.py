@@ -30,6 +30,7 @@ from nclfun.lfun import (
 from nclfun.linalg import berkowitz_charpoly
 from nclfun.randcases import random_instance
 from series_oracle import recurrence_series_invert, schoolbook_series_mul
+from test_coeffring import series_from_ints
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -341,21 +342,21 @@ def test_trace_formula_alternates_degrees():
 
 
 def test_compare_series_reports_first_mismatch():
-    a = Series.from_ints(Z9, 4, [1, 2, 3, 4])
-    b = Series.from_ints(Z9, 5, [1, 2, 5, 4, 0])
+    a = series_from_ints(Z9, 4, [1, 2, 3, 4])
+    b = series_from_ints(Z9, 5, [1, 2, 5, 4, 0])
     cmp = compare_series(a, b)
     assert cmp == (False, 4, 2)
-    assert compare_series(a, Series.from_ints(Z9, 3, [1, 2, 3])).equal
+    assert compare_series(a, series_from_ints(Z9, 3, [1, 2, 3])).equal
 
 
 def test_compare_series_ring_mismatch():
     with pytest.raises(InvariantViolation):
-        compare_series(Series.from_ints(Z9, 1, [1]),
-                       Series.from_ints(CoeffRing(2, 3), 1, [1]))
+        compare_series(series_from_ints(Z9, 1, [1]),
+                       series_from_ints(CoeffRing(2, 3), 1, [1]))
 
 
 def test_series_spread_geometric():
-    ones = Series.from_ints(Z9, 5, [1] * 5)
+    ones = series_from_ints(Z9, 5, [1] * 5)
     sp = series_spread(ones, 2, 9)
     assert list(sp.coeffs) == [Z9.int_embed(v) for v in [1, 0, 1, 0, 1, 0, 1, 0, 1]]
     with pytest.raises(InvariantViolation):

@@ -815,19 +815,20 @@ def test_howell_width_is_the_certified_bound(monkeypatch):
 def test_ideal_class_validation_and_product():
     y = _y(Z9)
     with pytest.raises(InvariantViolation):
-        IdealClass(Z9, [y], [Poly.from_ints(Z9, [3, 1])])
+        IdealClass(Z9, [y, _y(GAUSS9)])
     a = IdealClass(Z9, [y])
     b = IdealClass(Z9, [Poly.from_ints(Z9, [3]), y])
     ab = a * b
     assert len(ab.num_gens) == 2
+    with pytest.raises(InvariantViolation):
+        a * IdealClass(GAUSS9, [_y(GAUSS9)])
 
 
 def test_ideal_class_cross_cancellation():
     y = _y(Z9)
     c = Poly.from_ints(Z9, [1, 2])  # unit constant term
-    a = IdealClass(Z9, [y * c], [c])
-    b = IdealClass(Z9, [y])
-    assert ideal_classes_equal(a, b, 16)
+    assert ideal_classes_equal(IdealClass(Z9, [y * c]), IdealClass(Z9, [y]),
+                               16)
 
 
 def test_precision_mismatch_is_loud():
@@ -841,19 +842,6 @@ def test_precision_mismatch_is_loud():
     assert ideal_classes_equal(y12, b, 3)
 
 
-def _cross_multiplied_equal(a, b, prec):
-    """ideal_classes_equal with every numerator multiplied by every
-    denominator of the other class, 1 included."""
-    wide = [ideal_canonical_form(a.ring, gens, prec + GUARD) for gens in (
-        [x * d for x in a.num_gens for d in b.den_gens],
-        [y * d for y in b.num_gens for d in a.den_gens])]
-    first = _truncate_form(a.ring, wide[0], prec) == _truncate_form(
-        a.ring, wide[1], prec)
-    if first != (wide[0] == wide[1]):
-        raise PrecisionMismatch("flips")
-    return first
-
-
 def _verdict(compare, a, b, prec):
     try:
         return compare(a, b, prec)
@@ -861,61 +849,78 @@ def _verdict(compare, a, b, prec):
         return "mismatch"
 
 
-def _ideal_class_pairs(rng, ring, dens):
-    """Pairs of classes with the denominators dens() draws: random
-    generators, a class against itself times a unit, and y^6 against 0,
-    which flips between T^5 and T^13."""
-    def gens(k):
-        return [Poly(ring, [_rand_elt(ring, rng)
-                            for _ in range(rng.randrange(1, 5))])
-                for _ in range(k)]
-    y = _y(ring)
+def _rand_in_P(ring, rng):
+    """A polynomial of degree up to 3 with a unit constant term."""
+    while True:
+        c = _rand_elt(ring, rng)
+        if ring.is_unit(c):
+            return Poly(ring, [c] + [_rand_elt(ring, rng)
+                                     for _ in range(rng.randrange(4))])
+
+
+def _ideal_class_pairs(rng, ring):
+    """Pairs of classes: random generators, a class against itself times
+    a unit, and y^6 against 0, which flips between T^5 and T^13."""
     for _ in range(6):
-        yield (IdealClass(ring, gens(rng.randrange(1, 3)), dens()),
-               IdealClass(ring, gens(rng.randrange(1, 3)), dens()), 6)
-        a = gens(2)
-        unit = Poly(ring, [ring.one, _rand_elt(ring, rng)])
-        yield (IdealClass(ring, a, dens()),
-               IdealClass(ring, [g * unit for g in a], dens()), 8)
+        yield (IdealClass(ring, _rand_gens(ring, rng)),
+               IdealClass(ring, _rand_gens(ring, rng)), 6)
+        a = _rand_gens(ring, rng)
+        unit = _rand_in_P(ring, rng)
+        yield IdealClass(ring, a), IdealClass(ring, [g * unit for g in a]), 8
+    y = _y(ring)
     y6 = y * y * y * y * y * y
-    yield (IdealClass(ring, [y6], dens()),
-           IdealClass(ring, [Poly.zero(ring)], dens()), 5)
+    yield IdealClass(ring, [y6]), IdealClass(ring, [Poly.zero(ring)]), 5
 
 
-def test_ideal_classes_with_unit_denominators_take_no_products(
-        monkeypatch):
+def _two_precision_equal(a, b, prec):
+    """ideal_classes_equal with each form computed at both precisions
+    rather than cut from the wider one."""
+    first, second = (ideal_canonical_form(a.ring, a.num_gens, p)
+                     == ideal_canonical_form(b.ring, b.num_gens, p)
+                     for p in (prec, prec + GUARD))
+    if first != second:
+        raise PrecisionMismatch("flips")
+    return first
+
+
+def test_ideal_classes_equal_takes_no_products(monkeypatch):
     rng = random.Random(83)
     cases = [pair for ring in (Z9, GAUSS9)
-             for pair in _ideal_class_pairs(rng, ring, lambda: None)]
-    want = [_verdict(_cross_multiplied_equal, *c) for c in cases]
+             for pair in _ideal_class_pairs(rng, ring)]
+    want = [_verdict(_two_precision_equal, *c) for c in cases]
     assert {True, False, "mismatch"} <= set(want)
 
     def no_product(self, other):
-        raise AssertionError("a product by the default denominator")
+        raise AssertionError("a product in the ideal comparison")
 
     monkeypatch.setattr(Poly, "__mul__", no_product)
     assert [_verdict(ideal_classes_equal, *c) for c in cases] == want
 
 
-def test_ideal_classes_with_denominators_keep_their_verdicts():
+def test_ideal_classes_times_p_elements_keep_their_verdicts():
+    """An element of P is a unit mod every power of T, so a generator
+    list times one or two of them spans the same ideal: the canonical
+    forms agree at every precision, and so do the verdicts."""
     rng = random.Random(89)
-
-    def draw_dens(ring):
-        def dens():
-            return [Poly(ring, [ring.one, _rand_elt(ring, rng)])
+    verdicts = set()
+    for ring in (Z9, GAUSS9, CoeffRing(5, 1, (4, 0, 1))):
+        def times_P(cls):
+            dens = [_rand_in_P(ring, rng)
                     for _ in range(rng.randrange(1, 3))]
-        return dens
+            return IdealClass(ring, [g * d for g in cls.num_gens
+                                     for d in dens])
 
-    cases = [pair for ring in (Z9, GAUSS9)
-             for pair in _ideal_class_pairs(rng, ring, draw_dens(ring))]
-    # one side with the default denominator, the other side without
-    cases += [(IdealClass(Z9, [_y(Z9)]),
-               IdealClass(Z9, [_y(Z9) * c], [c]), 8)
-              for c in (Poly.from_ints(Z9, [1, 3]),
-                        Poly.from_ints(Z9, [4, 1, 2]))]
-    got = [_verdict(ideal_classes_equal, *c) for c in cases]
-    assert got == [_verdict(_cross_multiplied_equal, *c) for c in cases]
-    assert {True, False, "mismatch"} <= set(got)
+        for a, b, prec in _ideal_class_pairs(rng, ring):
+            a_P = times_P(a)
+            for p in range(3, 12):
+                assert (ideal_canonical_form(ring, a.num_gens, p)
+                        == ideal_canonical_form(ring, a_P.num_gens, p))
+            want = _verdict(ideal_classes_equal, a, b, prec)
+            assert _verdict(ideal_classes_equal, a_P, b, prec) == want
+            assert _verdict(ideal_classes_equal, a_P, times_P(b),
+                            prec) == want
+            verdicts.add(want)
+    assert verdicts == {True, False, "mismatch"}
 
 
 # --- Fitting ideal and characteristic element

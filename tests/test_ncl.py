@@ -160,7 +160,7 @@ def test_product_and_inverse_of_classes():
     rho = _char_rep(Z9, g, 1, 2)
     prod = k1 * k1.inverse()
     rf = ncl_evaluate(prod, rho)
-    one = RationalFunction.one(Z9)
+    one = RationalFunction(Poly.one(Z9))
     assert rf == one
     assert ncl_evaluate(k1, rho) * ncl_evaluate(k1.inverse(), rho) == one
 

@@ -109,12 +109,19 @@ def _outside_texts():
             for path in sorted(folder.glob("*.py"))]
 
 
+def _decorators(fn):
+    return {getattr(d, "id", None) for d in fn.decorator_list}
+
+
 def test_no_dead_methods():
-    """Every method of an nclfun class, dunders aside, is named as
-    `.name` in the package outside its own def (a word match), in the
-    benchmark or in the demos.  A method that only the tests call fails
-    here: it leaves the package, and the tests keep a helper of their
-    own."""
+    """Every method of an nclfun class, dunders aside, has a user in the
+    package outside its own def, in the benchmark or in the demos.  A
+    classmethod counts only where it is named as `Cls.name` or
+    `cls.name`, a property wherever `.name` is read, and any other
+    method only where it is called, as `.name(`: an attribute of the
+    same name on some other object is no use.  A method that only the
+    tests call fails here: it leaves the package, and the tests keep a
+    helper of their own."""
     texts = {path.stem: path.read_text()
              for path in sorted(PACKAGE.glob("*.py"))}
     others = _outside_texts()
@@ -129,8 +136,15 @@ def test_no_dead_methods():
                 if (not isinstance(fn, ast.FunctionDef)
                         or fn.name.startswith("__")):
                     continue
+                kind = _decorators(fn)
+                if "classmethod" in kind:
+                    use = rf"\b(?:{cls.name}|cls)\.{fn.name}\b"
+                elif "property" in kind:
+                    use = rf"\.{fn.name}\b"
+                else:
+                    use = rf"\.{fn.name}\("
                 rest = lines[:fn.lineno - 1] + lines[fn.end_lineno:]
-                if not re.search(rf"\.{fn.name}\b",
+                if not re.search(use,
                                  "\n".join(rest + rest_of_package + others)):
                     dead.append(f"{module}.{cls.name}.{fn.name}")
     assert not dead
