@@ -23,14 +23,14 @@ from nclfun.lfun import (
 PREC = 16
 
 ring = CoeffRing(3, 2)          # coefficients in Z/9
-group = GroupData(2, [[0, 1], [1, 0]], [0, 1], 1)
+group = GroupData([[0, 1], [1, 0]], [0, 1])
 
 # three closed points; the degree-2 one carries the nontrivial element
 points = [Point(1, 0, 1), Point(1, 1, 1), Point(2, 1, 2)]
-cov = CoveringSpec(5, 3, 2, ring, group, points)
+cov = CoveringSpec(5, ring, group, points)
 
 # the sign character, with gamma acting by the unit 2
-sign = Rep(ring, group, 1,
+sign = Rep(ring, group,
            [[[ring.one]], [[ring.int_embed(-1)]]],
            [[ring.int_embed(2)]])
 

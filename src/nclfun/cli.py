@@ -430,10 +430,22 @@ def cmd_suite_run(args):
 # wiring
 # ---------------------------------------------------------------------------
 
+def _positive_int(raw):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, not {raw!r}")
+    return value
+
+
 def build_parser():
     # --precision goes only to the commands that read it
     precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", type=int, default=32,
+    precision.add_argument("--precision", type=_positive_int, default=32,
                            help="series precision (number of coefficients)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json-lines"),
@@ -500,7 +512,7 @@ def build_parser():
     sts = st.add_subparsers(dest="sub_cmd", required=True)
     sr = sts.add_parser("run", parents=[precision, common])
     sr.add_argument("--seed", type=int, default=0)
-    sr.add_argument("--count", type=int, default=9)
+    sr.add_argument("--count", type=_positive_int, default=9)
     sr.set_defaults(func=cmd_suite_run)
     return top
 

@@ -80,21 +80,6 @@ def _fl_mod(a, b, ell):
     return _fl_divmod(a, b, ell)[1]
 
 
-def _fl_gcd(a, b, ell):
-    a = _fl_trim(c % ell for c in a)
-    b = _fl_trim(c % ell for c in b)
-    while b:
-        a, b = b, _fl_mod(a, b, ell)
-    if a:
-        inv = pow(a[-1], -1, ell)
-        a = tuple(c * inv % ell for c in a)
-    return a
-
-
-def _fl_derivative(p, ell):
-    return _fl_trim((i * p[i]) % ell for i in range(1, len(p)))
-
-
 def _monic_polys(ell, d):
     # all monic polynomials of degree d, lexicographic in the low coeffs
     def rec(k):
@@ -107,10 +92,11 @@ def _monic_polys(ell, d):
     return rec(0)
 
 
-def _fl_factor_squarefree(f, ell):
-    """Monic irreducible factors of a square-free monic f over F_l,
-    found by trial division, smallest degree first and lexicographic
-    within each degree.  Deterministic, which downstream code relies on."""
+def _fl_factor(f, ell):
+    """Monic irreducible factors of a monic f over F_l, repeated by
+    multiplicity, found by trial division, smallest degree first and
+    lexicographic within each degree.  Deterministic, which downstream
+    code relies on; f is square free exactly when no factor repeats."""
     f = _fl_trim(c % ell for c in f)
     factors = []
     d = 1
@@ -162,11 +148,10 @@ class CoeffRing:
                 "minimal polynomial must be monic of degree >= 1")
         self.minpoly = minpoly
         self.deg = len(minpoly) - 1
-        fbar = _fl_trim(c % ell for c in minpoly)
-        if _fl_gcd(fbar, _fl_derivative(fbar, ell), ell) != (1,):
+        self.components = _fl_factor(minpoly, ell)
+        if len(set(self.components)) != len(self.components):
             raise InvariantViolation(
                 "minimal polynomial is not square free modulo the prime")
-        self.components = _fl_factor_squarefree(fbar, ell)
         # the order of the unit group: the radical has l^((m - 1) D)
         # elements, and Omega mod it is the product of the F_l[x]/(g)
         self._unit_order = ell ** ((m - 1) * self.deg)
@@ -388,28 +373,15 @@ def mat_inverse_omega(ring, A):
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Polynomial over a CoeffRing, coefficients ascending, trailing zeros
-    stripped.  The zero polynomial has an empty coefficient tuple and
-    reports degree -1."""
+    """Polynomial over a CoeffRing: coefficients are reduced ring elements,
+    ascending, with trailing zeros stripped.  The zero polynomial has an
+    empty coefficient tuple and reports degree -1."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        cs = [ring.element(c) if not isinstance(c, tuple) else c
-              for c in coeffs]
-        while cs and ring.is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _from_reduced(cls, ring, coeffs):
-        """A Poly from a sequence of reduced ring elements (tuples), with
-        only the trailing zeros stripped: none of the per-coefficient
-        checks of __init__."""
-        p = cls.__new__(cls)
-        p.ring, p.coeffs = ring, tuple(_strip(coeffs))
-        return p
+        self.coeffs = _strip(tuple(coeffs))
 
     @classmethod
     def from_ints(cls, ring, ints):
@@ -454,8 +426,8 @@ class Poly:
 
     def __mul__(self, other):
         self._need_same_ring(other)
-        return Poly._from_reduced(
-            self.ring, _poly_dot(self.ring, (self.coeffs,), (other.coeffs,)))
+        return Poly(self.ring,
+                    _poly_dot(self.ring, (self.coeffs,), (other.coeffs,)))
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring == other.ring
@@ -627,7 +599,7 @@ class PolyOps:
 
     def dot(self, xs, ys):
         """The sum of a * b over the pairs of zip(xs, ys), as one Poly."""
-        return Poly._from_reduced(self.ring, _poly_dot(
+        return Poly(self.ring, _poly_dot(
             self.ring, [a.coeffs for a in xs], [b.coeffs for b in ys]))
 
 
@@ -650,8 +622,7 @@ class Series:
     def __init__(self, ring, prec, coeffs):
         if prec < 1:
             raise InvariantViolation("series precision must be at least 1")
-        cs = [ring.element(c) if not isinstance(c, tuple) else c
-              for c in coeffs]
+        cs = list(coeffs)
         if len(cs) < prec:
             cs.extend([ring.zero] * (prec - len(cs)))
         self.ring = ring
@@ -813,8 +784,7 @@ def poly_det(mat, ring):
     count += -count % X
     half = 1 << (w - 1)
     vals = _unpack(det + int(("1" + "0" * (w - 1)) * count, 2), count, w)
-    return Poly._from_reduced(
-        ring, _reduce_slots(ring, [v - half for v in vals], X))
+    return Poly(ring, _reduce_slots(ring, [v - half for v in vals], X))
 
 
 def det_one_minus_scaled(ring, A, d):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .coeffring import CoeffRing
-from .errors import InvariantViolation, NotASubgroup, ParseError
+from .errors import InvalidGroup, InvariantViolation, NotASubgroup, ParseError
 from .groupalg import (
     GElement,
     GroupData,
@@ -55,34 +55,31 @@ class Point:
 class CoveringSpec:
     """Base field size, coefficient ring, group chop, and closed points.
 
+    The coefficient prime l and exponent m are those of the ring.
     complete_through = N states that the points include every closed
     point of degree at most N, so products over them are right mod
     T^(N + 1); None states nothing."""
 
-    def __init__(self, q, ell, m, ring, group, points,
-                 complete_through=None):
-        self.q = int(q)
-        self.ell = int(ell)
-        self.m = int(m)
+    def __init__(self, q, ring, group, points, complete_through=None):
+        self.q = q
         self.ring = ring
         self.group = group
         self.points = tuple(points)
         self.complete_through = complete_through
-        if self.q < 2:
+        if q < 2:
             raise InvariantViolation("base field size must be at least 2")
-        if gcd(self.q, self.ell) != 1:
+        if gcd(q, ring.ell) != 1:
             raise InvariantViolation(
                 "coefficient prime must be invertible in the base field")
-        if (ring.ell, ring.m) != (self.ell, self.m):
-            raise InvariantViolation("ring modulus disagrees with ell, m")
-        group_validate(group, ell)
+        group_validate(group, ring.ell)
         for p in self.points:
             if not 0 <= p.h < group.order:
                 raise InvariantViolation(f"point H-part {p.h} out of range")
 
     def __repr__(self):
-        return (f"CoveringSpec(q={self.q}, ell={self.ell}, m={self.m}, "
-                f"|H|={self.group.order}, points={len(self.points)})")
+        return (f"CoveringSpec(q={self.q}, ell={self.ring.ell}, "
+                f"m={self.ring.m}, |H|={self.group.order}, "
+                f"points={len(self.points)})")
 
 
 @dataclass
@@ -97,21 +94,17 @@ class CohomologySpec:
 
     def __init__(self, ring, degrees, matrices):
         self.ring = ring
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(degrees)
         if len(self.degrees) != len(set(self.degrees)):
             raise InvariantViolation("cohomology degrees repeat")
         if list(self.degrees) != sorted(self.degrees):
             raise InvariantViolation("cohomology degrees must be ascending")
-        mats = []
-        for mat in matrices:
-            mat = [[ring.element(c) if not isinstance(c, tuple) else c
-                    for c in row] for row in mat]
-            if any(len(row) != len(mat) for row in mat):
-                raise InvariantViolation("cohomology matrix is not square")
-            mats.append(tuple(tuple(row) for row in mat))
-        if len(mats) != len(self.degrees):
+        self.matrices = tuple(tuple(tuple(row) for row in mat)
+                              for mat in matrices)
+        if any(len(row) != len(mat) for mat in self.matrices for row in mat):
+            raise InvariantViolation("cohomology matrix is not square")
+        if len(self.matrices) != len(self.degrees):
             raise InvariantViolation("one matrix per degree required")
-        self.matrices = tuple(mats)
 
 
 @dataclass
@@ -195,7 +188,7 @@ def _matrix(ring, v, size, context):
     return [[_entry_to_elem(ring, c, context) for c in row] for row in v]
 
 
-def _build_rep(fields, prefix, base_ring, ell, m, group):
+def _build_rep(fields, prefix, base_ring, group):
     rank = _take(fields, f"{prefix}.rank")
     if not isinstance(rank, int) or rank < 1:
         raise ParseError(f"{prefix}.rank must be a positive integer")
@@ -203,7 +196,7 @@ def _build_rep(fields, prefix, base_ring, ell, m, group):
     if minpoly is None:
         ring = base_ring
     else:
-        ring = CoeffRing(ell, m, minpoly)
+        ring = CoeffRing(base_ring.ell, base_ring.m, minpoly)
     h_raw = _take(fields, f"{prefix}.h_images")
     if not isinstance(h_raw, list) or len(h_raw) != group.order:
         raise ParseError(
@@ -212,7 +205,7 @@ def _build_rep(fields, prefix, base_ring, ell, m, group):
           for i, mat in enumerate(h_raw)]
     gam = _matrix(ring, _take(fields, f"{prefix}.gamma"), rank,
                   f"{prefix}.gamma")
-    return Rep(ring, group, rank, hs, gam)
+    return Rep(ring, group, hs, gam)
 
 
 def parse_instance(text):
@@ -239,7 +232,20 @@ def parse_instance(text):
     table = _take(fields, "group.table")
     action = _take(fields, "group.action")
     action_order = _take(fields, "group.action_order")
-    group = GroupData(order, table, action, action_order)
+    for key, v in (("order", order), ("action_order", action_order)):
+        if not isinstance(v, int):
+            raise InvalidGroup(f"group.{key} must be an integer")
+    group = GroupData(table, action)
+    # the stated order and action order are redundant: check them
+    if order != group.order:
+        raise InvalidGroup(f"group.order {order} disagrees with the table "
+                           f"of order {group.order}")
+    if action_order % group.action_order:
+        raise InvalidGroup(f"group.action_order: action does not have "
+                           f"order {action_order}")
+    if action_order != group.action_order:
+        raise InvalidGroup(f"group.action_order {action_order} is not exact; "
+                           f"true order is {group.action_order}")
 
     pts_raw = _take(fields, "points")
     if not isinstance(pts_raw, list):
@@ -265,8 +271,8 @@ def parse_instance(text):
                                  or complete < 1):
         raise ParseError("points.complete_through must be a positive integer")
 
-    covering = CoveringSpec(q, ell, m, ring, group, points, complete)
-    sheaf = SheafSpec(_build_rep(fields, "sheaf", ring, ell, m, group))
+    covering = CoveringSpec(q, ring, group, points, complete)
+    sheaf = SheafSpec(_build_rep(fields, "sheaf", ring, group))
 
     coh = None
     if "cohomology.degrees" in fields or "cohomology.matrices" in fields:
@@ -274,6 +280,8 @@ def parse_instance(text):
         mats_raw = _take(fields, "cohomology.matrices")
         if not isinstance(degs, list) or not isinstance(mats_raw, list):
             raise ParseError("cohomology sections must be lists")
+        if not all(isinstance(d, int) for d in degs):
+            raise ParseError("cohomology.degrees must be a list of integers")
         if len(degs) != len(mats_raw):
             raise ParseError("cohomology.matrices must align with degrees")
         mats = []
@@ -291,7 +299,7 @@ def parse_instance(text):
     for name in rep_names:
         if not name.isidentifier():
             raise ParseError(f"rep name {name!r} is not an identifier")
-        reps[name] = _build_rep(fields, f"rep.{name}", ring, ell, m, group)
+        reps[name] = _build_rep(fields, f"rep.{name}", ring, group)
 
     sub_names = sorted({k.split(".", 2)[1] for k in fields
                         if k.startswith("subgroup.")})
@@ -338,8 +346,8 @@ def render_instance(inst):
     lines = [
         f"format = {FORMAT_TAG}",
         f"q = {cov.q}",
-        f"ell = {cov.ell}",
-        f"m = {cov.m}",
+        f"ell = {ring.ell}",
+        f"m = {ring.m}",
         f"omega.minpoly = {list(ring.minpoly)!r}",
         f"group.order = {cov.group.order}",
         f"group.table = {[list(r) for r in cov.group.table]!r}",
@@ -457,8 +465,7 @@ def subcover_points(cov: CoveringSpec, U: OpenSubgroup):
             local_deg = total // c
             new_points.append(Point(local_deg, amb_to_loc[u.h], local_deg))
 
-    sub_cov = CoveringSpec(cov.q ** c, cov.ell, cov.m, cov.ring,
-                           sub_gd, new_points)
+    sub_cov = CoveringSpec(cov.q ** c, cov.ring, sub_gd, new_points)
     return sub_cov, loc_to_amb
 
 
@@ -471,5 +478,5 @@ def push_covering_quotient(cov: CoveringSpec, members):
     projected along the quotient map."""
     qd, proj = quotient_by_normal(cov.group, members)
     pts = [Point(p.degree, proj[p.h], p.gamma_exp) for p in cov.points]
-    out = CoveringSpec(cov.q, cov.ell, cov.m, cov.ring, qd, pts)
+    out = CoveringSpec(cov.q, cov.ring, qd, pts)
     return out, proj

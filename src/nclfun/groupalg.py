@@ -53,25 +53,23 @@ class GroupData:
     """Multiplication table of H plus the action of gamma.
 
     table[i][j] is the index of h_i * h_j; index 0 is the identity.
-    action is a permutation giving alpha(h_i) = h_{action[i]}, and
-    action_order its exact order.  Construction runs every structural
-    check; group_validate adds the prime-power constraint on
-    action_order.
+    action is a permutation giving alpha(h_i) = h_{action[i]}.  The
+    order of H is the size of the table and action_order the exact
+    order of the action.  Construction runs every structural check;
+    group_validate adds the prime-power constraint on action_order.
     """
 
-    def __init__(self, order, table, action, action_order):
+    def __init__(self, table, action):
         for key, value, depth, what in (
-                ("order", order, 0, "an integer"),
                 ("table", table, 2, "a list of rows of integers"),
-                ("action", action, 1, "a list of integers"),
-                ("action_order", action_order, 0, "an integer")):
+                ("action", action, 1, "a list of integers")):
             if not _nested_ints(value, depth):
                 raise InvalidGroup(f"group.{key} must be {what}")
-        self.order = order
         self.table = tuple(tuple(row) for row in table)
         self.action = tuple(action)
-        self.action_order = action_order
+        self.order = len(self.table)
         _check_structure(self)
+        self.action_order = _perm_order(self.action)
         self.inv = tuple(row.index(0) for row in self.table)
         self._action_pows = self._build_action_pows()
 
@@ -94,11 +92,10 @@ class GroupData:
 
     def __eq__(self, other):
         return (isinstance(other, GroupData)
-                and (self.order, self.table, self.action, self.action_order)
-                == (other.order, other.table, other.action, other.action_order))
+                and (self.table, self.action) == (other.table, other.action))
 
     def __hash__(self):
-        return hash((self.order, self.table, self.action, self.action_order))
+        return hash((self.table, self.action))
 
     def __repr__(self):
         return f"GroupData(order={self.order}, action_order={self.action_order})"
@@ -114,9 +111,9 @@ class GElement:
 def _check_structure(gd: GroupData):
     n = gd.order
     if n < 1:
-        raise InvalidGroup("order must be positive")
-    if len(gd.table) != n or any(len(row) != n for row in gd.table):
-        raise InvalidGroup("table is not square of the declared order")
+        raise InvalidGroup("table is empty")
+    if any(len(row) != n for row in gd.table):
+        raise InvalidGroup("table is not square")
     for i in range(n):
         for j in range(n):
             if not 0 <= gd.table[i][j] < n:
@@ -146,15 +143,6 @@ def _check_structure(gd: GroupData):
         for j in range(n):
             if gd.action[gd.table[i][j]] != gd.table[gd.action[i]][gd.action[j]]:
                 raise InvalidGroup(f"action is not multiplicative at ({i},{j})")
-    e = gd.action_order
-    if e < 1:
-        raise InvalidGroup("action_order must be positive")
-    true_order = _perm_order(gd.action)
-    if e % true_order:
-        raise InvalidGroup(f"action does not have order {e}")
-    if true_order != e:
-        raise InvalidGroup(
-            f"action_order {e} is not exact; true order is {true_order}")
 
 
 def _perm_order(perm):
@@ -199,12 +187,11 @@ class CrossedLaurent:
         self.group = group
         clean = {}
         for a, vec in (terms or {}).items():
-            vec = tuple(ring.element(c) if not isinstance(c, tuple) else c
-                        for c in vec)
+            vec = tuple(vec)
             if len(vec) != group.order:
                 raise InvariantViolation("coefficient vector has wrong length")
             if any(not ring.is_zero(c) for c in vec):
-                clean[int(a)] = vec
+                clean[a] = vec
         self.terms = clean
 
     @classmethod
@@ -282,25 +269,22 @@ class Rep:
     """Matrix representation of H \\rtimes Gamma over a coefficient ring.
 
     h_images[i] is the matrix of h_i; gamma is the matrix of the
-    distinguished generator.  Validation enforces the multiplication
-    table, invertibility of gamma, and the compatibility
+    distinguished generator, whose size is the dimension.  Validation
+    enforces square matrices of that size, the multiplication table,
+    invertibility of gamma, and the compatibility
     gamma rho(h) gamma^{-1} = rho(alpha(h)).
     """
 
     __slots__ = ("ring", "group", "dim", "h_images", "gamma",
                  "_gamma_inv", "_gamma_pows")
 
-    def __init__(self, ring, group, dim, h_images, gamma, check=True):
+    def __init__(self, ring, group, h_images, gamma, check=True):
         self.ring = ring
         self.group = group
-        self.dim = int(dim)
-        self.h_images = tuple(
-            tuple(tuple(ring.element(c) if not isinstance(c, tuple) else c
-                        for c in row) for row in mat)
-            for mat in h_images)
-        self.gamma = tuple(
-            tuple(ring.element(c) if not isinstance(c, tuple) else c
-                  for c in row) for row in gamma)
+        self.dim = len(gamma)
+        self.h_images = tuple(tuple(tuple(row) for row in mat)
+                              for mat in h_images)
+        self.gamma = tuple(tuple(row) for row in gamma)
         self._gamma_inv = None
         self._gamma_pows = {}
         if check:
@@ -312,7 +296,7 @@ class Rep:
             raise InvariantViolation("one matrix per group element required")
         for mat in self.h_images + (self.gamma,):
             if len(mat) != r or any(len(row) != r for row in mat):
-                raise InvariantViolation("matrix dimensions disagree with dim")
+                raise InvariantViolation("matrices are not square of one size")
         ident = tuple(tuple(row) for row in mat_identity(R, r))
         if self.h_images[0] != ident:
             raise InvariantViolation("identity element must map to identity")
@@ -363,7 +347,7 @@ class Rep:
 
 def trivial_rep(ring, group):
     ident = [[ring.one]]
-    return Rep(ring, group, 1, [ident] * group.order, ident)
+    return Rep(ring, group, [ident] * group.order, ident)
 
 
 def _embed_scalar(c, src: CoeffRing, dst: CoeffRing):
@@ -416,7 +400,7 @@ def tensor_rep(r1: Rep, r2: Rep) -> Rep:
         hs.append(kron(emb(r1.h_images[i], r1.ring),
                        emb(r2.h_images[i], r2.ring)))
     gam = kron(emb(r1.gamma, r1.ring), emb(r2.gamma, r2.ring))
-    return Rep(ring, r1.group, r1.dim * r2.dim, hs, gam, check=False)
+    return Rep(ring, r1.group, hs, gam, check=False)
 
 
 def theta_rho(x: CrossedLaurent, rho: Rep):
@@ -506,8 +490,8 @@ class OpenSubgroup:
 
     def __init__(self, group: GroupData, h_members, c):
         self.group = group
-        self.c = int(c)
-        if self.c < 1:
+        self.c = c
+        if c < 1:
             raise NotASubgroup("gamma index must be positive")
         mem = _member_set(group, h_members)
         self.h_members = mem
@@ -536,7 +520,7 @@ def subgroup_group_data(U: OpenSubgroup):
     table = [[amb_to_loc[amb.table[loc_to_amb[i]][loc_to_amb[j]]]
               for j in range(n)] for i in range(n)]
     action = [amb_to_loc[amb.act(U.c, loc_to_amb[i])] for i in range(n)]
-    return GroupData(n, table, action, _perm_order(action)), loc_to_amb
+    return GroupData(table, action), loc_to_amb
 
 
 def restrict_rep(rho: Rep, U: OpenSubgroup) -> Rep:
@@ -547,8 +531,7 @@ def restrict_rep(rho: Rep, U: OpenSubgroup) -> Rep:
     again."""
     sub_gd, loc_to_amb = subgroup_group_data(U)
     hs = [rho.h_images[h] for h in loc_to_amb]
-    return Rep(rho.ring, sub_gd, rho.dim, hs, rho.gamma_pow(U.c),
-               check=False)
+    return Rep(rho.ring, sub_gd, hs, rho.gamma_pow(U.c), check=False)
 
 
 def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
@@ -614,7 +597,7 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
 
     hs = [act_matrix(GElement(h, 0)) for h in range(amb.order)]
     gam = act_matrix(GElement(0, 1))
-    return Rep(R, amb, n * w, hs, gam, check=False)
+    return Rep(R, amb, hs, gam, check=False)
 
 
 def quotient_by_normal(gd: GroupData, members):
@@ -649,7 +632,7 @@ def quotient_by_normal(gd: GroupData, members):
     table = [[proj[gd.table[names[i]][names[j]]] for j in range(nq)]
              for i in range(nq)]
     action = [proj[gd.action[names[i]]] for i in range(nq)]
-    return GroupData(nq, table, action, _perm_order(action)), proj
+    return GroupData(table, action), proj
 
 
 def push_rep_through_quotient(rho_q: Rep, gd: GroupData, proj) -> Rep:
@@ -659,4 +642,4 @@ def push_rep_through_quotient(rho_q: Rep, gd: GroupData, proj) -> Rep:
     a homomorphism carrying the action along, which nothing here
     checks."""
     hs = [rho_q.h_images[proj[h]] for h in range(gd.order)]
-    return Rep(rho_q.ring, gd, rho_q.dim, hs, rho_q.gamma)
+    return Rep(rho_q.ring, gd, hs, rho_q.gamma)

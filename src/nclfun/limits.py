@@ -535,7 +535,7 @@ def fitting_ideal(module):
                 reduced.append(row)
         rows = reduced
         ncols -= 1
-    rows = [[Poly._from_reduced(R, p) for p in row] for row in rows]
+    rows = [[Poly(R, p) for p in row] for row in rows]
     gens = []
     seen = set()
     for subset in combinations(range(len(rows)), ncols):
@@ -567,8 +567,8 @@ def char_element(ring, Phi):
         out = [a + b for a, b in zip(out + [0] * D, [0] * D + out)]
         out[:D] = [a + b for a, b in zip(out, c)]
     M = ring.modulus
-    return Poly._from_reduced(ring, [tuple([v % M for v in out[k:k + D]])
-                                     for k in range(0, len(out), D)])
+    return Poly(ring, [tuple([v % M for v in out[k:k + D]])
+                       for k in range(0, len(out), D)])
 
 
 def iwasawa_transform(ring, f, s):
@@ -589,7 +589,7 @@ def iwasawa_transform(ring, f, s):
         terms = [(comb(s - k, j), c) for k, c in enumerate(fs) if k <= s - j]
         out.append(tuple([sum([b * c[t] for b, c in terms]) % M
                           for t in range(ring.deg)]))
-    return Poly._from_reduced(ring, out)
+    return Poly(ring, out)
 
 
 def verify_mc_commutative(ring, Phi, prec=32, tower=None):

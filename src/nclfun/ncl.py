@@ -182,6 +182,20 @@ def theta_matrix(mat, rho):
     return block_matrix([[theta_rho(e, rho) for e in row] for row in mat])
 
 
+def _one_minus_g_times(ring, gd, g, A):
+    """The crossed matrix Id - g A for a group element g and a square
+    Omega matrix A: entry (i, j) is delta_ij - A_ij g."""
+    one = CrossedLaurent.one(ring, gd)
+    mat = []
+    for i, row in enumerate(A):
+        out = []
+        for j, a in enumerate(row):
+            e = CrossedLaurent.monomial(ring, gd, g, a)
+            out.append(one - e if i == j else -e)
+        mat.append(out)
+    return mat
+
+
 def ncl_from_points(cov, sheaf):
     """The product over points of the classes of Id - M_x, inverted,
     where M_x carries the sheaf matrix of Frobenius at the inverse group
@@ -195,24 +209,10 @@ def ncl_from_points(cov, sheaf):
         raise InvariantViolation("sheaf group does not match the covering")
     ring = rep.ring
     gd = cov.group
-    r = rep.dim
 
     def local_matrix(pt):
         sig = pt.frobenius()
-        ginv = gd.g_inv(sig)
-        A = rep.of(sig)
-        mat = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                e = CrossedLaurent.monomial(ring, gd, ginv, A[i][j])
-                if i == j:
-                    e = CrossedLaurent.one(ring, gd) - e
-                else:
-                    e = -e
-                row.append(e)
-            mat.append(row)
-        return mat
+        return _one_minus_g_times(ring, gd, gd.g_inv(sig), rep.of(sig))
 
     mats = {pt: local_matrix(pt) for pt in set(cov.points)}
     return K1Class(ring, gd, [(mats[pt], -1) for pt in cov.points])
@@ -230,22 +230,9 @@ def ncl_from_cohomology(cov, coh):
         raise WrongGroup("cohomology route needs a trivial finite layer")
     ring = coh.ring
     ginv = GElement(0, -1)
-    factors = []
-    for d, Phi in zip(coh.degrees, coh.matrices):
-        n = len(Phi)
-        mat = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                e = CrossedLaurent.monomial(ring, gd, ginv, Phi[i][j])
-                if i == j:
-                    e = CrossedLaurent.one(ring, gd) - e
-                else:
-                    e = -e
-                row.append(e)
-            mat.append(row)
-        factors.append((mat, 1 if d % 2 else -1))
-    return K1Class(ring, gd, factors)
+    return K1Class(ring, gd, [(_one_minus_g_times(ring, gd, ginv, Phi),
+                               1 if d % 2 else -1)
+                              for d, Phi in zip(coh.degrees, coh.matrices)])
 
 
 def ncl_evaluate(k1, rho, prec=None):
@@ -331,7 +318,7 @@ def ncl_push_quotient(cov, sheaf, members):
         if qi not in reps_of:
             reps_of[qi] = h
     h_images_q = [rep.h_images[reps_of[qi]] for qi in range(gd_q.order)]
-    rep_q = Rep(ring, gd_q, rep.dim, h_images_q, rep.gamma)
+    rep_q = Rep(ring, gd_q, h_images_q, rep.gamma)
     k1 = ncl_from_points(cov, sheaf)
     factors_q = []
     for mat, exp in k1.factors:

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .coeffring import CoeffRing, Poly, is_in_S, poly_det
 from .covering import CoveringSpec, Point, SheafSpec
-from .groupalg import GroupData, Rep, _perm_order
+from .groupalg import GroupData, Rep
 from .linalg import mat_identity
 
 __all__ = [
@@ -40,7 +40,7 @@ def _cyclic_entry(n, u=1):
     def build():
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         action = [(u * i) % n for i in range(n)]
-        return GroupData(n, table, action, _perm_order(action))
+        return GroupData(table, action)
     tag = f"C{n}" if u == 1 else f"C{n}.mult{u}"
     return CatalogEntry(tag, "cyclic", (n, u), build)
 
@@ -48,7 +48,7 @@ def _cyclic_entry(n, u=1):
 def _klein_entry():
     def build():
         table = [[i ^ j for j in range(4)] for i in range(4)]
-        return GroupData(4, table, [0, 1, 2, 3], 1)
+        return GroupData(table, [0, 1, 2, 3])
     return CatalogEntry("C2xC2", "klein", None, build)
 
 
@@ -63,7 +63,7 @@ def _s3_entry():
         table = [[idx[comp(p, q)] for q in _S3_PERMS] for p in _S3_PERMS]
         c, cinv = _S3_PERMS[1], _S3_PERMS[2]
         action = [idx[comp(comp(c, p), cinv)] for p in _S3_PERMS]
-        return GroupData(6, table, action, 3)
+        return GroupData(table, action)
     return CatalogEntry("S3.inner", "s3", None, build)
 
 
@@ -158,7 +158,7 @@ def _scalar_rep(rng, ring, group, rank):
     else:
         gamma = _int_mat(ring, _CYCLE_3)
     ident = mat_identity(ring, rank)
-    return Rep(ring, group, rank, [ident] * group.order, gamma)
+    return Rep(ring, group, [ident] * group.order, gamma)
 
 
 def _character_rep(rng, ring, group, entry):
@@ -170,7 +170,7 @@ def _character_rep(rng, ring, group, entry):
         images.append([[acc]])
         acc = ring.mul(acc, z)
     gamma = [[ring.int_embed(rng.choice(_unit_pool(ring)))]]
-    return Rep(ring, group, 1, images, gamma)
+    return Rep(ring, group, images, gamma)
 
 
 def _klein_char_rep(rng, ring, group):
@@ -179,14 +179,14 @@ def _klein_char_rep(rng, ring, group):
     images = [[[one if bin(s & h).count("1") % 2 == 0 else neg]]
               for h in range(4)]
     gamma = [[ring.int_embed(rng.choice(_unit_pool(ring)))]]
-    return Rep(ring, group, 1, images, gamma)
+    return Rep(ring, group, images, gamma)
 
 
 def _s3_sign_rep(rng, ring, group):
     one, neg = [[ring.one]], [[ring.int_embed(-1)]]
     images = [one, one, one, neg, neg, neg]
     gamma = [[ring.int_embed(rng.choice(_unit_pool(ring)))]]
-    return Rep(ring, group, 1, images, gamma)
+    return Rep(ring, group, images, gamma)
 
 
 def _perm_mat(ring, perm):
@@ -207,7 +207,7 @@ def _coset_perm_rep(rng, ring, group, entry, max_rank):
     images = [_perm_mat(ring, [(h + x) % r for x in range(r)])
               for h in range(n)]
     gamma = _perm_mat(ring, [(u * x) % r for x in range(r)])
-    return Rep(ring, group, r, images, gamma)
+    return Rep(ring, group, images, gamma)
 
 
 def _s3_coset_rep(rng, ring, group):
@@ -216,7 +216,7 @@ def _s3_coset_rep(rng, ring, group):
     images = [ident, ident, ident, swap, swap, swap]
     unit = ring.int_embed(rng.choice(_unit_pool(ring)))
     gamma = [[unit, ring.zero], [ring.zero, unit]]
-    return Rep(ring, group, 2, images, gamma)
+    return Rep(ring, group, images, gamma)
 
 
 def random_rep(rng, ring, group, entry, max_rank=3):
@@ -261,7 +261,7 @@ def random_instance(rng, ell, max_h=12, max_points=6, max_degree=4,
     ring = random_ring(rng, ell=ell, max_m=max_m)
     q = rng.choice(_Q_POOL[ell])
     points = random_points(rng, group, max_points, max_degree)
-    cov = CoveringSpec(q, ell, ring.m, ring, group, points)
+    cov = CoveringSpec(q, ring, group, points)
     sheaf = SheafSpec(random_rep(rng, ring, group, entry, max_rank=max_rank))
     return cov, sheaf
 

@@ -117,8 +117,7 @@ def verify_d_fitting_consistency(ring, Phi, prec):
     becomes the characteristic element, whose ideal the Fitting ideal
     must reproduce."""
     s = len(Phi)
-    mat = [[Poly._from_reduced(ring, [ring.one if i == j else ring.zero,
-                                      ring.neg(a)])
+    mat = [[Poly(ring, [ring.one if i == j else ring.zero, ring.neg(a)])
             for j, a in enumerate(row)] for i, row in enumerate(Phi)]
     cls = d_connecting(ring, mat)
     bridged = IdealClass(

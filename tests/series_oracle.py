@@ -8,11 +8,32 @@ package replaced or never needed, kept to check the package against.
   the certificate of acceptance criterion 4 and of the limit tests.
 - `solve_left`: one solution of x A == b over Z/M, which eq_up_to_unit
   needs and the package does not.
+- `fl_gcd` and `fl_derivative`: the monic gcd and the derivative over
+  F_l, with which CoeffRing once tested square-freeness as
+  gcd(f, f') == 1; it now reads it off the factorization.
 """
 
-from nclfun.coeffring import Poly, Series, _fl_gcd, _fl_trim
+from nclfun.coeffring import Poly, Series, _fl_mod, _fl_trim
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
 from nclfun.linalg import howell_form, left_kernel, reduce_vector
+
+
+def fl_gcd(a, b, ell):
+    """The monic gcd of two polynomials over F_l (ascending coefficient
+    tuples), by Euclid; () when both are zero."""
+    a = _fl_trim(c % ell for c in a)
+    b = _fl_trim(c % ell for c in b)
+    while b:
+        a, b = b, _fl_mod(a, b, ell)
+    if a:
+        inv = pow(a[-1], -1, ell)
+        a = tuple(c * inv % ell for c in a)
+    return a
+
+
+def fl_derivative(p, ell):
+    """The formal derivative of a polynomial over F_l."""
+    return _fl_trim((i * p[i]) % ell for i in range(1, len(p)))
 
 
 def schoolbook_series_mul(a, b):
@@ -120,6 +141,6 @@ def eq_up_to_unit(a, b, prec=32):
         if ring.deg == 1:
             if cand[0] % ell != 0:
                 return True
-        elif _fl_gcd(cand, fbar, ell) == (1,):
+        elif fl_gcd(cand, fbar, ell) == (1,):
             return True
     return False

@@ -113,7 +113,7 @@ def test_criterion_2():
     g1 = inst.covering.group
     fresh_pts = [Point(d, 0, d) for d in sorted(counts)
                  for _ in range(counts[d])]
-    fresh_cov = CoveringSpec(5, 3, 2, Z9, g1, fresh_pts)
+    fresh_cov = CoveringSpec(5, Z9, g1, fresh_pts)
     left = euler_product(fresh_cov, trivial_rep(Z9, g1), 7)
     right = trace_formula_L(inst.cohomology, 7)
     cmp = compare_series(left, right)
@@ -213,14 +213,14 @@ def test_criterion_6():
             if name == "s3_gamma" and sub_name == "a3":
                 ring = cov.ring
                 imgs = [[[ring.int_embed(v)]] for v in (1, 4, 7)]
-                subreps.append(Rep(ring, sub_gd, 1, imgs, [[ring.one]]))
+                subreps.append(Rep(ring, sub_gd, imgs, [[ring.one]]))
             if name == "z2xgamma" and sub_name == "gsq":
                 ring = cov.ring
                 ident = [[ring.one, ring.zero], [ring.zero, ring.one]]
                 comp = [[ring.zero, ring.int_embed(-1)],
                         [ring.one, ring.one]]
-                subreps.append(Rep(ring, sub_gd, 2,
-                                   [ident] * sub_gd.order, comp))
+                subreps.append(Rep(ring, sub_gd, [ident] * sub_gd.order,
+                                   comp))
             for rho_sub in subreps:
                 out = verify_artin_induction(cov, sheaf, U, rho_sub, 32)
                 assert out["ok"], (name, sub_name, rho_sub.dim, out)

@@ -211,6 +211,8 @@ def test_precision_beyond_complete_points_is_refused(capsys):
     ("ncl verify", "subgroup.gsq.h_members = [0, 1]", "[0, 7]"),
     ("ncl verify", "subgroup.gsq.h_members = [0, 1]", "[0, -1]"),
     ("lfun euler", "group.table = [[0, 1], [1, 0]]", "[[0, 1], 1]"),
+    ("lfun euler", "group.order = 2", "3"),
+    ("ncl verify", "group.action_order = 1", "3"),
 ])
 def test_malformed_group_data_exits_2_naming_the_key(
         tmp_path, capsys, command, line, bad):
@@ -238,6 +240,29 @@ def test_precision_is_refused_where_nothing_reads_it(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --precision 8" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kconnect", "verify", "--ell", "3", "--m", "2", "--phi", "[[4]]",
+     "--precision", "0"],
+    ["imc", "verify", "--ell", "3", "--m", "2", "--phi", "[[4]]",
+     "--precision", "-5"],
+    ["lfun", "euler", "--fixture", str(FIXTURES / "trivial.inst"),
+     "--precision", "0"],
+    ["suite", "run", "--count", "-1"],
+    ["suite", "run", "--count", "0"],
+], ids=["kconnect verify precision 0", "imc verify precision -5",
+        "lfun euler precision 0", "suite run count -1",
+        "suite run count 0"])
+def test_precision_and_count_below_one_are_input_errors(capsys, argv):
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument {flag}: must be an integer of at least 1, "
+            f"not '{argv[-1]}'") in captured.err
 
 
 def test_ncl_evaluate_names_available_reps(capsys):

@@ -10,7 +10,6 @@ from nclfun.coeffring import (
     Series,
     _KRONECKER_MIN_LEN,
     _fl_divmod,
-    _fl_gcd,
     _fl_mod,
     _fl_trim,
     _pack,
@@ -29,6 +28,8 @@ from nclfun.errors import InvariantViolation, NonUnitConstantTerm
 from nclfun.linalg import berkowitz_charpoly, det_from_charpoly
 from series_oracle import (
     eq_up_to_unit,
+    fl_derivative,
+    fl_gcd,
     recurrence_series_invert,
     schoolbook_series_mul,
 )
@@ -81,6 +82,35 @@ def test_ring_validation():
         CoeffRing(3, 2, [1, 1, 1])            # (x+2)^2 mod 3
     with pytest.raises(InvariantViolation):
         CoeffRing(3, 2, [1, 2])               # not monic
+
+
+def _monic(ell, deg):
+    """Every monic polynomial of degree deg over F_l, ascending."""
+    if deg == 0:
+        return [[1]]
+    return [[c] + tail for tail in _monic(ell, deg - 1) for c in range(ell)]
+
+
+def test_square_free_check_matches_gcd_oracle():
+    """CoeffRing refuses f exactly when gcd(f, f') != 1 over F_l, on every
+    monic f of degree 1-4 over F_2, F_3, F_5 and 1-3 over F_7."""
+    checked = refused = 0
+    for ell, top in ((2, 4), (3, 4), (5, 4), (7, 3)):
+        for deg in range(1, top + 1):
+            for f in _monic(ell, deg):
+                square_free = fl_gcd(f, fl_derivative(f, ell), ell) == (1,)
+                try:
+                    CoeffRing(ell, 1, f)
+                except InvariantViolation as exc:
+                    assert not square_free, f
+                    assert str(exc) == ("minimal polynomial is not square "
+                                        "free modulo the prime")
+                    refused += 1
+                else:
+                    assert square_free, f
+                checked += 1
+    assert checked == 1329
+    assert 0 < refused < checked
 
 
 def test_ring_axioms_random():
@@ -147,7 +177,7 @@ def _is_unit_uncached(ring, a):
     if ring.deg == 1:
         return a[0] % ring.ell != 0
     abar = tuple(c % ring.ell for c in a)
-    return _fl_gcd(abar, _fbar(ring), ring.ell) == (1,)
+    return fl_gcd(abar, _fbar(ring), ring.ell) == (1,)
 
 
 def _inv_uncached(ring, a):

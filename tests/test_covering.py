@@ -52,7 +52,7 @@ GOOD = GOOD.replace(
 def test_parse_good_instance():
     inst = parse_instance(GOOD)
     cov = inst.covering
-    assert cov.q == 5 and cov.ell == 3 and cov.m == 2
+    assert cov.q == 5 and cov.ring.ell == 3 and cov.ring.m == 2
     assert cov.group.order == 2
     assert [p.degree for p in cov.points] == [1, 1, 2]
     assert inst.sheaf.rep.dim == 1
@@ -153,11 +153,65 @@ def test_bad_subgroup_members_are_refused_by_key(members, reason):
     ("group.table", "[[0, [1]], [1, 0]]"),
     ("group.action", "1"),
     ("group.order", "[2]"),
+    ("group.action_order", "[1]"),
 ])
 def test_group_fields_of_the_wrong_shape_are_refused(key, bad):
     line = next(x for x in GOOD.splitlines() if x.startswith(key + " "))
     with pytest.raises(InvalidGroup, match=rf"{key} must be"):
         parse_instance(GOOD.replace(line, f"{key} = {bad}"))
+
+
+C3_INVERSION = """\
+group.order = 3
+group.table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+group.action = [0, 2, 1]
+group.action_order = 2
+"""
+
+
+def _with_group(group_text):
+    """GOOD with its four group lines replaced by group_text; the rest
+    of GOOD does not fit a group of another order, but the group lines
+    are checked first."""
+    lines = [x for x in GOOD.splitlines(keepends=True)
+             if not x.startswith("group.")]
+    at = next(i for i, x in enumerate(lines) if x.startswith("points ="))
+    return "".join(lines[:at]) + group_text + "".join(lines[at:])
+
+
+def test_stated_group_order_is_checked_against_the_table():
+    with pytest.raises(InvalidGroup) as exc:
+        parse_instance(GOOD.replace("group.order = 2", "group.order = 3"))
+    assert str(exc.value) == ("group.order 3 disagrees with the table of "
+                              "order 2")
+    with pytest.raises(InvalidGroup, match="group.order 0 disagrees"):
+        parse_instance(GOOD.replace("group.order = 2", "group.order = 0"))
+
+
+def test_action_order_messages_are_exact():
+    """A stated action order that is not a multiple of the true order,
+    and a proper multiple of it, each get their own message, naming
+    the key."""
+    with pytest.raises(InvalidGroup) as exc:
+        parse_instance(_with_group(C3_INVERSION.replace(
+            "action_order = 2", "action_order = 3")))
+    assert str(exc.value) == ("group.action_order: action does not have "
+                              "order 3")
+    with pytest.raises(InvalidGroup) as exc:
+        parse_instance(_with_group(C3_INVERSION.replace(
+            "action_order = 2", "action_order = 4")))
+    assert str(exc.value) == ("group.action_order 4 is not exact; true "
+                              "order is 2")
+
+
+def test_cohomology_degrees_must_be_integers():
+    text = GOOD + ("cohomology.degrees = [[0], 1]\n"
+                   "cohomology.matrices = [[[1]], [[2]]]\n")
+    with pytest.raises(ParseError,
+                       match="cohomology.degrees must be a list of integers"):
+        parse_instance(text)
+    inst = parse_instance(text.replace("[[0], 1]", "[0, 1]"))
+    assert inst.cohomology.degrees == (0, 1)
 
 
 def test_point_invariants():
@@ -194,15 +248,15 @@ def _s3_group():
     idx = {p: i for i, p in enumerate(perms)}
     table = [[idx[comp(p, q)] for q in perms] for p in perms]
     action = [idx[comp(comp(perms[1], p), perms[2])] for p in perms]
-    return GroupData(6, table, action, 3)
+    return GroupData(table, action)
 
 
 def test_subcover_through_gamma_index():
     # trivial H, index 2 in the gamma direction: degree-1 points become
     # inert, degree-2 points split
-    gd = GroupData(1, [[0]], [0], 1)
+    gd = GroupData([[0]], [0])
     ring = CoeffRing(3, 2)
-    cov = CoveringSpec(5, 3, 2, ring, gd, [Point(1, 0, 1), Point(2, 0, 2)])
+    cov = CoveringSpec(5, ring, gd, [Point(1, 0, 1), Point(2, 0, 2)])
     U = OpenSubgroup(gd, [0], 2)
     sub, loc = subcover_points(cov, U)
     assert sub.q == 25
@@ -215,12 +269,12 @@ def test_subcover_s3_worked_case():
     ring = CoeffRing(3, 2)
     U = OpenSubgroup(gd, [0, 1, 2], 1)
     # a transposition Frobenius merges the two cosets: one inert point
-    cov = CoveringSpec(7, 3, 2, ring, gd, [Point(1, 3, 1)])
+    cov = CoveringSpec(7, ring, gd, [Point(1, 3, 1)])
     sub, _ = subcover_points(cov, U)
     assert [(p.degree, p.h) for p in sub.points] == [(2, 1)]
     # a 3-cycle Frobenius fixes both cosets: two split points, with
     # local Frobenius parts (123) and the identity
-    cov2 = CoveringSpec(7, 3, 2, ring, gd, [Point(1, 1, 1)])
+    cov2 = CoveringSpec(7, ring, gd, [Point(1, 1, 1)])
     sub2, _ = subcover_points(cov2, U)
     assert [(p.degree, p.h) for p in sub2.points] == [(1, 1), (1, 0)]
 
@@ -229,7 +283,7 @@ def test_subcover_mass_formula():
     gd = _s3_group()
     ring = CoeffRing(3, 2)
     pts = [Point(1, 4, 1), Point(2, 1, 2), Point(3, 5, 3), Point(1, 0, 1)]
-    cov = CoveringSpec(7, 3, 2, ring, gd, pts)
+    cov = CoveringSpec(7, ring, gd, pts)
     for members, c in [([0, 1, 2], 1), ([0, 1, 2], 3), ([0], 1),
                        ([0, 3], 3), (list(range(6)), 3)]:
         U = OpenSubgroup(gd, members, c)
@@ -249,7 +303,7 @@ def test_subcover_mass_formula():
 def test_push_covering_quotient():
     gd = _s3_group()
     ring = CoeffRing(3, 2)
-    cov = CoveringSpec(7, 3, 2, ring, gd,
+    cov = CoveringSpec(7, ring, gd,
                        [Point(1, 1, 1), Point(2, 4, 2)])
     pushed, proj = push_covering_quotient(cov, [0, 1, 2])
     assert pushed.group.order == 2

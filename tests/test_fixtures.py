@@ -52,7 +52,7 @@ def test_points_complete_through_key():
 def test_trivial_fixture_shape():
     _, inst = _load("trivial")
     assert inst.covering.group.order == 1
-    assert inst.covering.q == 5 and inst.covering.ell == 3
+    assert inst.covering.q == 5 and inst.covering.ring.ell == 3
     assert sorted(inst.reps) == ["chi", "triv"]
     assert inst.subgroups["gsq"].c == 2
     assert inst.cohomology is None
@@ -67,7 +67,7 @@ def test_z2xgamma_has_the_degree_two_twisted_point():
 def test_z3_semidirect_lives_at_ell_two():
     _, inst = _load("z3_semidirect")
     cov = inst.covering
-    assert cov.ell == 2 and cov.m == 3
+    assert cov.ring.ell == 2 and cov.ring.m == 3
     assert cov.group.action == (0, 2, 1)
     assert cov.group.action_order == 2
     rho2 = inst.reps["rho2"]
@@ -102,10 +102,10 @@ def test_ec_fixture_regenerates_from_brute_force():
     text, _ = _load("ec_f5")
     Z9 = CoeffRing(3, 2)
     from nclfun.groupalg import GroupData
-    g1 = GroupData(1, [[0]], [0], 1)
+    g1 = GroupData([[0]], [0])
     counts = ec_oracle.closed_point_counts(6)
     pts = [Point(d, 0, d) for d in sorted(counts) for _ in range(counts[d])]
-    cov = CoveringSpec(5, 3, 2, Z9, g1, pts, complete_through=6)
+    cov = CoveringSpec(5, Z9, g1, pts, complete_through=6)
     coh = CohomologySpec(
         Z9, [0, 1, 2],
         [[[Z9.one]],
@@ -113,7 +113,7 @@ def test_ec_fixture_regenerates_from_brute_force():
          [[Z9.int_embed(5)]]])
     reps = {
         "triv": trivial_rep(Z9, g1),
-        "chi2": Rep(Z9, g1, 1, [[[Z9.one]]], [[Z9.int_embed(2)]]),
+        "chi2": Rep(Z9, g1, [[[Z9.one]]], [[Z9.int_embed(2)]]),
     }
     inst = Instance(cov, SheafSpec(trivial_rep(Z9, g1)), reps, {}, coh)
     assert render_instance(inst) == text

@@ -49,11 +49,11 @@ def contains(U, g):
     return g.a % U.c == 0 and g.h in U.h_members
 
 
-def _cyclic(n, action=None, e=1):
+def _cyclic(n, action=None):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     if action is None:
         action = list(range(n))
-    return GroupData(n, table, action, e)
+    return GroupData(table, action)
 
 
 _S3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
@@ -70,7 +70,7 @@ def _s3():
     c = _S3_PERMS[1]
     cinv = _S3_PERMS[2]
     action = [idx[comp(comp(c, p), cinv)] for p in _S3_PERMS]
-    return GroupData(6, table, action, 3)
+    return GroupData(table, action)
 
 
 def _s3_std2(gd):
@@ -80,49 +80,51 @@ def _s3_std2(gd):
     I2 = [[R.one, R.zero], [R.zero, R.one]]
     CC = mat_mul_omega(R, C, C)
     imgs = [I2, C, CC, Tm, mat_mul_omega(R, C, Tm), mat_mul_omega(R, Tm, C)]
-    return Rep(R, gd, 2, imgs, C)
+    return Rep(R, gd, imgs, C)
 
 
 def _s3_sign(gd):
     R = Z9
     one = [[R.one]]
     neg = [[R.int_embed(-1)]]
-    return Rep(R, gd, 1, [one, one, one, neg, neg, neg], one)
+    return Rep(R, gd, [one, one, one, neg, neg, neg], one)
 
 
 def test_group_validate_accepts_good_groups():
     group_validate(_cyclic(6), ell=5)
-    group_validate(_cyclic(3, [0, 2, 1], 2), ell=2)   # inversion action
+    group_validate(_cyclic(3, [0, 2, 1]), ell=2)   # inversion action
     group_validate(_s3(), ell=3)
     group_validate(_cyclic(1), ell=5)
 
 
 def test_group_validate_diagnostics():
+    with pytest.raises(InvalidGroup, match="table is empty"):
+        GroupData([], [])
+    with pytest.raises(InvalidGroup, match="table is not square"):
+        GroupData([[0, 1], [1]], [0, 1])
     with pytest.raises(InvalidGroup, match="row"):
-        GroupData(2, [[0, 1], [1, 1]], [0, 1], 1)
+        GroupData([[0, 1], [1, 1]], [0, 1])
     with pytest.raises(InvalidGroup, match="identity"):
-        GroupData(2, [[1, 0], [0, 1]], [0, 1], 1)
-    with pytest.raises(InvalidGroup, match="order"):
-        _cyclic(3, [0, 2, 1], 1)                       # true order is 2
+        GroupData([[1, 0], [0, 1]], [0, 1])
     with pytest.raises(InvalidGroup, match="multiplicative"):
-        GroupData(4, [[(i + j) % 4 for j in range(4)] for i in range(4)],
-                  [0, 1, 3, 2], 2)
+        GroupData([[(i + j) % 4 for j in range(4)] for i in range(4)],
+                  [0, 1, 3, 2])
     # the action order must be a power of the working prime
-    gd = _cyclic(3, [0, 2, 1], 2)
+    gd = _cyclic(3, [0, 2, 1])
     with pytest.raises(InvalidGroup, match="power of 3"):
         group_validate(gd, ell=3)
     group_validate(gd, ell=2)
 
 
-def test_action_order_messages_are_exact():
-    """A declared order that is not a multiple of the true order, and a
-    proper multiple of it, each get their own message."""
-    with pytest.raises(InvalidGroup) as exc:
-        _cyclic(3, [0, 2, 1], 3)
-    assert str(exc.value) == "action does not have order 3"
-    with pytest.raises(InvalidGroup) as exc:
-        _cyclic(3, [0, 2, 1], 4)
-    assert str(exc.value) == "action_order 4 is not exact; true order is 2"
+def test_group_derives_its_order_and_action_order():
+    """The order of H is the size of the table and action_order the
+    exact order of the action permutation."""
+    assert _cyclic(1).action_order == 1
+    gd = _cyclic(3, [0, 2, 1])
+    assert (gd.order, gd.action_order) == (3, 2)
+    assert _s3().action_order == 3
+    assert GroupData([[0]], [0]) == _cyclic(1)
+    assert _cyclic(3) != gd
 
 
 def test_perm_order_is_the_lcm_of_the_cycle_lengths():
@@ -248,24 +250,24 @@ def test_rep_validation_rejects_bad_data():
     I1 = [[Z9.one]]
     neg = [[Z9.int_embed(-1)]]
     three = [[Z9.int_embed(3)]]
-    Rep(Z9, gd, 1, [I1, neg], I1)
+    Rep(Z9, gd, [I1, neg], I1)
     with pytest.raises(InvariantViolation):
-        Rep(Z9, gd, 1, [I1, three], I1)           # 3 squared is 0, not 1
+        Rep(Z9, gd, [I1, three], I1)              # 3 squared is 0, not 1
     with pytest.raises(InvariantViolation):
-        Rep(Z9, gd, 1, [I1, neg], three)          # gamma not invertible
-    gd2 = _cyclic(3, [0, 2, 1], 2)
+        Rep(Z9, gd, [I1, neg], three)             # gamma not invertible
+    gd2 = _cyclic(3, [0, 2, 1])
     # character gen -> 4 is a cube root of 1 mod 9, but conjugation by
     # gamma must send it to its inverse under the inversion action
     four = [[Z9.int_embed(4)]]
     f2 = [[Z9.int_embed(7)]]
     with pytest.raises(InvariantViolation):
-        Rep(Z9, gd2, 1, [I1, four, f2], I1)
+        Rep(Z9, gd2, [I1, four, f2], I1)
 
 
 def test_cube_root_character_with_trivial_action():
     gd = _cyclic(3)
     im = [[[Z9.int_embed(pow(4, k, 9))]] for k in range(3)]
-    rho = Rep(Z9, gd, 1, im, [[Z9.int_embed(2)]])
+    rho = Rep(Z9, gd, im, [[Z9.int_embed(2)]])
     assert character(rho, GElement(1, 0)) == (4,)
     assert rho.gamma_pow(-1) == [[(5,)]]          # 2 * 5 = 10 = 1 mod 9
 
@@ -380,7 +382,7 @@ def test_induce_sign_character_through_gamma_index():
     sub, _ = subgroup_group_data(U)
     neg = [[Z9.int_embed(-1)]]
     one = [[Z9.one]]
-    rho_sub = Rep(Z9, sub, 1, [one, neg], one)
+    rho_sub = Rep(Z9, sub, [one, neg], one)
     ind = induce_rep(U, rho_sub)
     assert ind.dim == 2
     # gamma itself permutes the two cosets, so its character vanishes
@@ -399,7 +401,7 @@ def test_quotient_by_normal():
         quotient_by_normal(gd, [0, -1])
     # Klein group with the swap action: {0,1} is normal but not stable
     table = [[i ^ j for j in range(4)] for i in range(4)]
-    klein = GroupData(4, table, [0, 2, 1, 3], 2)
+    klein = GroupData(table, [0, 2, 1, 3])
     with pytest.raises(NotNormal, match="stable"):
         quotient_by_normal(klein, [0, 1])
     qd2, proj2 = quotient_by_normal(klein, [0, 3])
@@ -411,7 +413,7 @@ def test_push_rep_through_quotient_matches_sign():
     qd, proj = quotient_by_normal(gd, [0, 1, 2])
     one = [[Z9.one]]
     neg = [[Z9.int_embed(-1)]]
-    sign_q = Rep(Z9, qd, 1, [one, neg], one)
+    sign_q = Rep(Z9, qd, [one, neg], one)
     lifted = push_rep_through_quotient(sign_q, gd, proj)
     assert lifted == _s3_sign(gd)
 
@@ -424,7 +426,7 @@ def test_theta_det_of_identity_minus_gamma():
     sub, _ = subgroup_group_data(U)
     neg = [[Z9.int_embed(-1)]]
     one = [[Z9.one]]
-    ind = induce_rep(U, Rep(Z9, sub, 1, [one, neg], one))
+    ind = induce_rep(U, Rep(Z9, sub, [one, neg], one))
     x = CrossedLaurent.one(Z9, gd) - CrossedLaurent.monomial(
         Z9, gd, GElement(0, -1))
     mat = theta_rho(x, ind)
@@ -494,8 +496,8 @@ def test_constructed_reps_pass_full_validation():
         gd = inst.covering.group
         reps = [inst.sheaf.rep] + [inst.reps[k] for k in sorted(inst.reps)]
         subgroups = [inst.subgroups[k] for k in sorted(inst.subgroups)]
-        cases += _built_from(reps, subgroups + _subgroups(gd, inst.covering.ell),
-                             inst.covering.ell)
+        ell = inst.covering.ring.ell
+        cases += _built_from(reps, subgroups + _subgroups(gd, ell), ell)
     rng = random.Random(4093)
     for trial in range(12):
         ell = (3, 5)[trial % 2]

@@ -41,15 +41,15 @@ SPLIT3 = CoeffRing(3, 1, [2, 0, 1])          # x^2 + 2 = (x+1)(x+2) mod 3
 CUBIC = CoeffRing(5, 2, [2, 0, 0, 1])
 
 
-def _cyclic(n, action=None, e=1):
+def _cyclic(n, action=None):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     if action is None:
         action = list(range(n))
-    return GroupData(n, table, action, e)
+    return GroupData(table, action)
 
 
-def _cov(group, points, q=5, ell=3, m=2, ring=Z9):
-    return CoveringSpec(q, ell, m, ring, group, points)
+def _cov(group, points, q=5, ring=Z9):
+    return CoveringSpec(q, ring, group, points)
 
 
 def _char_rep(ring, group, zeta, gamma):
@@ -59,7 +59,7 @@ def _char_rep(ring, group, zeta, gamma):
     for _ in range(n):
         images.append([[acc]])
         acc = ring.mul(acc, zeta)
-    return Rep(ring, group, 1, images, [[ring.int_embed(gamma)]])
+    return Rep(ring, group, images, [[ring.int_embed(gamma)]])
 
 
 # --- golden expansions
@@ -127,13 +127,13 @@ def _repeated_covering(rng, ring):
             break
     ident = mat_identity_omega(ring, dim)
     minus = [[ring.neg(c) for c in row] for row in ident]
-    rho = Rep(ring, _cyclic(n), dim, [ident, minus][:n], gamma)
+    rho = Rep(ring, _cyclic(n), [ident, minus][:n], gamma)
     distinct = rng.sample([(d, h) for d in range(1, 7) for h in range(n)], 5)
     pts = []
     for (d, h), mult in zip(distinct, (1, 2, 3, 7, 8)):
         pts += [Point(d, h, d)] * mult
     rng.shuffle(pts)
-    cov = CoveringSpec(7, ring.ell, ring.m, ring, _cyclic(n), pts)
+    cov = CoveringSpec(7, ring, _cyclic(n), pts)
     return cov, rho
 
 
@@ -237,7 +237,7 @@ def test_cyclic_block_det_identity():
     for _ in range(3):
         acc = mat_mul_omega(Z9, acc, C)
         images.append([row[:] for row in acc])
-    rho = Rep(Z9, g, 2, images, [[Z9.one, Z9.zero], [Z9.zero, Z9.one]])
+    rho = Rep(Z9, g, images, [[Z9.one, Z9.zero], [Z9.zero, Z9.one]])
     for d in (1, 2, 3):
         cov = _cov(g, [Point(d, 1, d)])
         coh = cohomology_from_points(cov, rho)

@@ -428,10 +428,10 @@ def test_mat_pow_equals_repeated_product():
             assert mat_pow(ops, A, e) == acc
             acc = mat_mul(ops, acc, A)
     # Rep.gamma_pow is the same power, of gamma_inv() for negative a
-    trivial = GroupData(1, [[0]], [0], 1)
+    trivial = GroupData([[0]], [0])
     for ring in (Z9, GAUSS9, SPLIT5):
         gamma = _rand_invertible(rng, ring, 3)
-        rho = Rep(ring, trivial, 3, [mat_identity(ring, 3)], gamma)
+        rho = Rep(ring, trivial, [mat_identity(ring, 3)], gamma)
         for a in range(-4, 7):
             factor = gamma if a >= 0 else rho.gamma_inv()
             want = mat_identity(ring, 3)

@@ -51,11 +51,11 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 Z9 = CoeffRing(3, 2)
 
 
-def _cyclic(n, action=None, e=1):
+def _cyclic(n, action=None):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     if action is None:
         action = list(range(n))
-    return GroupData(n, table, action, e)
+    return GroupData(table, action)
 
 
 _S3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
@@ -69,13 +69,13 @@ def _s3():
     table = [[idx[comp(p, q)] for q in _S3_PERMS] for p in _S3_PERMS]
     c, cinv = _S3_PERMS[1], _S3_PERMS[2]
     action = [idx[comp(comp(c, p), cinv)] for p in _S3_PERMS]
-    return GroupData(6, table, action, 3)
+    return GroupData(table, action)
 
 
 def _s3_sign(gd):
     one = [[Z9.one]]
     neg = [[Z9.int_embed(-1)]]
-    return Rep(Z9, gd, 1, [one, one, one, neg, neg, neg], one)
+    return Rep(Z9, gd, [one, one, one, neg, neg, neg], one)
 
 
 def _s3_std2(gd):
@@ -85,7 +85,7 @@ def _s3_std2(gd):
     I2 = [[Z9.one, Z9.zero], [Z9.zero, Z9.one]]
     CC = mat_mul_omega(Z9, C, C)
     imgs = [I2, C, CC, Tm, mat_mul_omega(Z9, C, Tm), mat_mul_omega(Z9, Tm, C)]
-    return Rep(Z9, gd, 2, imgs, C)
+    return Rep(Z9, gd, imgs, C)
 
 
 def _char_rep(ring, group, zeta_int, gamma_int):
@@ -96,11 +96,11 @@ def _char_rep(ring, group, zeta_int, gamma_int):
     for _ in range(n):
         images.append([[acc]])
         acc = ring.mul(acc, zeta)
-    return Rep(ring, group, 1, images, [[ring.int_embed(gamma_int)]])
+    return Rep(ring, group, images, [[ring.int_embed(gamma_int)]])
 
 
 def _cov(group, points, q=5):
-    return CoveringSpec(q, 3, 2, Z9, group, points)
+    return CoveringSpec(q, Z9, group, points)
 
 
 # --- construction and evaluation basics
@@ -353,9 +353,8 @@ def test_grouped_evaluation_matches_per_factor_with_mixed_exponents():
 def test_grouped_evaluation_on_s3_gamma_two_dim_reps():
     inst = parse_instance((FIXTURES / "s3_gamma.inst").read_text())
     pts = inst.covering.points
-    cov = CoveringSpec(inst.covering.q, inst.covering.ell, inst.covering.m,
-                       inst.covering.ring, inst.covering.group,
-                       pts + pts[:2] + pts[:1])
+    cov = CoveringSpec(inst.covering.q, inst.covering.ring,
+                       inst.covering.group, pts + pts[:2] + pts[:1])
     k1 = ncl_from_points(cov, inst.sheaf)
     assert len(k1.factors) == len(pts) + 3
     for name in ("std2", "std2tw"):
