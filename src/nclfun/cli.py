@@ -11,6 +11,7 @@ import argparse
 import ast
 import hashlib
 import json
+import random
 import sys
 import time
 from collections import namedtuple
@@ -28,6 +29,40 @@ from .errors import (
     PrecisionMismatch,
     SingularEvaluation,
     WrongGroup,
+)
+from .groupalg import quotient_by_normal, subgroup_group_data, trivial_rep
+from .lfun import (
+    cohomology_from_points,
+    compare_series,
+    euler_product,
+    trace_formula_L,
+)
+from .limits import (
+    coker_tower,
+    fitting_ideal,
+    kernel_chain_report,
+    limit_module,
+    ngens,
+    verify_mc_commutative,
+)
+from .ncl import (
+    ncl_evaluate,
+    ncl_from_points,
+    verify_artin_induction,
+    verify_interpolation,
+    verify_quotient,
+    verify_twist,
+)
+from .randcases import (
+    random_instance,
+    random_phi,
+    random_ring,
+    random_s_poly_matrix,
+)
+from .relk import (
+    d_connecting,
+    verify_d_fitting_consistency,
+    verify_d_multiplicative,
 )
 
 ResultRecord = namedtuple(
@@ -159,7 +194,6 @@ def _poly_matrix(ring, raw, flag):
 # ---------------------------------------------------------------------------
 
 def cmd_lfun_euler(args):
-    from .lfun import euler_product
     inst, digest = _load_fixture(args.fixture)
     _check_points_precision(inst, args.precision)
     t0 = time.perf_counter()
@@ -169,7 +203,6 @@ def cmd_lfun_euler(args):
 
 
 def cmd_lfun_trace(args):
-    from .lfun import trace_formula_L
     inst, digest = _load_fixture(args.fixture)
     if inst.cohomology is None:
         raise InputProblem("fixture stores no cohomology section")
@@ -180,8 +213,6 @@ def cmd_lfun_trace(args):
 
 
 def cmd_lfun_check(args):
-    from .lfun import (cohomology_from_points, compare_series,
-                       euler_product, trace_formula_L)
     inst, digest = _load_fixture(args.fixture)
     _check_points_precision(inst, args.precision)
     t0 = time.perf_counter()
@@ -202,7 +233,6 @@ def cmd_lfun_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_ncl_compute(args):
-    from .ncl import ncl_from_points
     inst, digest = _load_fixture(args.fixture)
     t0 = time.perf_counter()
     k1 = ncl_from_points(inst.covering, inst.sheaf)
@@ -212,7 +242,6 @@ def cmd_ncl_compute(args):
 
 
 def cmd_ncl_evaluate(args):
-    from .ncl import ncl_evaluate, ncl_from_points
     inst, digest = _load_fixture(args.fixture)
     if args.rep not in inst.reps:
         raise InputProblem(
@@ -226,9 +255,6 @@ def cmd_ncl_evaluate(args):
 
 
 def cmd_ncl_verify(args):
-    from .groupalg import quotient_by_normal, subgroup_group_data, trivial_rep
-    from .ncl import (verify_artin_induction, verify_interpolation,
-                      verify_quotient, verify_twist)
     inst, digest = _load_fixture(args.fixture)
     _check_points_precision(inst, args.precision)
     cov, sheaf = inst.covering, inst.sheaf
@@ -278,7 +304,6 @@ def cmd_ncl_verify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_imc_limit(args):
-    from .limits import coker_tower, limit_module
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
     digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
@@ -298,7 +323,6 @@ def cmd_imc_limit(args):
 
 
 def cmd_imc_fitting(args):
-    from .limits import fitting_ideal, limit_module, ngens
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
     digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
@@ -314,7 +338,6 @@ def cmd_imc_fitting(args):
 
 
 def cmd_imc_verify(args):
-    from .limits import coker_tower, kernel_chain_report, verify_mc_commutative
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
     digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
@@ -339,7 +362,6 @@ def cmd_imc_verify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_kconnect_d(args):
-    from .relk import d_connecting
     ring = _inline_ring(args)
     alpha = _poly_matrix(ring, args.alpha, "--alpha")
     digest = _payload_digest("kconnect", ring.ell, ring.m,
@@ -354,7 +376,6 @@ def cmd_kconnect_verify(args):
     ring = _inline_ring(args)
     records = []
     if args.phi is not None:
-        from .relk import verify_d_fitting_consistency
         Phi = _omega_matrix(ring, args.phi, "--phi")
         digest = _payload_digest("kconnect", ring.ell, ring.m,
                                  list(ring.minpoly), args.phi)
@@ -366,7 +387,6 @@ def cmd_kconnect_verify(args):
     if args.alpha is None or args.beta is None:
         raise InputProblem("kconnect verify needs --alpha and --beta, "
                            "or --phi")
-    from .relk import verify_d_multiplicative
     alpha = _poly_matrix(ring, args.alpha, "--alpha")
     beta = _poly_matrix(ring, args.beta, "--beta")
     digest = _payload_digest("kconnect", ring.ell, ring.m,
@@ -383,16 +403,7 @@ def cmd_kconnect_verify(args):
 # ---------------------------------------------------------------------------
 
 def _suite_case(seed, i, prec):
-    import random as _random
-
-    from .lfun import (cohomology_from_points, compare_series,
-                       euler_product, trace_formula_L)
-    from .limits import verify_mc_commutative
-    from .randcases import (random_instance, random_phi, random_ring,
-                            random_s_poly_matrix)
-    from .relk import verify_d_multiplicative
-
-    rng = _random.Random(f"{seed}:{i}")
+    rng = random.Random(f"{seed}:{i}")
     kind = ("lfun", "imc", "kconnect")[i % 3]
     digest = _payload_digest("suite", seed, i, kind)
     t0 = time.perf_counter()
@@ -478,7 +489,7 @@ def build_parser():
 
     nc = sub.add_parser("ncl", help="noncommutative classes")
     ncs = nc.add_subparsers(dest="sub_cmd", required=True)
-    ncs.add_parser("compute", parents=[precision, common, fixture]) \
+    ncs.add_parser("compute", parents=[common, fixture]) \
        .set_defaults(func=cmd_ncl_compute)
     ev = ncs.add_parser("evaluate", parents=[precision, common, fixture])
     ev.add_argument("--rep", required=True)

@@ -585,18 +585,6 @@ class PolyOps:
         self.zero = Poly.zero(ring)
         self.one = Poly.one(ring)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def dot(self, xs, ys):
         """The sum of a * b over the pairs of zip(xs, ys), as one Poly."""
         return Poly(self.ring, _poly_dot(

@@ -15,17 +15,19 @@ is read off one Howell form of [A | I].
 Also hosts dense matrix arithmetic (identity, mat-vec, product, and
 power(x, e, mul), the one square-and-multiply, which units, Poly and
 Series use too) and the Berkowitz characteristic polynomial, written
-once for any commutative ring supplied through an ops object: `zero`,
-`one` and `add`, `sub`, `mul`, `neg`, and `dot(xs, ys)`, the sum of
-a * b over the pairs of zip(xs, ys).  Every matrix entry, and every coefficient
-of Berkowitz's Toeplitz product, is one `dot`, so a ring can add up a
-whole inner product before it reduces.  A CoeffRing is such an
-object, so Omega matrices pass the ring itself; coeffring.PolyOps is
-the one for Omega[T].  The integers are two more, with Python ints as
-elements and dot = sum(map(mul, xs, ys)): INT_OPS computes exactly
-(coeffring.poly_det packs Omega[T] entries into integers and takes
-their determinant there), and ZMod(M) reduces each dot mod M.
-Berkowitz is division free, so it runs unchanged over all of them.
+once for any commutative ring supplied through an ops object.  The
+matrix layer reads `zero`, `one`, `neg` and `dot(xs, ys)`, the sum of
+a * b over the pairs of zip(xs, ys); only Berkowitz reads `neg`.  Every
+matrix entry, and every coefficient of Berkowitz's Toeplitz product, is
+one `dot`, so a ring can add up a whole inner product before it
+reduces.  A CoeffRing is such an object, so Omega matrices pass the
+ring itself; coeffring.PolyOps is the one for products over Omega[T],
+whose determinants go through poly_det.  The integers are two more,
+with Python ints as elements and dot = sum(map(mul, xs, ys)): INT_OPS
+computes exactly (coeffring.poly_det packs Omega[T] entries into
+integers and takes their determinant there), and ZMod(M) reduces each
+dot mod M.  Berkowitz is division free, so it runs unchanged over each
+of them that has `neg`: a CoeffRing and INT_OPS.
 A product of ZMod matrices takes no dot per entry: mat_mul packs each
 row of the right factor into one integer, with a slot per column wide
 enough for the unreduced entry (see ZMod), and forms each row of the

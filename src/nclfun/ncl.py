@@ -8,6 +8,7 @@ determinants, producing an exact rational function in T.
 """
 
 from collections import Counter
+from functools import reduce
 from operator import mul
 
 from .coeffring import (
@@ -26,6 +27,7 @@ from .covering import (
     subcover_points,
 )
 from .errors import (
+    ConventionOverflow,
     InvariantViolation,
     NotSQuasiIso,
     SingularEvaluation,
@@ -59,38 +61,27 @@ __all__ = [
 
 
 def _augmentation_poly_matrix(ring, mat):
-    """Collapse a crossed matrix along H -> 1, gamma^a -> T^{-a}, then
-    clear denominators rowwise so the result is a polynomial matrix.
+    """Collapse a crossed matrix along H -> 1, gamma^a -> T^{-a} into a
+    polynomial matrix.
 
-    Row scaling by a power of T changes the determinant by a power of T,
-    which is harmless for membership in S.
-    """
-    n = len(mat)
-    collapsed = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = {}
-            for a, vec in mat[i][j].terms.items():
-                s = ring.zero
-                for v in vec:
-                    s = ring.add(s, v)
-                if not ring.is_zero(s):
-                    entry[-a] = s
-            row.append(entry)
-        collapsed.append(row)
+    Every class the package builds has gamma-exponents <= 0
+    (conventions.py section 4).  An entry that keeps a positive one
+    after collapsing has no polynomial image and raises
+    ConventionOverflow, as ncl_evaluate does at the trivial
+    representation."""
     out = []
-    for row in collapsed:
-        exps = [e for entry in row for e in entry]
-        shift = -min(exps) if exps and min(exps) < 0 else 0
+    for row in mat:
         prow = []
-        for entry in row:
-            if not entry:
-                prow.append(Poly.zero(ring))
-                continue
-            top = max(entry) + shift
-            prow.append(Poly(ring, [entry.get(k - shift, ring.zero)
-                                    for k in range(top + 1)]))
+        for x in row:
+            coeffs = [ring.zero] * (1 - min(x.terms, default=0))
+            for a, vec in x.terms.items():
+                s = reduce(ring.add, vec)
+                if a <= 0:
+                    coeffs[-a] = s
+                elif not ring.is_zero(s):
+                    raise ConventionOverflow(
+                        "entry has a surviving negative power of T")
+            prow.append(Poly(ring, coeffs))
         out.append(prow)
     return out
 
@@ -107,12 +98,13 @@ class K1Class:
 
     Each factor must collapse, along the augmentation of H, to a matrix
     whose determinant lies in S; otherwise the factor has no business
-    being inverted and the constructor refuses with NotSQuasiIso.  The
-    check runs once per distinct factor matrix.
+    being inverted and the constructor refuses with NotSQuasiIso.
 
-    A matrix object passed several times (ncl_from_points shares one per
-    distinct point) is validated and keyed once, and its repeats share
-    one stored tuple of rows.
+    The class interns its matrices: equal factor matrices share one
+    stored tuple of rows, keyed once by content here, so the check runs
+    once per distinct matrix and ncl_evaluate groups factors by the
+    stored object.  A matrix object passed several times (ncl_from_points
+    shares one per distinct point) is read and keyed once.
     """
 
     def __init__(self, ring, group, factors, check=True):
@@ -121,19 +113,21 @@ class K1Class:
         # id(mat) -> (mat, stored rows); holding mat keeps its id unique
         # for the whole call, even when factors is a generator
         seen = {}
+        by_key = {}
         fs = []
         for mat, exp in factors:
             if exp not in (1, -1):
                 raise InvariantViolation("factor exponent must be +1 or -1")
             hit = seen.get(id(mat))
             if hit is None:
-                hit = seen[id(mat)] = (mat, self._stored_rows(mat))
+                rows = self._stored_rows(mat)
+                hit = seen[id(mat)] = (
+                    mat, by_key.setdefault(_matrix_key(rows), rows))
             fs.append((hit[1], exp))
         self.factors = tuple(fs)
         if check:
-            distinct = {_matrix_key(rows): rows for _, rows in seen.values()}
-            for mat in distinct.values():
-                pm = _augmentation_poly_matrix(ring, mat)
+            for rows in by_key.values():
+                pm = _augmentation_poly_matrix(ring, rows)
                 if not is_in_S(poly_det(pm, ring)):
                     raise NotSQuasiIso(
                         "augmentation determinant of a factor is not in S")
@@ -240,12 +234,13 @@ def ncl_evaluate(k1, rho, prec=None):
     determinants with their signs: an exact rational function, or with
     prec its expansion in Omega[[T]] / T^prec as a Series.
 
-    Repeated factors are grouped by (matrix, exponent), each distinct
-    stored matrix object keyed once: each distinct determinant is taken
-    once and raised to its multiplicity by repeated squaring.  With prec
-    every determinant is truncated first, so the products run mod T^prec
-    and the denominator is inverted once; the result equals the exact
-    evaluation expanded to prec.
+    Equal factor matrices share one stored object, keyed once by the
+    class, so repeated factors are grouped by (object, exponent): each
+    distinct determinant is taken once and raised to its multiplicity
+    by repeated squaring.  With prec every determinant is truncated
+    first, so the products run mod T^prec and the denominator is
+    inverted once; the result equals the exact evaluation expanded to
+    prec.
 
     Denominator determinants must have unit constant term; otherwise the
     inverse does not exist at the level of power series and we raise
@@ -254,25 +249,17 @@ def ncl_evaluate(k1, rho, prec=None):
     if rho.group != k1.group:
         raise InvariantViolation("representation is on the wrong group")
     ring = rho.ring
-    keys = {}
-    mats = {}
-    mults = Counter()
-    for mat, exp in k1.factors:
-        mkey = keys.get(id(mat))
-        if mkey is None:
-            mkey = keys[id(mat)] = _matrix_key(mat)
-        key = (mkey, exp)
-        mats.setdefault(key, mat)
-        mults[key] += 1
+    rows_of = {id(rows): rows for rows, _ in k1.factors}
+    mults = Counter((id(rows), exp) for rows, exp in k1.factors)
     num = den = Poly.one(ring) if prec is None else Series.one(ring, prec)
-    for key, mult in mults.items():
-        det = poly_det(theta_matrix(mats[key], rho), ring)
-        if key[1] == -1 and not is_in_P(det):
+    for (key, exp), mult in mults.items():
+        det = poly_det(theta_matrix(rows_of[key], rho), ring)
+        if exp == -1 and not is_in_P(det):
             raise SingularEvaluation(
                 "denominator determinant has non-unit constant term")
         if prec is not None:
             det = det.truncate(prec)
-        if key[1] == 1:
+        if exp == 1:
             num = num * power(det, mult, mul)
         else:
             den = den * power(det, mult, mul)

@@ -8,14 +8,30 @@ package replaced or never needed, kept to check the package against.
   the certificate of acceptance criterion 4 and of the limit tests.
 - `solve_left`: one solution of x A == b over Z/M, which eq_up_to_unit
   needs and the package does not.
+- `PolyRingOps`: PolyOps with the add, mul and neg that the add/mul
+  oracles and Berkowitz over Omega[T] read; the package's own Omega[T]
+  matrices need only zero, one and dot.
 - `fl_gcd` and `fl_derivative`: the monic gcd and the derivative over
   F_l, with which CoeffRing once tested square-freeness as
   gcd(f, f') == 1; it now reads it off the factorization.
 """
 
-from nclfun.coeffring import Poly, Series, _fl_mod, _fl_trim
+from nclfun.coeffring import Poly, PolyOps, Series, _fl_mod, _fl_trim
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
 from nclfun.linalg import howell_form, left_kernel, reduce_vector
+
+
+class PolyRingOps(PolyOps):
+    """Omega[T] as a full ops object, for the oracles."""
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
 
 
 def fl_gcd(a, b, ell):

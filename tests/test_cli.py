@@ -230,7 +230,8 @@ def test_malformed_group_data_exits_2_naming_the_key(
     ["imc", "limit", "--ell", "3", "--m", "2", "--phi", "[[4]]"],
     ["imc", "fitting", "--ell", "3", "--m", "2", "--phi", "[[4]]"],
     ["kconnect", "d", "--ell", "3", "--m", "2", "--alpha", "[[[1,5]]]"],
-], ids=["imc limit", "imc fitting", "kconnect d"])
+    ["ncl", "compute", "--fixture", str(FIXTURES / "trivial.inst")],
+], ids=["imc limit", "imc fitting", "kconnect d", "ncl compute"])
 def test_precision_is_refused_where_nothing_reads_it(capsys, argv):
     code, out, _ = _run(capsys, argv)
     assert code == 0 and out
@@ -306,8 +307,9 @@ def test_ncl_verify_skips_the_quotient_by_a_non_normal_subgroup(
 
 # Wall-clock budget for all ncl commands on one fixture: 10 s for ec_f5
 # and 5 s for the others, which measured about 2 s and under 0.5 s on
-# 2 vCPUs (CPython 3.11).  ec_f5 runs at precision 7, the most its
-# points (through degree 6) support.
+# 2 vCPUs (CPython 3.11).  ec_f5's evaluate and verify run at precision
+# 7, the most its points (through degree 6) support; compute takes no
+# precision.
 NCL_BUDGET_S = {"ec_f5": 10.0}
 NCL_PRECISION = {"ec_f5": ["--precision", "7"]}
 
@@ -317,10 +319,10 @@ NCL_PRECISION = {"ec_f5": ["--precision", "7"]}
 def test_ncl_commands_finish_within_budget(capsys, name):
     path = str(FIXTURES / f"{name}.inst")
     reps = sorted(parse_instance(pathlib.Path(path).read_text()).reps)
-    extra = ["--fixture", path, "--format", "json-lines"] \
-        + NCL_PRECISION.get(name, [])
+    extra = ["--fixture", path, "--format", "json-lines"]
     t0 = time.perf_counter()
     code, out, _ = _run(capsys, ["ncl", "compute"] + extra)
+    extra += NCL_PRECISION.get(name, [])
     assert code == 0
     assert json.loads(out)["verdict"] == "ok"
     for rep in reps:

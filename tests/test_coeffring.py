@@ -27,6 +27,7 @@ from nclfun.coeffring import (
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
 from nclfun.linalg import berkowitz_charpoly, det_from_charpoly
 from series_oracle import (
+    PolyRingOps,
     eq_up_to_unit,
     fl_derivative,
     fl_gcd,
@@ -697,7 +698,7 @@ def test_ring_dot_matches_add_mul_fold():
 def test_poly_dot_matches_add_mul_fold():
     rng = random.Random(139)
     for ring in DOT_RINGS:
-        ops = PolyOps(ring)
+        ops = PolyRingOps(ring)
         # entries of 1-2 coefficients, entries on the schoolbook side of
         # the Kronecker cutoff, entries past it, and the two mixed
         for n in range(1, 6):

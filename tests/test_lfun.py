@@ -7,7 +7,6 @@ from nclfun import lfun
 from nclfun.coeffring import (
     CoeffRing,
     Poly,
-    PolyOps,
     Series,
     det_one_minus_scaled,
     mat_identity_omega,
@@ -29,7 +28,11 @@ from nclfun.lfun import (
 )
 from nclfun.linalg import berkowitz_charpoly
 from nclfun.randcases import random_instance
-from series_oracle import recurrence_series_invert, schoolbook_series_mul
+from series_oracle import (
+    PolyRingOps,
+    recurrence_series_invert,
+    schoolbook_series_mul,
+)
 from test_coeffring import series_from_ints
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -184,7 +187,7 @@ def test_grouped_euler_product_matches_per_point_loop_on_ec_f5():
 
 def _det_via_full_berkowitz(ring, Phi):
     n = len(Phi)
-    ops = PolyOps(ring)
+    ops = PolyRingOps(ring)
     mat = [[Poly(ring, [ring.zero, ring.neg(Phi[i][j])])
             for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -33,7 +33,7 @@ from nclfun.linalg import (
     split_components,
     unit_lifting_gcd,
 )
-from series_oracle import solve_left
+from series_oracle import PolyRingOps, solve_left
 
 MODULI = [5, 8, 9, 27, 125]
 
@@ -511,7 +511,7 @@ def _dot_cases(rng):
     for ring in DOT_RINGS:
         yield ring, ring.ell, lambda n, ring=ring: _rand_mat(rng, ring, n)
         for max_len in (2, 5):
-            yield PolyOps(ring), ring.ell, (
+            yield PolyRingOps(ring), ring.ell, (
                 lambda n, ring=ring, k=max_len:
                 _rand_poly_mat(rng, ring, n, k))
 
@@ -579,7 +579,7 @@ def test_poly_det_matches_berkowitz_oracle(monkeypatch):
     rng = random.Random(101)
     cases, lengths = [], set()
     for ring in PACKED_RINGS:
-        ops = PolyOps(ring)
+        ops = PolyRingOps(ring)
         for A in _packed_det_cases(rng, ring):
             lengths.update(len(p.coeffs) for row in A for p in row)
             cases.append((ring, A, det_from_charpoly(

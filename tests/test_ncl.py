@@ -16,6 +16,7 @@ from nclfun.coeffring import (
 )
 from nclfun.covering import CoveringSpec, Point, SheafSpec, parse_instance
 from nclfun.errors import (
+    ConventionOverflow,
     InvariantViolation,
     NotSQuasiIso,
     SingularEvaluation,
@@ -410,19 +411,36 @@ def _deep_copied(k1):
     return [(copy.deepcopy(mat, dict(keep)), exp) for mat, exp in k1.factors]
 
 
-def test_shared_and_copied_factors_give_equal_classes():
+def test_shared_and_copied_factors_give_equal_classes(monkeypatch):
     gd = _s3()
     cov = _cov(gd, [Point(1, 3, 1), Point(2, 1, 2), Point(1, 3, 1),
                     Point(1, 0, 1), Point(2, 1, 2), Point(1, 3, 1)])
     shared = ncl_from_points(cov, SheafSpec(_s3_sign(gd)))
     assert len({id(mat) for mat, _ in shared.factors}) == 3
     copied = K1Class(Z9, gd, _deep_copied(shared))
-    assert len({id(mat) for mat, _ in copied.factors}) == 6
+    # six fresh objects, interned to the three distinct matrices
+    assert len({id(mat) for mat, _ in copied.factors}) == 3
     assert copied.factors == shared.factors
     assert copied == shared
     for rho in (_s3_sign(gd), _s3_std2(gd)):
         assert ncl_evaluate(copied, rho) == ncl_evaluate(shared, rho)
         assert ncl_evaluate(copied, rho, 9) == ncl_evaluate(shared, rho, 9)
+    # evaluation takes one determinant per distinct (matrix, exponent):
+    # in the mixed class each matrix comes with -1 and with +1
+    mixed = shared * shared * shared.inverse()
+    dets = []
+    det = ncl.poly_det
+
+    def counted(mat, ring):
+        dets.append(mat)
+        return det(mat, ring)
+
+    monkeypatch.setattr(ncl, "poly_det", counted)
+    for k1, distinct in ((copied, 3), (mixed, 6)):
+        for prec in (None, 9):
+            dets.clear()
+            ncl_evaluate(k1, _s3_std2(gd), prec)
+            assert len(dets) == distinct
 
 
 def test_k1_validates_every_factor_object():
@@ -466,6 +484,18 @@ def test_k1_checks_each_distinct_matrix_once(monkeypatch):
     with pytest.raises(NotSQuasiIso):
         K1Class(Z9, g, factors)
     assert len(checked) == 2
+
+
+def test_k1_refuses_a_surviving_positive_gamma_power():
+    g = _cyclic(2)
+    e0 = CrossedLaurent.one(Z9, g)
+    gamma = CrossedLaurent.monomial(Z9, g, GElement(0, 1))
+    h_gamma = CrossedLaurent.monomial(Z9, g, GElement(1, 1))
+    with pytest.raises(ConventionOverflow):
+        K1Class(Z9, g, [([[e0 + gamma]], -1)])
+    # the gamma^1 coefficients sum to zero under H -> 1: the entry
+    # collapses to 1
+    assert len(K1Class(Z9, g, [([[e0 + gamma - h_gamma]], -1)]).factors) == 1
 
 
 # --- evaluation mod T^prec

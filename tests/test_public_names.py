@@ -6,7 +6,7 @@ that would break `perfbench/` fails here too.  The other way round,
 every module-level def and class and every method must have a user,
 and every parameter with a default must be passed by some call in the
 package, the benchmark or the demos.  The package imports nothing outside the
-standard library.  The benchmark files are read as syntax trees, never
+standard library, and only in module headers.  The benchmark files are read as syntax trees, never
 run.
 """
 
@@ -228,3 +228,17 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{module}: {n}" for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign
+
+
+def test_imports_sit_at_module_level():
+    """No def or class of the package imports anything: each module
+    names what it uses in its header."""
+    nested = set()
+    for module, tree in _package_trees().items():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                nested |= {f"{module}:{node.lineno}"
+                           for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not nested, sorted(nested)
