@@ -78,7 +78,7 @@ class InputProblem(Exception):
 
 
 _INPUT_ERRORS = (InputProblem, ParseError, InvalidGroup, NotASubgroup,
-                 OSError, ValueError, SyntaxError, KeyError)
+                 OSError)
 
 
 def _note(msg):
@@ -111,8 +111,8 @@ def _load_fixture(path):
         with open(path) as fh:
             text = fh.read()
         inst = parse_instance(text)
-    except (OSError, ParseError, InvalidGroup, NotASubgroup,
-            InvariantViolation) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, InvalidGroup,
+            NotASubgroup, InvariantViolation) as exc:
         raise InputProblem(f"fixture {path}: {exc}")
     return inst, instance_digest(inst)
 
@@ -138,7 +138,7 @@ def _inline_ring(args):
             raise InputProblem(
                 f"--minpoly must be a list of ints, not {args.minpoly}")
         return CoeffRing(args.ell, args.m, minpoly)
-    except (ValueError, SyntaxError, InvariantViolation) as exc:
+    except (ValueError, SyntaxError, TypeError, InvariantViolation) as exc:
         raise InputProblem(f"cannot build the coefficient ring: {exc}")
 
 
@@ -148,7 +148,10 @@ def _payload_digest(*parts):
 
 def _square_literal(raw, problem):
     """The square list-of-lists literal in raw, else InputProblem(problem)."""
-    data = ast.literal_eval(raw)
+    try:
+        data = ast.literal_eval(raw)
+    except (ValueError, SyntaxError, TypeError) as exc:
+        raise InputProblem(f"{problem}: {exc}")
     if (not isinstance(data, list) or not data
             or any(not isinstance(r, list) or len(r) != len(data)
                    for r in data)):
@@ -279,7 +282,7 @@ def cmd_ncl_verify(args):
         if U.c == 1 and len(U.h_members) < cov.group.order:
             try:
                 qd, _ = quotient_by_normal(cov.group, U.h_members)
-            except (InvalidGroup, NotNormal):
+            except NotNormal:
                 _note(f"subgroup {name} is not normal; quotient check "
                       "skipped")
             else:

@@ -152,10 +152,14 @@ def test_input_error_exits_two(capsys):
     ["imc", "verify", "--phi", "[[[1.5,2]]]"],
     ["imc", "verify", "--phi", "[[['1',2]]]"],
     ["kconnect", "d", "--alpha", "[[[[1,2,3]]]]"],
+    ["imc", "limit", "--phi", "[[1,"],
+    ["imc", "limit", "--phi", "{[1]: 2}"],
+    ["kconnect", "d", "--alpha", "[[[1]]"],
 ])
 def test_malformed_inline_entries_are_input_errors(capsys, argv):
-    """An entry that is not an int or a list of exactly D ints is
-    unusable input: exit 2, nothing on stdout, the flag named."""
+    """A literal that does not evaluate, or an entry that is not an int
+    or a list of exactly D ints, is unusable input: exit 2, nothing on
+    stdout, the flag named."""
     code, out, err = _run(capsys, argv + [
         "--ell", "3", "--m", "2", "--minpoly", "[1,0,1]"])
     assert code == 2
@@ -176,6 +180,15 @@ def test_inline_booleans_are_input_errors(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def test_undecodable_fixture_names_the_path(tmp_path, capsys):
+    inst = tmp_path / "binary.inst"
+    inst.write_bytes(b"\xff" + ONE_POINT_INSTANCE.encode())
+    code, out, err = _run(capsys, ["lfun", "euler", "--fixture", str(inst)])
+    assert code == 2
+    assert out == ""
+    assert f"input error: fixture {inst}: 'utf-8' codec" in err
 
 
 def test_fixture_boolean_is_an_input_error(tmp_path, capsys):

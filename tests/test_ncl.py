@@ -14,7 +14,13 @@ from nclfun.coeffring import (
     mat_mul_omega,
     poly_det,
 )
-from nclfun.covering import CoveringSpec, Point, SheafSpec, parse_instance
+from nclfun.covering import (
+    CoveringSpec,
+    Point,
+    SheafSpec,
+    parse_instance,
+    push_covering_quotient,
+)
 from nclfun.errors import (
     ConventionOverflow,
     InvariantViolation,
@@ -28,6 +34,7 @@ from nclfun.groupalg import (
     GroupData,
     OpenSubgroup,
     Rep,
+    quotient_by_normal,
     tensor_rep,
     trivial_rep,
 )
@@ -241,19 +248,76 @@ def test_quotient_push_s3_to_c2():
     gd = _s3()
     cov = _cov(gd, [Point(1, 3, 1), Point(1, 1, 1), Point(2, 4, 2)])
     sheaf = SheafSpec(_s3_sign(gd))
-    cov_q, sheaf_q, k1_q = ncl_push_quotient(cov, sheaf, [0, 1, 2])
-    assert cov_q.group.order == 2
-    assert k1_q == ncl_from_points(cov_q, sheaf_q)
+    cov_q, proj = push_covering_quotient(cov, [0, 1, 2])
+    assert cov_q.group.order == 2 and proj == [0, 0, 0, 1, 1, 1]
+    k1_q = ncl_push_quotient(ncl_from_points(cov, sheaf), cov_q.group, proj)
+    # the sign character descends to the character -1 of S3 / A3
     rho_q = _char_rep(Z9, cov_q.group, -1, 1)
+    assert k1_q == ncl_from_points(cov_q, SheafSpec(rho_q))
     out = verify_quotient(cov, sheaf, [0, 1, 2], rho_q, 16)
     assert out["ok"] and out["factors_match"], out
 
 
-def test_quotient_rejects_non_factoring_sheaf():
+def test_quotient_rejects_non_factoring_sheaf(monkeypatch):
+    def refuse(cov, members):
+        raise AssertionError("covering pushed before the sheaf was checked")
+
     gd = _s3()
     cov = _cov(gd, [Point(1, 3, 1)])
-    with pytest.raises(InvariantViolation):
-        ncl_push_quotient(cov, SheafSpec(_s3_std2(gd)), [0, 1, 2])
+    rho_q = trivial_rep(Z9, quotient_by_normal(gd, [0, 1, 2])[0])
+    monkeypatch.setattr(ncl, "push_covering_quotient", refuse)
+    with pytest.raises(InvariantViolation,
+                       match="sheaf does not factor through the quotient"):
+        verify_quotient(cov, SheafSpec(_s3_std2(gd)), [0, 1, 2], rho_q, 8)
+
+
+def test_quotient_push_respects_products():
+    gd = _s3()
+    cov = _cov(gd, [Point(1, 3, 1), Point(1, 1, 1), Point(2, 4, 2)])
+    k1 = ncl_from_points(cov, SheafSpec(_s3_sign(gd)))
+    k2 = ncl_from_points(_cov(gd, [Point(1, 4, 1), Point(3, 2, 3)]),
+                         SheafSpec(trivial_rep(Z9, gd)))
+    qd, proj = quotient_by_normal(gd, [0, 1, 2])
+    unit = ncl_push_quotient(k1 * k1.inverse(), qd, proj)
+    assert ncl_evaluate(unit, trivial_rep(Z9, qd)) == \
+        RationalFunction(Poly.one(Z9))
+    assert ncl_push_quotient(k1 * k2, qd, proj) == \
+        ncl_push_quotient(k1, qd, proj) * ncl_push_quotient(k2, qd, proj)
+
+
+def test_verify_quotient_pushes_once_and_builds_the_class_once(monkeypatch):
+    push, build = ncl.push_covering_quotient, ncl.ncl_from_points
+    pushed, built = [], []
+
+    def counting_push(cov, members):
+        pushed.append(push(cov, members))
+        return pushed[-1]
+
+    def counting_build(cov, sheaf):
+        built.append((cov, sheaf))
+        return build(cov, sheaf)
+
+    monkeypatch.setattr(ncl, "push_covering_quotient", counting_push)
+    monkeypatch.setattr(ncl, "ncl_from_points", counting_build)
+    checks = 0
+    for name in ("z2xgamma", "z3_semidirect", "s3_gamma"):
+        inst = parse_instance((FIXTURES / f"{name}.inst").read_text())
+        cov, sheaf = inst.covering, inst.sheaf
+        for U in inst.subgroups.values():
+            if U.c != 1 or len(U.h_members) == cov.group.order:
+                continue
+            qd, _ = quotient_by_normal(cov.group, U.h_members)
+            pushed.clear()
+            built.clear()
+            out = verify_quotient(cov, sheaf, U.h_members,
+                                  trivial_rep(cov.ring, qd), 8)
+            assert out["ok"] and out["factors_match"], (name, out)
+            assert len(pushed) == 1, name
+            assert len(built) == 2, name
+            assert built[0][0] is cov and built[0][1] is sheaf
+            assert built[1][0] is pushed[0][0]
+            checks += 1
+    assert checks == 3
 
 
 def test_artin_induction_gamma_index_two():
@@ -542,6 +606,6 @@ def test_verify_drivers_never_expand_exact_evaluations(monkeypatch):
     sheaf = SheafSpec(_s3_sign(gd))
     assert verify_interpolation(cov, sheaf, _s3_std2(gd), 12)["ok"]
     assert verify_twist(cov, sheaf, _s3_sign(gd), _s3_std2(gd), 12)["ok"]
-    cov_q, _, _ = ncl_push_quotient(cov, sheaf, [0, 1, 2])
-    rho_q = _char_rep(Z9, cov_q.group, -1, 1)
+    qd, _ = quotient_by_normal(gd, [0, 1, 2])
+    rho_q = _char_rep(Z9, qd, -1, 1)
     assert verify_quotient(cov, sheaf, [0, 1, 2], rho_q, 12)["ok"]
