@@ -42,6 +42,7 @@ from .limits import (
     fitting_ideal,
     kernel_chain_report,
     limit_module,
+    mc_precision_floor,
     ngens,
     verify_mc_commutative,
 )
@@ -131,14 +132,20 @@ def _check_points_precision(inst, prec):
 def _inline_ring(args):
     if args.ell is None:
         raise InputProblem("--ell is required for inline inputs")
-    try:
-        minpoly = ast.literal_eval(args.minpoly) if args.minpoly else None
-        if minpoly is not None and (not isinstance(minpoly, list) or any(
-                type(c) is not int for c in minpoly)):
+    minpoly = None
+    if args.minpoly:
+        try:
+            minpoly = ast.literal_eval(args.minpoly)
+        except (ValueError, SyntaxError, TypeError) as exc:
+            raise InputProblem(
+                f"--minpoly: cannot parse {args.minpoly!r}: {exc}")
+        if not isinstance(minpoly, list) or any(
+                type(c) is not int for c in minpoly):
             raise InputProblem(
                 f"--minpoly must be a list of ints, not {args.minpoly}")
+    try:
         return CoeffRing(args.ell, args.m, minpoly)
-    except (ValueError, SyntaxError, TypeError, InvariantViolation) as exc:
+    except InvariantViolation as exc:
         raise InputProblem(f"cannot build the coefficient ring: {exc}")
 
 
@@ -343,6 +350,12 @@ def cmd_imc_fitting(args):
 def cmd_imc_verify(args):
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
+    floor = mc_precision_floor(ring, len(Phi))
+    if args.precision < floor:
+        raise InputProblem(
+            f"--precision {args.precision} is below the floor {floor} that "
+            f"a {len(Phi)}x{len(Phi)} --phi needs at m = {ring.m}; use "
+            f"--precision {floor} or more")
     digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
                              args.phi)
     t0 = time.perf_counter()

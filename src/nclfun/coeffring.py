@@ -635,12 +635,6 @@ class Series:
                       [self.ring.add(self.coeffs[k], other.coeffs[k])
                        for k in range(n)])
 
-    def __sub__(self, other):
-        n = self._join(other)
-        return Series(self.ring, n,
-                      [self.ring.sub(self.coeffs[k], other.coeffs[k])
-                       for k in range(n)])
-
     def __mul__(self, other):
         n = self._join(other)
         out = _poly_dot(self.ring, (_strip(self.coeffs[:n]),),
@@ -805,9 +799,7 @@ class RationalFunction:
 
     __slots__ = ("ring", "num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.one(num.ring)
+    def __init__(self, num, den):
         if num.ring != den.ring:
             raise InvariantViolation("mixed coefficient rings in quotient")
         if not is_in_P(den):
@@ -826,9 +818,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction) or self.ring != other.ring:
             return False
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("rational functions are not hashable")
 
     def expand(self, prec):
         """Series expansion to the given precision."""

@@ -4,9 +4,10 @@ named representations, open subgroups and cohomology presentations.
 
 The on-disk grammar is line based: `key = value` with `#` comments and
 blank lines permitted, values either a decimal integer or a nested
-bracket list of integers.  Entries of matrices over an extension ring
-are coefficient lists (ascending powers of x); over a degree-1 ring
-they are bare integers.  The canonical rendering fixes section order,
+bracket list of integers.  Every matrix of an instance is over the one
+ring that omega.minpoly names.  Entries over an extension ring are
+coefficient lists (ascending powers of x); over a degree-1 ring they
+are bare integers.  The canonical rendering fixes section order,
 sorts named sections, drops comments, and reduces every residue, so
 equal instances render to byte-identical text.
 """
@@ -188,15 +189,10 @@ def _matrix(ring, v, size, context):
     return [[_entry_to_elem(ring, c, context) for c in row] for row in v]
 
 
-def _build_rep(fields, prefix, base_ring, group):
+def _build_rep(fields, prefix, ring, group):
     rank = _take(fields, f"{prefix}.rank")
     if not isinstance(rank, int) or rank < 1:
         raise ParseError(f"{prefix}.rank must be a positive integer")
-    minpoly = _take(fields, f"{prefix}.minpoly", required=False)
-    if minpoly is None:
-        ring = base_ring
-    else:
-        ring = CoeffRing(base_ring.ell, base_ring.m, minpoly)
     h_raw = _take(fields, f"{prefix}.h_images")
     if not isinstance(h_raw, list) or len(h_raw) != group.order:
         raise ParseError(
@@ -219,6 +215,13 @@ def parse_instance(text):
     fmt = _take(fields, "format")
     if fmt != FORMAT_TAG:
         raise ParseError(f"unsupported format {fmt!r}")
+    for key, (lineno, _) in fields.items():
+        if key == "sheaf.minpoly" or (key.startswith("rep.")
+                                      and key.endswith(".minpoly")):
+            raise ParseError(
+                f"line {lineno}: {key}: an instance has one coefficient "
+                f"ring; state the whole instance over this ring with "
+                f"omega.minpoly")
     q = _take(fields, "q")
     ell = _take(fields, "ell")
     m = _take(fields, "m")
@@ -359,13 +362,10 @@ def render_instance(inst):
         lines.append(f"points.complete_through = {cov.complete_through}")
 
     def rep_lines(prefix, rep):
-        out = [f"{prefix}.rank = {rep.dim}"]
-        if rep.ring != ring:
-            out.append(f"{prefix}.minpoly = {list(rep.ring.minpoly)!r}")
-        out.append(f"{prefix}.h_images = "
-                   f"{[_render_matrix(rep.ring, m) for m in rep.h_images]!r}")
-        out.append(f"{prefix}.gamma = {_render_matrix(rep.ring, rep.gamma)!r}")
-        return out
+        return [f"{prefix}.rank = {rep.dim}",
+                f"{prefix}.h_images = "
+                f"{[_render_matrix(ring, m) for m in rep.h_images]!r}",
+                f"{prefix}.gamma = {_render_matrix(ring, rep.gamma)!r}"]
 
     lines.extend(rep_lines("sheaf", inst.sheaf.rep))
     if inst.cohomology is not None:

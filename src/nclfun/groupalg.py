@@ -182,11 +182,11 @@ class CrossedLaurent:
 
     __slots__ = ("ring", "group", "terms")
 
-    def __init__(self, ring: CoeffRing, group: GroupData, terms=None):
+    def __init__(self, ring: CoeffRing, group: GroupData, terms):
         self.ring = ring
         self.group = group
         clean = {}
-        for a, vec in (terms or {}).items():
+        for a, vec in terms.items():
             vec = tuple(vec)
             if len(vec) != group.order:
                 raise InvariantViolation("coefficient vector has wrong length")
@@ -350,38 +350,16 @@ def trivial_rep(ring, group):
     return Rep(ring, group, [ident] * group.order, ident)
 
 
-def _embed_scalar(c, src: CoeffRing, dst: CoeffRing):
-    if src == dst:
-        return c
-    if src.deg == 1 and src.ell == dst.ell and src.m == dst.m:
-        return dst.int_embed(c[0])
-    raise InvariantViolation(
-        "cannot embed coefficients between unrelated rings")
-
-
-def _common_ring(r1: CoeffRing, r2: CoeffRing):
-    if r1 == r2:
-        return r1
-    if r1.deg == 1 and r1.ell == r2.ell and r1.m == r2.m:
-        return r2
-    if r2.deg == 1 and r1.ell == r2.ell and r1.m == r2.m:
-        return r1
-    raise InvariantViolation("representations live over incompatible rings")
-
-
 def tensor_rep(r1: Rep, r2: Rep) -> Rep:
-    """Kronecker product, with degree-1 coefficients embedded into the
-    larger ring when the two targets differ.
+    """Kronecker product of two representations over one ring.
 
-    The embedding is a ring map and the Kronecker product of matrices
-    is multiplicative, so the product of two representations is one and
-    is not validated again."""
+    The Kronecker product of matrices is multiplicative, so the product
+    of two representations is one and is not validated again."""
     if r1.group != r2.group:
         raise InvariantViolation("tensor needs a common group")
-    ring = _common_ring(r1.ring, r2.ring)
-
-    def emb(mat, src):
-        return [[_embed_scalar(c, src, ring) for c in row] for row in mat]
+    if r1.ring != r2.ring:
+        raise InvariantViolation("representations over different rings")
+    ring = r1.ring
 
     def kron(A, B):
         ra, rb = len(A), len(B)
@@ -395,12 +373,8 @@ def tensor_rep(r1: Rep, r2: Rep) -> Rep:
                 out.append(row)
         return out
 
-    hs = []
-    for i in range(r1.group.order):
-        hs.append(kron(emb(r1.h_images[i], r1.ring),
-                       emb(r2.h_images[i], r2.ring)))
-    gam = kron(emb(r1.gamma, r1.ring), emb(r2.gamma, r2.ring))
-    return Rep(ring, r1.group, hs, gam, check=False)
+    hs = [kron(a, b) for a, b in zip(r1.h_images, r2.h_images)]
+    return Rep(ring, r1.group, hs, kron(r1.gamma, r2.gamma), check=False)
 
 
 def theta_rho(x: CrossedLaurent, rho: Rep):
@@ -412,27 +386,27 @@ def theta_rho(x: CrossedLaurent, rho: Rep):
     Entries that keep a negative exponent of T after summation cannot be
     represented and raise ConventionOverflow.
     """
-    R_dst = rho.ring
+    R = rho.ring
     gd = x.group
     if gd != rho.group:
         raise InvariantViolation("crossed element and rep have different groups")
+    if x.ring != R:
+        raise InvariantViolation("crossed element and rep over different rings")
     r = rho.dim
     by_exp: dict[int, list] = {}
     for a, vec in x.terms.items():
         exp = -a
-        mat_acc = by_exp.setdefault(
-            exp, [[R_dst.zero] * r for _ in range(r)])
+        mat_acc = by_exp.setdefault(exp, [[R.zero] * r for _ in range(r)])
         for h, coeff in enumerate(vec):
-            if x.ring.is_zero(coeff):
+            if R.is_zero(coeff):
                 continue
-            c = _embed_scalar(coeff, x.ring, R_dst)
             ginv = gd.g_inv(GElement(h, a))
             m = rho.of(ginv)
             for i in range(r):
                 for j in range(r):
                     # transpose while accumulating
-                    mat_acc[i][j] = R_dst.add(
-                        mat_acc[i][j], R_dst.mul(c, m[j][i]))
+                    mat_acc[i][j] = R.add(mat_acc[i][j],
+                                          R.mul(coeff, m[j][i]))
     exps = sorted(by_exp)
     out = []
     for i in range(r):
@@ -441,15 +415,14 @@ def theta_rho(x: CrossedLaurent, rho: Rep):
             coeffs = {}
             for e in exps:
                 v = by_exp[e][i][j]
-                if not R_dst.is_zero(v):
+                if not R.is_zero(v):
                     coeffs[e] = v
             if coeffs and min(coeffs) < 0:
                 raise ConventionOverflow(
                     "entry has a surviving negative power of T")
             top = max(coeffs) if coeffs else -1
-            row.append(Poly(R_dst,
-                            [coeffs.get(k, R_dst.zero)
-                             for k in range(top + 1)]))
+            row.append(Poly(R, [coeffs.get(k, R.zero)
+                                for k in range(top + 1)]))
         out.append(row)
     return out
 

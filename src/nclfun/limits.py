@@ -59,6 +59,7 @@ __all__ = [
     "fitting_ideal",
     "char_element",
     "iwasawa_transform",
+    "mc_precision_floor",
     "verify_mc_commutative",
     "ideal_canonical_form",
     "ideal_classes_equal",
@@ -81,12 +82,11 @@ class GammaModule:
     gamma_inv is stored explicitly; for limit modules it is a literal
     power of the same matrix, which is the whole point of working at a
     stabilized level.  basis is the Howell form over Z/M of the
-    flattened relations and their multiples by x^u, taken once: given
-    by limit_module, which has it from the tower, and computed here for
-    a module built by hand.  The check, run on every module, and size()
-    read it."""
+    flattened relations and their multiples by x^u, taken once by
+    whoever builds the module; limit_module has it from the tower.  The
+    check, run on every module, and size() read it."""
 
-    def __init__(self, ring, rank, relations, gamma, gamma_inv, basis=None):
+    def __init__(self, ring, rank, relations, gamma, gamma_inv, basis):
         self.ring = ring
         self.rank = rank
         self.relations = tuple(tuple(r) for r in relations)
@@ -97,9 +97,6 @@ class GammaModule:
                 raise InvariantViolation("relation row of wrong length")
         if len(gamma) != rank or len(gamma_inv) != rank:
             raise InvariantViolation("gamma matrix of wrong size")
-        if basis is None:
-            basis = howell_form(ring.omega_rows_to_int_rows(self.relations),
-                                rank * ring.deg, ring.modulus)
         self.basis = basis
         self._check()
 
@@ -247,8 +244,7 @@ def limit_module(ring, Phi, tower=None):
     s = len(Phi)
     G = mat_pow(ZMod(ring.modulus), tower.powers[0], ring.ell ** n0 - 1)
     relations = [ring.unflatten_vec(list(r)) for r in rows]
-    return GammaModule(ring, s, relations, Phi, _omega_matrix(G, s),
-                       basis=rows)
+    return GammaModule(ring, s, relations, Phi, _omega_matrix(G, s), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +588,22 @@ def iwasawa_transform(ring, f, s):
     return Poly(ring, out)
 
 
-def verify_mc_commutative(ring, Phi, prec=32, tower=None):
+def mc_precision_floor(ring, s):
+    """The least precision verify_mc_commutative takes for an s x s Phi:
+    2 (s * m + s) keeps maximal minors from being truncated into
+    agreement."""
+    return 2 * (s * ring.m + s)
+
+
+def verify_mc_commutative(ring, Phi, prec, tower=None):
     """Fitting ideal of the limit module against the ideal generated by
     the characteristic element, compared at prec and prec + GUARD, with
     the exact bridge from the Frobenius-variable determinant.
 
-    The precision floor 2 (rank * m + rank) keeps maximal minors from
-    being truncated into agreement.  A caller that also needs the
+    prec must reach mc_precision_floor.  A caller that also needs the
     coinvariant tower of Phi may pass it in."""
     s = len(Phi)
-    floor = 2 * (s * ring.m + s)
+    floor = mc_precision_floor(ring, s)
     if prec < floor:
         raise InvariantViolation(
             f"precision {prec} below the safe floor {floor}")

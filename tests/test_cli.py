@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from nclfun import cli
 from nclfun.cli import main
 from nclfun.covering import parse_instance
 
@@ -182,6 +183,40 @@ def test_inline_booleans_are_input_errors(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("minpoly", ["{[1]}", "[1,"])
+def test_unparsable_minpoly_names_the_flag(capsys, minpoly):
+    code, out, err = _run(capsys, [
+        "imc", "limit", "--ell", "3", "--minpoly", minpoly, "--phi", "[[1]]"])
+    assert code == 2
+    assert out == ""
+    assert "--minpoly" in err
+
+
+def test_a_fault_inside_the_ring_is_no_input_error(monkeypatch):
+    """Only InvariantViolation from CoeffRing is bad input; anything
+    else it raises is a program fault and is not read as exit 2."""
+    def broken(*args):
+        raise ValueError("fault")
+
+    monkeypatch.setattr(cli, "CoeffRing", broken)
+    with pytest.raises(ValueError, match="fault"):
+        main(["imc", "limit", "--ell", "3", "--minpoly", "[1, 0, 1]",
+              "--phi", "[[1]]"])
+
+
+def test_imc_verify_precision_below_the_floor_is_an_input_error(capsys):
+    """The floor 2 (s m + s) is 12 for a 2 x 2 Phi at m = 2."""
+    argv = ["imc", "verify", "--ell", "3", "--m", "2",
+            "--phi", "[[4, 3], [0, 1]]", "--precision"]
+    code, out, err = _run(capsys, argv + ["11"])
+    assert code == 2
+    assert out == ""
+    assert "--precision 11" in err and "floor 12" in err
+    code, out, _ = _run(capsys, argv + ["12"])
+    assert code == 0
+    assert out.startswith("pass imc.verify mc-commutative")
+
+
 def test_undecodable_fixture_names_the_path(tmp_path, capsys):
     inst = tmp_path / "binary.inst"
     inst.write_bytes(b"\xff" + ONE_POINT_INSTANCE.encode())
@@ -303,6 +338,64 @@ def test_ncl_verify_small_fixture_all_pass(capsys):
     assert any(c.startswith("interpolation") for c in checks)
     assert any(c.startswith("artin") for c in checks)
     assert any(c.startswith("quotient") for c in checks)
+
+
+# z2xgamma stated over Z/9[x]/(x^2 + 1), with every entry a coefficient
+# list, plus the character ext: h -> -1, gamma -> x
+Z2XGAMMA_GAUSS = """\
+format = covering-instance-v1
+q = 5
+ell = 3
+m = 2
+omega.minpoly = [1, 0, 1]
+group.order = 2
+group.table = [[0, 1], [1, 0]]
+group.action = [0, 1]
+group.action_order = 1
+points = [[1, 0, 1], [1, 1, 1], [2, 1, 2], [3, 0, 3]]
+sheaf.rank = 1
+sheaf.h_images = [[[[1, 0]]], [[[1, 0]]]]
+sheaf.gamma = [[[1, 0]]]
+rep.ext.rank = 1
+rep.ext.h_images = [[[[1, 0]]], [[[8, 0]]]]
+rep.ext.gamma = [[[0, 1]]]
+rep.sign.rank = 1
+rep.sign.h_images = [[[[1, 0]]], [[[8, 0]]]]
+rep.sign.gamma = [[[1, 0]]]
+rep.signtw.rank = 1
+rep.signtw.h_images = [[[[1, 0]]], [[[8, 0]]]]
+rep.signtw.gamma = [[[2, 0]]]
+rep.triv.rank = 1
+rep.triv.h_images = [[[[1, 0]]], [[[1, 0]]]]
+rep.triv.gamma = [[[1, 0]]]
+subgroup.gsq.h_members = [0, 1]
+subgroup.gsq.c = 2
+subgroup.hsub.h_members = [0]
+subgroup.hsub.c = 1
+"""
+
+
+def test_ncl_verify_over_one_quadratic_ring(tmp_path, capsys):
+    """An instance over an extension ring carries its degree-1 data as
+    coefficient lists: the shared checks read as on z2xgamma, and the
+    character ext, with gamma -> x, is checked too."""
+    inst = tmp_path / "gauss.inst"
+    inst.write_text(Z2XGAMMA_GAUSS)
+
+    def records(path):
+        code, out, _ = _run(capsys, [
+            "ncl", "verify", "--fixture", str(path), "--precision", "8",
+            "--format", "json-lines"])
+        assert code == 0
+        return {r["check"]: (r["verdict"], r["left"], r["right"])
+                for r in map(json.loads, out.splitlines())}
+
+    gauss = records(inst)
+    base = records(FIXTURES / "z2xgamma.inst")
+    assert {c: v for c, v in gauss.items() if "[ext]" not in c} == base
+    assert all(v[0] == "pass" for v in gauss.values())
+    assert gauss["interpolation[ext]"][1] == \
+        "1 + (8*x)*T^3 + T^4 + 8*T^6 + (8*x)*T^7"
 
 
 def test_ncl_verify_skips_the_quotient_by_a_non_normal_subgroup(

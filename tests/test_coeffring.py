@@ -614,6 +614,8 @@ def test_rational_function_equality_and_expand():
     assert geom.expand(4) == series_from_ints(Z9, 4, [1, 1, 1, 1])
     with pytest.raises(InvariantViolation):
         RationalFunction(one, Poly.from_ints(Z9, [0, 1]))
+    with pytest.raises(TypeError):
+        hash(r)
 
 
 def test_rendering():

@@ -1,5 +1,6 @@
 import pytest
 
+from nclfun.cli import main
 from nclfun.covering import (
     CohomologySpec,
     CoveringSpec,
@@ -223,20 +224,28 @@ def test_point_invariants():
     assert p.frobenius().a == 3
 
 
-def test_extension_entries_roundtrip():
-    text = GOOD + (
-        "rep.tw.rank = 1\n"
-        "rep.tw.minpoly = [1, 0, 1]\n"
-        "rep.tw.h_images = [[[[1, 0]]], [[[1, 0]]]]\n"
-        "rep.tw.gamma = [[[0, 1]]]\n"
-    )
-    inst = parse_instance(text)
-    tw = inst.reps["tw"]
-    assert tw.ring.deg == 2
-    assert tw.gamma == (((0, 1),),)
-    out = render_instance(inst)
-    assert "rep.tw.minpoly = [1, 0, 1]" in out
-    assert parse_instance(out).reps["tw"].gamma == tw.gamma
+@pytest.mark.parametrize("text, key", [
+    (GOOD + "rep.tw.rank = 1\n"
+            "rep.tw.minpoly = [1, 0, 1]\n"
+            "rep.tw.h_images = [[[[1, 0]]], [[[1, 0]]]]\n"
+            "rep.tw.gamma = [[[0, 1]]]\n", "rep.tw.minpoly"),
+    (GOOD.replace("sheaf.rank = 1\n",
+                  "sheaf.rank = 1\nsheaf.minpoly = [1, 0, 1]\n"),
+     "sheaf.minpoly"),
+], ids=["rep", "sheaf"])
+def test_per_rep_ring_keys_are_refused(tmp_path, capsys, text, key):
+    """Every matrix of an instance is over the ring omega.minpoly
+    names: a ring key of the sheaf or of a rep is refused by name
+    before its entries are parsed, and through the CLI with exit 2."""
+    with pytest.raises(ParseError, match=f"{key}: .*omega.minpoly"):
+        parse_instance(text)
+    path = tmp_path / "ring.inst"
+    path.write_text(text)
+    assert main(["lfun", "euler", "--fixture", str(path),
+                 "--precision", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert key in err
 
 
 def _s3_group():

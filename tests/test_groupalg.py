@@ -284,6 +284,22 @@ def test_tensor_rep_characters_multiply():
                                             character(sign, g))
 
 
+def test_tensor_and_theta_refuse_two_rings():
+    """Every matrix of an instance is over one ring: a representation
+    over Z/9 and one over Z/9[x]/(x^2 + 1) do not meet."""
+    gd = _cyclic(2)
+    gauss = CoeffRing(3, 2, [1, 0, 1])
+    sign = Rep(Z9, gd, [[[Z9.one]], [[Z9.int_embed(-1)]]], [[Z9.one]])
+    ext = Rep(gauss, gd, [[[gauss.one]], [[gauss.int_embed(-1)]]],
+              [[gauss.element([0, 1])]])
+    for a, b in ((sign, ext), (ext, sign)):
+        with pytest.raises(InvariantViolation, match="different rings"):
+            tensor_rep(a, b)
+    for ring, rho in ((Z9, ext), (gauss, sign)):
+        with pytest.raises(InvariantViolation, match="different rings"):
+            theta_rho(CrossedLaurent.one(ring, gd), rho)
+
+
 def test_open_subgroup_checks():
     gd = _s3()
     U = OpenSubgroup(gd, [0, 1, 2], 1)

@@ -62,6 +62,14 @@ def _mat(ring, ints):
     return [[ring.int_embed(v) for v in row] for row in ints]
 
 
+def _hand_module(ring, rank, relations, gamma, gamma_inv):
+    """A GammaModule built by hand, with the Howell form of its
+    flattened relations as basis."""
+    basis = howell_form(ring.omega_rows_to_int_rows(relations),
+                        rank * ring.deg, ring.modulus)
+    return GammaModule(ring, rank, relations, gamma, gamma_inv, basis)
+
+
 def _rand_elt(ring, rng):
     return ring.element([rng.randrange(ring.modulus)
                          for _ in range(ring.deg)])
@@ -77,27 +85,27 @@ def _rand_mat(ring, rng, s):
 def test_gamma_module_validation():
     with pytest.raises(InvariantViolation):
         GammaModule(Z9, 2, [(Z9.one,)], _mat(Z9, [[1, 0], [0, 1]]),
-                    _mat(Z9, [[1, 0], [0, 1]]))
+                    _mat(Z9, [[1, 0], [0, 1]]), [])
     with pytest.raises(InvariantViolation):
-        GammaModule(Z9, 1, [], _mat(Z9, [[2]]), _mat(Z9, [[2]]))
+        _hand_module(Z9, 1, [], _mat(Z9, [[2]]), _mat(Z9, [[2]]))
     # swap action does not preserve the span of e1
     with pytest.raises(InvariantViolation):
-        GammaModule(Z9, 2, [(Z9.one, Z9.zero)], _mat(Z9, [[0, 1], [1, 0]]),
-                    _mat(Z9, [[0, 1], [1, 0]]))
+        _hand_module(Z9, 2, [(Z9.one, Z9.zero)],
+                     _mat(Z9, [[0, 1], [1, 0]]), _mat(Z9, [[0, 1], [1, 0]]))
 
 
 def test_gamma_inverse_only_needed_modulo_relations():
     # 2*2 = 4 is not 1 in Z/9, but it is 1 modulo the relation 3
-    mod = GammaModule(Z9, 1, [(Z9.int_embed(3),)],
-                      _mat(Z9, [[2]]), _mat(Z9, [[2]]))
+    mod = _hand_module(Z9, 1, [(Z9.int_embed(3),)],
+                       _mat(Z9, [[2]]), _mat(Z9, [[2]]))
     assert mod.size() == 3
 
 
 def test_gamma_module_size():
-    assert GammaModule(Z9, 1, [(Z9.int_embed(3),)], _mat(Z9, [[1]]),
-                       _mat(Z9, [[1]])).size() == 3
-    assert GammaModule(Z9, 2, [], _mat(Z9, [[1, 0], [0, 1]]),
-                       _mat(Z9, [[1, 0], [0, 1]])).size() == 81
+    assert _hand_module(Z9, 1, [(Z9.int_embed(3),)], _mat(Z9, [[1]]),
+                        _mat(Z9, [[1]])).size() == 3
+    assert _hand_module(Z9, 2, [], _mat(Z9, [[1, 0], [0, 1]]),
+                        _mat(Z9, [[1, 0], [0, 1]])).size() == 81
 
 
 # --- coker tower
@@ -246,8 +254,8 @@ def test_limit_module_reuses_the_tower_basis(monkeypatch):
             mod = limit_module(ring, Phi, tower=t)
             size = mod.size()
         assert mod.basis is t.layers[t.stable_from].image_rows
-        hand = GammaModule(ring, mod.rank, mod.relations, mod.gamma,
-                           mod.gamma_inv)
+        hand = _hand_module(ring, mod.rank, mod.relations, mod.gamma,
+                            mod.gamma_inv)
         assert hand.basis == mod.basis
         assert size == hand.size() == t.layers[t.stable_from].coker_size
         assert mod.gamma_inv == tuple(map(tuple, mat_pow(
@@ -1069,8 +1077,8 @@ def test_fitting_ideal_frozen_oracles():
     assert [p.coeffs for p in fit.num_gens] == [
         Poly.from_ints(Z9, [6, 1]).coeffs]
     # the non-unit relation 3 leaves nothing to eliminate: (3, Y)
-    hand = GammaModule(Z9, 1, [(Z9.int_embed(3),)], _mat(Z9, [[1]]),
-                       _mat(Z9, [[1]]))
+    hand = _hand_module(Z9, 1, [(Z9.int_embed(3),)], _mat(Z9, [[1]]),
+                        _mat(Z9, [[1]]))
     fit2 = _assert_matches_all_minors(hand)
     assert [p.coeffs for p in fit2.num_gens] == [
         Poly.from_ints(Z9, [3]).coeffs, Poly.from_ints(Z9, [0, 1]).coeffs]
@@ -1109,8 +1117,8 @@ def test_fitting_ideal_hand_presentations():
     ident = _mat(Z9, [[1, 0], [0, 1]])
     y = _y(Z9)
     # a unit relation solves for the only generator: the unit ideal
-    zero = GammaModule(Z9, 1, [(Z9.int_embed(2),)], _mat(Z9, [[1]]),
-                       _mat(Z9, [[1]]))
+    zero = _hand_module(Z9, 1, [(Z9.int_embed(2),)], _mat(Z9, [[1]]),
+                        _mat(Z9, [[1]]))
     assert [p.coeffs for p in _assert_matches_all_minors(zero).num_gens] \
         == [Poly.one(Z9).coeffs]
     # the same from a limit module: 1 - 2 is a unit, nothing survives
@@ -1120,25 +1128,25 @@ def test_fitting_ideal_hand_presentations():
     for s in (1, 2, 3):
         ident_s = _mat(Z9, [[int(i == j) for j in range(s)]
                             for i in range(s)])
-        free = GammaModule(Z9, s, [], ident_s, ident_s)
+        free = _hand_module(Z9, s, [], ident_s, ident_s)
         fit = _assert_matches_all_minors(free)
         assert [p.coeffs for p in fit.num_gens] == [
             Poly(Z9, [Z9.zero] * s + [Z9.one]).coeffs]
     # the relation 3 e1 and the row Y e1 both vanish once e1 = 0 is
     # used, leaving Omega e2 with gamma = 1
-    vanish = GammaModule(Z9, 2, [(Z9.one, Z9.zero),
-                                 (Z9.int_embed(3), Z9.zero)],
-                         ident, ident)
+    vanish = _hand_module(Z9, 2, [(Z9.one, Z9.zero),
+                                  (Z9.int_embed(3), Z9.zero)],
+                          ident, ident)
     fit = _assert_matches_all_minors(vanish)
     assert [p.coeffs for p in fit.num_gens] == [y.coeffs]
     # non-unit relations of a twisted action over a quadratic ring
     x = gen(GAUSS9)
     three = GAUSS9.int_embed(3)
-    twist = GammaModule(GAUSS9, 2, [(three, GAUSS9.zero),
-                                    (GAUSS9.zero, three)],
-                        [[GAUSS9.one, x], [GAUSS9.zero, GAUSS9.one]],
-                        [[GAUSS9.one, GAUSS9.neg(x)],
-                         [GAUSS9.zero, GAUSS9.one]])
+    twist = _hand_module(GAUSS9, 2, [(three, GAUSS9.zero),
+                                     (GAUSS9.zero, three)],
+                         [[GAUSS9.one, x], [GAUSS9.zero, GAUSS9.one]],
+                         [[GAUSS9.one, GAUSS9.neg(x)],
+                          [GAUSS9.zero, GAUSS9.one]])
     _assert_matches_all_minors(twist)
 
 

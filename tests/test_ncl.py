@@ -168,7 +168,7 @@ def test_product_and_inverse_of_classes():
     rho = _char_rep(Z9, g, 1, 2)
     prod = k1 * k1.inverse()
     rf = ncl_evaluate(prod, rho)
-    one = RationalFunction(Poly.one(Z9))
+    one = RationalFunction(Poly.one(Z9), Poly.one(Z9))
     assert rf == one
     assert ncl_evaluate(k1, rho) * ncl_evaluate(k1.inverse(), rho) == one
 
@@ -280,7 +280,7 @@ def test_quotient_push_respects_products():
     qd, proj = quotient_by_normal(gd, [0, 1, 2])
     unit = ncl_push_quotient(k1 * k1.inverse(), qd, proj)
     assert ncl_evaluate(unit, trivial_rep(Z9, qd)) == \
-        RationalFunction(Poly.one(Z9))
+        RationalFunction(Poly.one(Z9), Poly.one(Z9))
     assert ncl_push_quotient(k1 * k2, qd, proj) == \
         ncl_push_quotient(k1, qd, proj) * ncl_push_quotient(k2, qd, proj)
 
