@@ -347,15 +347,21 @@ def cmd_imc_fitting(args):
                     "; ".join(gens) + tail, None, t0)]
 
 
+def _need_precision_floor(ring, Phi, precision):
+    """Refuse a --precision below the floor at which a Fitting-ideal
+    comparison for this --phi can tell ideals apart."""
+    floor = mc_precision_floor(ring, len(Phi))
+    if precision < floor:
+        raise InputProblem(
+            f"--precision {precision} is below the floor {floor} that "
+            f"a {len(Phi)}x{len(Phi)} --phi needs at m = {ring.m}; use "
+            f"--precision {floor} or more")
+
+
 def cmd_imc_verify(args):
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
-    floor = mc_precision_floor(ring, len(Phi))
-    if args.precision < floor:
-        raise InputProblem(
-            f"--precision {args.precision} is below the floor {floor} that "
-            f"a {len(Phi)}x{len(Phi)} --phi needs at m = {ring.m}; use "
-            f"--precision {floor} or more")
+    _need_precision_floor(ring, Phi, args.precision)
     digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
                              args.phi)
     t0 = time.perf_counter()
@@ -393,6 +399,7 @@ def cmd_kconnect_verify(args):
     records = []
     if args.phi is not None:
         Phi = _omega_matrix(ring, args.phi, "--phi")
+        _need_precision_floor(ring, Phi, args.precision)
         digest = _payload_digest("kconnect", ring.ell, ring.m,
                                  list(ring.minpoly), args.phi)
         t0 = time.perf_counter()

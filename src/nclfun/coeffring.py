@@ -20,6 +20,8 @@ bounded by the M^D elements of the ring (once per residue factor for
 the projections).
 """
 
+from operator import itemgetter, mul
+
 from .errors import InvariantViolation, NonUnitConstantTerm
 from .linalg import (
     INT_OPS,
@@ -437,8 +439,7 @@ class Poly:
         return hash((self.ring, self.coeffs))
 
     def truncate(self, prec):
-        return Series(self.ring, prec,
-                      [self.coeff(k) for k in range(prec)])
+        return Series(self.ring, prec, self.coeffs[:prec])
 
     def __str__(self):
         return render_poly_terms(self.ring, self.coeffs)
@@ -487,22 +488,24 @@ def _unpack(v, count, w):
     return vals
 
 
-def _kronecker_slots(ring, a, b):
-    """The product of two nonempty coefficient tuples by Kronecker
-    substitution, unreduced: slot k (2D - 1) + t holds the integer
-    coefficient of x^t T^k.
+def _kronecker_slots(ring, a, b, count):
+    """The first count T-coefficients of the product of two nonempty
+    coefficient tuples by Kronecker substitution, unreduced: slot
+    k (2D - 1) + t holds the integer coefficient of x^t T^k.
 
     Each T-coefficient, read as a polynomial in x of degree below D,
     fills 2D - 1 slots of w bits in one integer; one integer product then
     holds the slots.  Each sums at most min(len) * D products of
     residues below M, so w = 2 bitlen(M - 1) + bitlen(min(len) * D) bits
-    hold it and no carry crosses a slot.
+    hold it and no carry crosses a slot, and the slots past count blocks
+    are masked off before they are read.
     """
     D, M = ring.deg, ring.modulus
     w = 2 * (M - 1).bit_length() + (min(len(a), len(b)) * D).bit_length()
     S = 2 * D - 1
-    return _unpack(_pack(a, D, S, w) * _pack(b, D, S, w),
-                   (len(a) + len(b) - 1) * S, w)
+    bits = count * S * w
+    return _unpack(_pack(a, D, S, w) * _pack(b, D, S, w) & ((1 << bits) - 1),
+                   count * S, w)
 
 
 def _reduce_slots(ring, vals, slots=None):
@@ -545,33 +548,46 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
-def _poly_dot(ring, xs, ys):
+def _poly_dot(ring, xs, ys, n=None):
     """The sum of a * b over the pairs (a, b) of coefficient tuples in
-    zip(xs, ys), as a list of ring elements, ascending in T.
-    The list may end in zeros; an empty sum gives an empty list.
+    zip(xs, ys), as a list of ring elements, ascending in T; with n,
+    only its coefficients below T^n.  The list may end in zeros; an
+    empty sum gives an empty list.
 
     All products add up in one unreduced integer array, 2D - 1 slots
-    per power of T, reduced once at the end.  Poly products, PolyOps.dot,
-    Series products and the Fitting elimination all go through here."""
+    per power of T, reduced once at the end.  With n no product at or
+    past T^n is formed and the Kronecker slots are cut to n blocks
+    before reduction.  Over a degree-1 ring the schoolbook loop runs
+    on bare ints.  Poly products, PolyOps.dot and the Fitting
+    elimination pass no n; Series products pass their precision."""
     D = ring.deg
     S = 2 * D - 1
     acc = []
     for ac, bc in zip(xs, ys):
+        if n is not None:
+            ac, bc = ac[:n], bc[:n]
         if not ac or not bc:
             continue
-        need = (len(ac) + len(bc) - 1) * S
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
+        top = len(ac) + len(bc) - 1
+        if n is not None and top > n:
+            top = n
+        if len(acc) < top * S:
+            acc.extend([0] * (top * S - len(acc)))
         if len(ac) >= _KRONECKER_MIN_LEN and len(bc) >= _KRONECKER_MIN_LEN:
-            for k, v in enumerate(_kronecker_slots(ring, ac, bc)):
+            for k, v in enumerate(_kronecker_slots(ring, ac, bc, top)):
                 acc[k] += v
-            continue
-        for i, u in enumerate(ac):
-            for j, v in enumerate(bc, i):
-                for s, us in enumerate(u, j * S):
-                    if us:
-                        for k, vt in enumerate(v, s):
-                            acc[k] += us * vt
+        elif D == 1:
+            for i, (u,) in enumerate(ac):
+                if u:
+                    for k, (v,) in enumerate(bc[:top - i], i):
+                        acc[k] += u * v
+        else:
+            for i, u in enumerate(ac):
+                for j, v in enumerate(bc[:top - i], i):
+                    for s, us in enumerate(u, j * S):
+                        if us:
+                            for k, vt in enumerate(v, s):
+                                acc[k] += us * vt
     return _reduce_slots(ring, acc)
 
 
@@ -597,13 +613,15 @@ class PolyOps:
 
 class Series:
     """Power series over a CoeffRing, held to an explicit precision: the
-    coefficient tuple always has exactly `prec` entries.  Binary ops
-    truncate to the smaller precision of the two operands.
+    coefficient tuple always has exactly `prec` entries.  A product is
+    taken at the smaller precision n of the two operands.
 
-    A product is the polynomial product of the two operands cut to that
-    precision (trailing zeros dropped), by the same _poly_dot as Poly, of
-    which the first prec coefficients are kept: a short local factor
-    costs its length times the other operand's, not prec times it."""
+    It is the polynomial product of the two operands cut to n (trailing
+    zeros dropped), by the same _poly_dot as Poly, which forms no
+    product at or past T^n: a short local factor costs its length
+    times the other operand's, not n times it.  An operand that is
+    exactly 1 costs one comparison: the other operand, cut to n, is
+    the product."""
 
     __slots__ = ("ring", "prec", "coeffs")
 
@@ -621,31 +639,15 @@ class Series:
     def one(cls, ring, prec):
         return cls(ring, prec, [ring.one])
 
-    def coeff(self, k):
-        return self.coeffs[k]
-
-    def _join(self, other):
+    def __mul__(self, other):
         if self.ring != other.ring:
             raise InvariantViolation("mixed coefficient rings in series op")
-        return min(self.prec, other.prec)
-
-    def __add__(self, other):
-        n = self._join(other)
-        return Series(self.ring, n,
-                      [self.ring.add(self.coeffs[k], other.coeffs[k])
-                       for k in range(n)])
-
-    def __mul__(self, other):
-        n = self._join(other)
-        out = _poly_dot(self.ring, (_strip(self.coeffs[:n]),),
-                        (_strip(other.coeffs[:n]),))
-        return Series(self.ring, n, out[:n])
-
-    def truncate(self, prec):
-        if prec > self.prec:
-            raise InvariantViolation(
-                f"cannot extend precision {self.prec} to {prec}")
-        return Series(self.ring, prec, self.coeffs[:prec])
+        n = min(self.prec, other.prec)
+        a, b = _strip(self.coeffs[:n]), _strip(other.coeffs[:n])
+        one = (self.ring.one,)
+        if a == one or b == one:
+            return Series(self.ring, n, b if a == one else a)
+        return Series(self.ring, n, _poly_dot(self.ring, (a,), (b,), n))
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.ring == other.ring
@@ -664,10 +666,15 @@ class Series:
 def series_invert(s):
     """Multiplicative inverse in Omega[[T]] / T^prec.
 
-    Coefficient k of the inverse t is -t_0 times the sum of s_j t_(k-j)
-    over the nonzero s_j with 1 <= j <= k: one fused CoeffRing.dot per
-    coefficient.  Needs a unit constant term; raises NonUnitConstantTerm
-    otherwise.
+    The inverse t satisfies t_k = sum of q_j t_(k-j) over the nonzero
+    s_j with 1 <= j <= k, where q_j = -t_0 s_j is formed once per j.
+    The sum runs on integer coordinates.  Coordinate r of q_j x^c, for
+    c < D, is taken once as the weight of coordinate c of t_(k-j) in
+    coordinate r of t_k.  So the powers of x are folded into the
+    weights, and each coordinate of t_k is one sum of unreduced integer
+    products, reduced once mod M.  Over a degree-1 ring the weights are
+    the bare ints q_j.  Needs a unit constant term; raises
+    NonUnitConstantTerm otherwise.
     """
     R = s.ring
     c0 = s.coeffs[0]
@@ -675,17 +682,43 @@ def series_invert(s):
         raise NonUnitConstantTerm(
             "series inversion needs a unit constant term")
     t0 = R.inv(c0)
-    minus_t0 = R.neg(t0)
-    js = [j for j in range(1, s.prec) if any(s.coeffs[j])]
-    cs = [s.coeffs[j] for j in js]
-    out = [t0]
+    D, M, prec = R.deg, R.modulus, s.prec
+    js = [j for j in range(1, prec) if any(s.coeffs[j])]
+    # t is kept flat, t_i[c] at i D + c.  At step k the list holds k D
+    # ints, so t_(k-j)[c] sits at c - j D; up to T^k the first `used`
+    # of the js contribute, read through the first used D indices.
     used = 0
-    for k in range(1, s.prec):
+    if D == 1:
+        qs = [-t0[0] * s.coeffs[j][0] % M for j in js]
+        idx = [-j for j in js]
+        flat, get = [t0[0]], ()
+        for k in range(1, prec):
+            if used < len(js) and js[used] == k:
+                used += 1
+                get = idx[:used]
+            flat.append(sum(map(mul, qs, map(flat.__getitem__, get))) % M)
+        return Series(R, prec, [(v,) for v in flat])
+    minus_t0 = R.neg(t0)
+    idx, weights = [], [[] for _ in range(D)]
+    for j in js:
+        q = R.mul(minus_t0, s.coeffs[j])
+        for c in range(D):
+            idx.append(c - j * D)
+            for r in range(D):
+                weights[r].append(q[r])
+            q = R._shift_reduce(q)
+    flat, get = list(t0), None
+    for k in range(1, prec):
         if used < len(js) and js[used] == k:
             used += 1
-        acc = R.dot(cs[:used], [out[k - j] for j in js[:used]])
-        out.append(R.mul(minus_t0, acc))
-    return Series(R, s.prec, out)
+            get = itemgetter(*idx[:used * D])
+        if get is None:
+            flat.extend(R.zero)
+        else:
+            vals = get(flat)
+            flat.extend([sum(map(mul, w, vals)) % M for w in weights])
+    return Series(R, prec, [tuple(flat[i:i + D])
+                            for i in range(0, prec * D, D)])
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +726,7 @@ def series_invert(s):
 # ---------------------------------------------------------------------------
 
 def is_in_P(a):
-    """Unit constant term.  Works for Poly and Series alike."""
+    """Whether a Poly has a unit constant term."""
     return a.ring.is_unit(a.coeff(0))
 
 

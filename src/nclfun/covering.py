@@ -14,6 +14,7 @@ equal instances render to byte-identical text.
 
 import ast
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
 
@@ -33,21 +34,21 @@ from .groupalg import (
 FORMAT_TAG = "covering-instance-v1"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", ["degree", "h", "gamma_exp"])):
     """Closed point of the base: degree, the H-part of its Frobenius,
     and the gamma exponent, which admissibility forces to equal the
-    degree."""
-    degree: int
-    h: int
-    gamma_exp: int
+    degree.  A tuple, so the Counter and the sets over a covering's
+    points hash and compare them without a Python call per point."""
 
-    def __post_init__(self):
-        if self.degree < 1:
+    __slots__ = ()
+
+    def __new__(cls, degree, h, gamma_exp):
+        if degree < 1:
             raise InvariantViolation("point degree must be positive")
-        if self.gamma_exp != self.degree:
+        if gamma_exp != degree:
             raise InvariantViolation(
-                f"gamma exponent {self.gamma_exp} must match degree {self.degree}")
+                f"gamma exponent {gamma_exp} must match degree {degree}")
+        return super().__new__(cls, degree, h, gamma_exp)
 
     def frobenius(self) -> GElement:
         return GElement(self.h, self.gamma_exp)

@@ -3,9 +3,14 @@ package replaced or never needed, kept to check the package against.
 
 - `schoolbook_series_mul` and `recurrence_series_invert`: the
   coefficient-by-coefficient add/mul loops that Series.__mul__ and
-  coeffring.series_invert replaced.
+  coeffring.series_invert replaced.  They check the product that
+  _poly_dot cuts at the precision and takes free when an operand is 1,
+  and the inversion that sums on integer coordinates, bare ints over a
+  degree-1 ring.
 - `eq_up_to_unit`: whether two series agree up to a unit series factor,
   the certificate of acceptance criterion 4 and of the limit tests.
+  `_cut` holds a series to a lower precision for it, since Series
+  itself keeps no such method.
 - `solve_left`: one solution of x A == b over Z/M, which eq_up_to_unit
   needs and the package does not.
 - `PolyRingOps`: PolyOps with the add, mul and neg that the add/mul
@@ -105,6 +110,11 @@ def solve_left(A, b, M):
     return [(-t) % M for t in v[n:]]
 
 
+def _cut(s, prec):
+    """A series held past prec, cut to prec; any other left as it is."""
+    return Series(s.ring, prec, s.coeffs[:prec]) if s.prec > prec else s
+
+
 def eq_up_to_unit(a, b, prec=32):
     """Whether a == u * b holds in Omega[[T]] / T^prec for some unit u
     (unit means invertible there: unit constant term).
@@ -124,8 +134,7 @@ def eq_up_to_unit(a, b, prec=32):
         a = a.truncate(prec)
     if isinstance(b, Poly):
         b = b.truncate(prec)
-    a = a.truncate(prec) if a.prec > prec else a
-    b = b.truncate(prec) if b.prec > prec else b
+    a, b = _cut(a, prec), _cut(b, prec)
     if a.prec != prec or b.prec != prec:
         raise InvariantViolation("operands shorter than requested precision")
     D, M, ell = ring.deg, ring.modulus, ring.ell

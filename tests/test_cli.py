@@ -217,6 +217,21 @@ def test_imc_verify_precision_below_the_floor_is_an_input_error(capsys):
     assert out.startswith("pass imc.verify mc-commutative")
 
 
+def test_kconnect_verify_phi_precision_below_the_floor_is_an_input_error(
+        capsys):
+    """kconnect verify --phi compares the same Fitting ideal as imc
+    verify, so it refuses below the same floor, 12 for this Phi."""
+    argv = ["kconnect", "verify", "--ell", "3", "--m", "2",
+            "--phi", "[[4, 3], [0, 1]]", "--precision"]
+    code, out, err = _run(capsys, argv + ["1"])
+    assert code == 2
+    assert out == ""
+    assert "--precision 1" in err and "floor 12" in err
+    code, out, _ = _run(capsys, argv + ["12"])
+    assert code == 0
+    assert out.startswith("pass kconnect.verify d-fitting-consistency")
+
+
 def test_undecodable_fixture_names_the_path(tmp_path, capsys):
     inst = tmp_path / "binary.inst"
     inst.write_bytes(b"\xff" + ONE_POINT_INSTANCE.encode())
