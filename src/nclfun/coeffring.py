@@ -555,11 +555,12 @@ def _poly_dot(ring, xs, ys, n=None):
     empty sum gives an empty list.
 
     All products add up in one unreduced integer array, 2D - 1 slots
-    per power of T, reduced once at the end.  With n no product at or
-    past T^n is formed and the Kronecker slots are cut to n blocks
-    before reduction.  Over a degree-1 ring the schoolbook loop runs
-    on bare ints.  Poly products, PolyOps.dot and the Fitting
-    elimination pass no n; Series products pass their precision."""
+    per power of T, reduced once at the end.  With n each operand is
+    cut to n coefficients; the schoolbook loop then forms no product
+    at or past T^n, and the Kronecker product, computed in full, is
+    masked to n blocks before it is unpacked.  Poly products,
+    PolyOps.dot and the Fitting elimination pass no n; Series products
+    pass their precision."""
     D = ring.deg
     S = 2 * D - 1
     acc = []
@@ -576,11 +577,6 @@ def _poly_dot(ring, xs, ys, n=None):
         if len(ac) >= _KRONECKER_MIN_LEN and len(bc) >= _KRONECKER_MIN_LEN:
             for k, v in enumerate(_kronecker_slots(ring, ac, bc, top)):
                 acc[k] += v
-        elif D == 1:
-            for i, (u,) in enumerate(ac):
-                if u:
-                    for k, (v,) in enumerate(bc[:top - i], i):
-                        acc[k] += u * v
         else:
             for i, u in enumerate(ac):
                 for j, v in enumerate(bc[:top - i], i):
@@ -672,8 +668,7 @@ def series_invert(s):
     c < D, is taken once as the weight of coordinate c of t_(k-j) in
     coordinate r of t_k.  So the powers of x are folded into the
     weights, and each coordinate of t_k is one sum of unreduced integer
-    products, reduced once mod M.  Over a degree-1 ring the weights are
-    the bare ints q_j.  Needs a unit constant term; raises
+    products, reduced once mod M.  Needs a unit constant term; raises
     NonUnitConstantTerm otherwise.
     """
     R = s.ring
@@ -688,16 +683,6 @@ def series_invert(s):
     # ints, so t_(k-j)[c] sits at c - j D; up to T^k the first `used`
     # of the js contribute, read through the first used D indices.
     used = 0
-    if D == 1:
-        qs = [-t0[0] * s.coeffs[j][0] % M for j in js]
-        idx = [-j for j in js]
-        flat, get = [t0[0]], ()
-        for k in range(1, prec):
-            if used < len(js) and js[used] == k:
-                used += 1
-                get = idx[:used]
-            flat.append(sum(map(mul, qs, map(flat.__getitem__, get))) % M)
-        return Series(R, prec, [(v,) for v in flat])
     minus_t0 = R.neg(t0)
     idx, weights = [], [[] for _ in range(D)]
     for j in js:
@@ -711,7 +696,11 @@ def series_invert(s):
     for k in range(1, prec):
         if used < len(js) and js[used] == k:
             used += 1
-            get = itemgetter(*idx[:used * D])
+            if used * D > 1:
+                get = itemgetter(*idx[:used * D])
+            else:
+                # itemgetter of one index gives the int, not a 1-tuple
+                get = lambda f, i=idx[:1]: tuple(map(f.__getitem__, i))
         if get is None:
             flat.extend(R.zero)
         else:

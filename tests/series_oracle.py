@@ -5,8 +5,7 @@ package replaced or never needed, kept to check the package against.
   coefficient-by-coefficient add/mul loops that Series.__mul__ and
   coeffring.series_invert replaced.  They check the product that
   _poly_dot cuts at the precision and takes free when an operand is 1,
-  and the inversion that sums on integer coordinates, bare ints over a
-  degree-1 ring.
+  and the inversion that sums on integer coordinates.
 - `eq_up_to_unit`: whether two series agree up to a unit series factor,
   the certificate of acceptance criterion 4 and of the limit tests.
   `_cut` holds a series to a lower precision for it, since Series
