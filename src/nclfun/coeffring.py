@@ -24,9 +24,7 @@ from operator import itemgetter, mul
 
 from .errors import InvariantViolation, NonUnitConstantTerm
 from .linalg import (
-    INT_OPS,
     berkowitz_charpoly,
-    det_from_charpoly,
     howell_form,
     mat_identity,
     mat_mul,
@@ -417,12 +415,6 @@ class Poly:
         return Poly(self.ring, [self.ring.add(self.coeff(k), other.coeff(k))
                                 for k in range(n)])
 
-    def __sub__(self, other):
-        self._need_same_ring(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self.ring.sub(self.coeff(k), other.coeff(k))
-                                for k in range(n)])
-
     def __neg__(self):
         return Poly(self.ring, [self.ring.neg(c) for c in self.coeffs])
 
@@ -535,8 +527,8 @@ def _reduce_slots(ring, vals, slots=None):
 # and Z/25[x]/(x^3+2), Kronecker costs 1.2-3.6x the loop up to 5x5
 # coefficients, breaks even between 6x6 and 8x8, and costs 0.5-0.7x at
 # 10x10 and 0.25-0.4x at 20x20: the long exact products of class
-# evaluation.  The 1-5 coefficient entries of Berkowitz minors (Fitting
-# ideals, connecting maps) stay on the loop.
+# evaluation.  The 1-5 coefficient entries of the Fitting elimination
+# and of the connecting maps' matrix products stay on the loop.
 _KRONECKER_MIN_LEN = 8
 
 
@@ -741,16 +733,19 @@ def is_in_S(a):
 
 def poly_det(mat, ring):
     """Determinant of a square matrix of Poly, by Kronecker substitution
-    into the integers, computed blockwise.
+    into the integers, computed blockwise by fraction-free elimination.
 
-    The symmetrised nonzero pattern is split into connected components
-    first; simultaneous row/column permutation into blocks leaves the
-    determinant fixed.  Every coefficient is lifted to [0, M), and the
-    ring map Z[x, T] -> Z sending x to 2^w and T to 2^(w X), with
-    X = n (D - 1) + 1, packs each entry into one integer.  Berkowitz
-    runs division free on each packed block, the block determinants
-    are multiplied, and the product is read back as balanced base-2^w
-    digits, reduced through the powers of x and mod M.
+    A 1 x 1 matrix returns its entry, which is already a reduced Poly.
+    Otherwise the symmetrised nonzero pattern is split into connected
+    components first; simultaneous row/column permutation into blocks
+    leaves the determinant fixed.  Every coefficient is lifted to
+    [0, M), and the ring map Z[x, T] -> Z sending x to 2^w and T to
+    2^(w X), with X = n (D - 1) + 1, packs each entry into one integer.
+    Bareiss elimination runs on each packed block (see _bareiss_det),
+    the block determinants are multiplied, and the product is read back
+    as balanced base-2^w digits, reduced through the powers of x and
+    mod M.  Bareiss divides, and its divisions are exact only in a
+    domain: it runs on the lifted integers, never over Omega itself.
 
     The digits are exactly the integer coefficients of the determinant
     of the lifted matrix, because no two of its monomials share a slot
@@ -762,14 +757,17 @@ def poly_det(mat, ring):
     B = prod_i sum_j |a_ij|_1 in absolute value, where |a|_1 is the sum
     of the lifted coefficients of a.  With 2^(w - 1) > B each balanced
     digit lies in (-2^(w - 1), 2^(w - 1)) and is unique.  Intermediate
-    values of Berkowitz are exact integers of any size; only the final
-    determinant has to fit its slots.  Reduction through the powers of
-    x and mod M is a ring map Z[x, T] -> Omega[T], so it takes that
-    determinant to the determinant over Omega[T].
+    values of Bareiss are minors of the lifted block, exact integers of
+    any size; only the final determinant has to fit its slots.
+    Reduction through the powers of x and mod M is a ring map
+    Z[x, T] -> Omega[T], so it takes that determinant to the
+    determinant over Omega[T].
     """
     n = len(mat)
     if n == 0:
         return Poly.one(ring)
+    if n == 1:
+        return mat[0][0]
     D = ring.deg
     X = n * (D - 1) + 1
     bound = 1
@@ -779,8 +777,7 @@ def poly_det(mat, ring):
     packed = [[_pack(p.coeffs, D, X, w) for p in row] for row in mat]
     det = 1
     for comp in split_components(n, lambda i, j: packed[i][j] != 0):
-        block = [[packed[i][j] for j in comp] for i in comp]
-        det *= det_from_charpoly(INT_OPS, berkowitz_charpoly(INT_OPS, block))
+        det *= _bareiss_det([[packed[i][j] for j in comp] for i in comp])
     # a top digit in slot s makes |det| > 2^(w s - 1), so count slots
     # hold every digit; they are padded to whole T-blocks.  Adding
     # 2^(w - 1) to every slot makes each digit nonnegative, carry free.
@@ -789,6 +786,45 @@ def poly_det(mat, ring):
     half = 1 << (w - 1)
     vals = _unpack(det + int(("1" + "0" * (w - 1)) * count, 2), count, w)
     return Poly(ring, _reduce_slots(ring, [v - half for v in vals], X))
+
+
+def _bareiss_det(a):
+    """Determinant of a nonempty square integer matrix, by Bareiss's
+    fraction-free elimination; the rows of a are overwritten.
+
+    Step k turns every entry below and right of the pivot a_kk into
+    (a_kk a_ij - a_ik a_kj) / prev, prev the pivot of step k - 1 (1 at
+    the first step).  By Sylvester's identity that entry is then the
+    minor on rows 0..k, i and columns 0..k, j of the input (rows
+    permuted by the swaps so far), so the division is exact in Z, a
+    domain; over Omega it need not be.  A zero pivot is swapped
+    with the first lower row nonzero in its column, flipping the sign;
+    if there is none, the determinant is 0.  The last pivot is the
+    determinant of the permuted matrix."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(pivot * u - f * v) // prev
+                           for u, v in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def one_minus_T(ring, Phi):
+    """I - T Phi as a matrix of Poly, for a square Omega matrix Phi."""
+    one, zero = ring.one, ring.zero
+    return [[Poly(ring, [one if i == j else zero, ring.neg(a)])
+             for j, a in enumerate(row)] for i, row in enumerate(Phi)]
 
 
 def det_one_minus_scaled(ring, A, d):
@@ -830,11 +866,6 @@ class RationalFunction:
         self.ring = num.ring
         self.num = num
         self.den = den
-
-    def __mul__(self, other):
-        if self.ring != other.ring:
-            raise InvariantViolation("mixed coefficient rings in product")
-        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction) or self.ring != other.ring:

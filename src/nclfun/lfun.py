@@ -15,6 +15,8 @@ from .coeffring import (
     RationalFunction,
     Series,
     det_one_minus_scaled,
+    one_minus_T,
+    poly_det,
     series_invert,
 )
 from .covering import CohomologySpec
@@ -47,7 +49,12 @@ def euler_product(cov, rho, prec):
 
 def det_one_minus_matrix(ring, Phi):
     """det(I - T*Phi) as a Poly, split along the connectivity pattern of
-    Phi first so direct sums cost what their blocks cost."""
+    Phi first so direct sums cost what their blocks cost, and each
+    component's I - T*Phi_c taken by poly_det (fraction-free
+    elimination): the local factors of euler_product come from
+    Berkowitz, so the two routes share no determinant routine.  One
+    poly_det of the whole matrix would widen every slot to the bound
+    over all its rows."""
     n = len(Phi)
     if n == 0:
         return Poly.one(ring)
@@ -55,7 +62,7 @@ def det_one_minus_matrix(ring, Phi):
     out = Poly.one(ring)
     for comp in comps:
         sub = [[Phi[i][j] for j in comp] for i in comp]
-        out = out * det_one_minus_scaled(ring, sub, 1)
+        out = out * poly_det(one_minus_T(ring, sub), ring)
     return out
 
 

@@ -33,7 +33,7 @@ from .coeffring import (
     Poly,
     _poly_dot,
     _strip,
-    det_one_minus_scaled,
+    one_minus_T,
     poly_det,
     render_poly_terms,
 )
@@ -600,6 +600,11 @@ def verify_mc_commutative(ring, Phi, prec, tower=None):
     the characteristic element, compared at prec and prec + GUARD, with
     the exact bridge from the Frobenius-variable determinant.
 
+    bridge_exact compares iwasawa_transform of det(I - T Phi), taken by
+    poly_det (fraction-free elimination on packed integers), with
+    char_element(Phi), taken by Berkowitz over Omega: two determinant
+    algorithms, so a fault in either one shows.
+
     prec must reach mc_precision_floor.  A caller that also needs the
     coinvariant tower of Phi may pass it in."""
     s = len(Phi)
@@ -613,7 +618,8 @@ def verify_mc_commutative(ring, Phi, prec, tower=None):
     fit = fitting_ideal(module)
     ch = char_element(ring, Phi)
     ok = ideal_classes_equal(fit, IdealClass(ring, [ch]), prec)
-    bridged = iwasawa_transform(ring, det_one_minus_scaled(ring, Phi, 1), s)
+    det = poly_det(one_minus_T(ring, Phi), ring)
+    bridged = iwasawa_transform(ring, det, s)
     return {
         "check": "mc-commutative",
         "ok": ok and bridged == ch,

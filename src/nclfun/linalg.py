@@ -14,20 +14,19 @@ is read off one Howell form of [A | I].
 
 Also hosts dense matrix arithmetic (identity, mat-vec, product, and
 power(x, e, mul), the one square-and-multiply, which units, Poly and
-Series use too) and the Berkowitz characteristic polynomial, written
-once for any commutative ring supplied through an ops object.  The
-matrix layer reads `zero`, `one`, `neg` and `dot(xs, ys)`, the sum of
-a * b over the pairs of zip(xs, ys); only Berkowitz reads `neg`.  Every
-matrix entry, and every coefficient of Berkowitz's Toeplitz product, is
-one `dot`, so a ring can add up a whole inner product before it
-reduces.  A CoeffRing is such an object, so Omega matrices pass the
-ring itself; coeffring.PolyOps is the one for products over Omega[T],
-whose determinants go through poly_det.  The integers are two more,
-with Python ints as elements and dot = sum(map(mul, xs, ys)): INT_OPS
-computes exactly (coeffring.poly_det packs Omega[T] entries into
-integers and takes their determinant there), and ZMod(M) reduces each
-dot mod M.  Berkowitz is division free, so it runs unchanged over each
-of them that has `neg`: a CoeffRing and INT_OPS.
+Series use too) and the Berkowitz characteristic polynomial.  The
+matrix layer is written once for any commutative ring supplied through
+an ops object, and reads `zero`, `one`, `neg` and `dot(xs, ys)`, the
+sum of a * b over the pairs of zip(xs, ys); only Berkowitz reads `neg`.
+Every matrix entry, and every coefficient of Berkowitz's Toeplitz
+product, is one `dot`, so a ring can add up a whole inner product
+before it reduces.  A CoeffRing is such an object, so Omega matrices
+pass the ring itself, and Berkowitz runs over a CoeffRing only: it is
+division free, so it needs no domain.  coeffring.PolyOps is the ops
+object for products over Omega[T]; determinants over Omega[T] go
+through coeffring.poly_det, which packs the entries into integers and
+eliminates there, fraction free.  ZMod(M) is Z/M with Python ints as
+elements and a dot that reduces once mod M.
 A product of ZMod matrices takes no dot per entry: mat_mul packs each
 row of the right factor into one integer, with a slot per column wide
 enough for the unreduced entry (see ZMod), and forms each row of the
@@ -53,8 +52,7 @@ import sys
 from array import array
 from functools import partial
 from math import gcd
-from operator import mul, neg
-from types import SimpleNamespace
+from operator import mul
 
 __all__ = [
     "unit_lifting_gcd",
@@ -70,9 +68,7 @@ __all__ = [
     "power",
     "mat_pow",
     "berkowitz_charpoly",
-    "det_from_charpoly",
     "split_components",
-    "INT_OPS",
     "ZMod",
 ]
 
@@ -231,12 +227,6 @@ def left_kernel(A: list[list[int]], M: int) -> list[list[int]]:
 # Dense matrices over a commutative ring given by an ops object
 # ---------------------------------------------------------------------------
 
-# The integers as an ops object, as much of it as Berkowitz reads:
-# exact Python ints of any size.
-INT_OPS = SimpleNamespace(zero=0, one=1, neg=neg,
-                          dot=lambda xs, ys: sum(map(mul, xs, ys)))
-
-
 class ZMod:
     """Z/M as an ops object, as much of it as the matrix identity,
     product and power read: Python ints in [0, M), and a dot that adds
@@ -387,12 +377,6 @@ def berkowitz_charpoly(ops, mat) -> list:
         vec = [ops.dot(vec, col[i::-1]) for i in range(s + 2)]
     vec.reverse()
     return vec
-
-
-def det_from_charpoly(ops, cp: list):
-    """det(A) from the ascending charpoly of A: (-1)^n * constant term."""
-    n = len(cp) - 1
-    return cp[0] if n % 2 == 0 else ops.neg(cp[0])
 
 
 def split_components(n: int, entry_nonzero) -> list[list[int]]:

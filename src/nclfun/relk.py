@@ -8,7 +8,14 @@ cyclic block matrices to their small companions by explicit row and
 column operations.
 """
 
-from .coeffring import Poly, PolyOps, is_in_S, poly_det, render_poly_terms
+from .coeffring import (
+    Poly,
+    PolyOps,
+    is_in_S,
+    one_minus_T,
+    poly_det,
+    render_poly_terms,
+)
 from .errors import InvariantViolation, NotSQuasiIso
 from .linalg import block_matrix, mat_identity, mat_mul
 from .limits import (
@@ -117,9 +124,7 @@ def verify_d_fitting_consistency(ring, Phi, prec):
     becomes the characteristic element, whose ideal the Fitting ideal
     must reproduce."""
     s = len(Phi)
-    mat = [[Poly(ring, [ring.one if i == j else ring.zero, ring.neg(a)])
-            for j, a in enumerate(row)] for i, row in enumerate(Phi)]
-    cls = d_connecting(ring, mat)
+    cls = d_connecting(ring, one_minus_T(ring, Phi))
     bridged = IdealClass(
         ring, [iwasawa_transform(ring, g, s) for g in cls.num_gens])
     fit = fitting_ideal(limit_module(ring, Phi))

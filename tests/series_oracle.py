@@ -15,14 +15,38 @@ package replaced or never needed, kept to check the package against.
 - `PolyRingOps`: PolyOps with the add, mul and neg that the add/mul
   oracles and Berkowitz over Omega[T] read; the package's own Omega[T]
   matrices need only zero, one and dot.
+- `INT_OPS` and `det_from_charpoly`: the integers as an ops object,
+  as much of it as Berkowitz reads, and the determinant read off a
+  characteristic polynomial.
+- `berkowitz_packed_poly_det`: poly_det as it was before fraction-free
+  elimination, Berkowitz on the same packed integers; the oracle of
+  poly_det's elimination.
 - `fl_gcd` and `fl_derivative`: the monic gcd and the derivative over
   F_l, with which CoeffRing once tested square-freeness as
   gcd(f, f') == 1; it now reads it off the factorization.
 """
 
-from nclfun.coeffring import Poly, PolyOps, Series, _fl_mod, _fl_trim
+from operator import mul, neg
+from types import SimpleNamespace
+
+from nclfun.coeffring import (
+    Poly,
+    PolyOps,
+    Series,
+    _fl_mod,
+    _fl_trim,
+    _pack,
+    _reduce_slots,
+    _unpack,
+)
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
-from nclfun.linalg import howell_form, left_kernel, reduce_vector
+from nclfun.linalg import (
+    berkowitz_charpoly,
+    howell_form,
+    left_kernel,
+    reduce_vector,
+    split_components,
+)
 
 
 class PolyRingOps(PolyOps):
@@ -36,6 +60,42 @@ class PolyRingOps(PolyOps):
 
     def neg(self, a):
         return -a
+
+
+# exact Python ints of any size
+INT_OPS = SimpleNamespace(zero=0, one=1, neg=neg,
+                          dot=lambda xs, ys: sum(map(mul, xs, ys)))
+
+
+def det_from_charpoly(ops, cp):
+    """det(A) from the ascending charpoly of A: (-1)^n * constant term."""
+    n = len(cp) - 1
+    return cp[0] if n % 2 == 0 else ops.neg(cp[0])
+
+
+def berkowitz_packed_poly_det(mat, ring):
+    """Determinant of a square matrix of Poly: every entry packed into
+    one integer as poly_det packs it, Berkowitz division free on each
+    connected block, the product read back as balanced digits."""
+    n = len(mat)
+    if n == 0:
+        return Poly.one(ring)
+    D = ring.deg
+    X = n * (D - 1) + 1
+    bound = 1
+    for row in mat:
+        bound *= sum([sum(map(sum, p.coeffs)) for p in row])
+    w = bound.bit_length() + 1
+    packed = [[_pack(p.coeffs, D, X, w) for p in row] for row in mat]
+    det = 1
+    for comp in split_components(n, lambda i, j: packed[i][j] != 0):
+        block = [[packed[i][j] for j in comp] for i in comp]
+        det *= det_from_charpoly(INT_OPS, berkowitz_charpoly(INT_OPS, block))
+    count = abs(det).bit_length() // w + 1
+    count += -count % X
+    half = 1 << (w - 1)
+    vals = _unpack(det + int(("1" + "0" * (w - 1)) * count, 2), count, w)
+    return Poly(ring, _reduce_slots(ring, [v - half for v in vals], X))
 
 
 def fl_gcd(a, b, ell):

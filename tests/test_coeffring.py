@@ -25,9 +25,10 @@ from nclfun.coeffring import (
     series_invert,
 )
 from nclfun.errors import InvariantViolation, NonUnitConstantTerm
-from nclfun.linalg import berkowitz_charpoly, det_from_charpoly
+from nclfun.linalg import berkowitz_charpoly
 from series_oracle import (
     PolyRingOps,
+    det_from_charpoly,
     eq_up_to_unit,
     fl_derivative,
     fl_gcd,
@@ -596,7 +597,7 @@ def _cofactor_poly_det(mat, ring):
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         term = mat[0][j] * _cofactor_poly_det(minor, ring)
-        total = total - term if j % 2 else total + term
+        total = total + (-term if j % 2 else term)
     return total
 
 

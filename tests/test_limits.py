@@ -979,7 +979,7 @@ def _poly_row_fitting(module):
         for row in rows:
             if not row[c].is_zero():
                 mult = scale(row[c], u_inv)
-                row = [a - mult * b for a, b in zip(row, prow)]
+                row = [a + -(mult * b) for a, b in zip(row, prow)]
             row = row[:c] + row[c + 1:]
             if not all(p.is_zero() for p in row):
                 reduced.append(row)

@@ -19,7 +19,6 @@ from nclfun.linalg import (
     ZMod,
     berkowitz_charpoly,
     block_matrix,
-    det_from_charpoly,
     howell_form,
     in_span,
     left_kernel,
@@ -33,7 +32,12 @@ from nclfun.linalg import (
     split_components,
     unit_lifting_gcd,
 )
-from series_oracle import PolyRingOps, solve_left
+from series_oracle import (
+    PolyRingOps,
+    berkowitz_packed_poly_det,
+    det_from_charpoly,
+    solve_left,
+)
 
 MODULI = [5, 8, 9, 27, 125]
 
@@ -592,6 +596,80 @@ def test_poly_det_matches_berkowitz_oracle(monkeypatch):
     monkeypatch.setattr(coeffring_mod, "_poly_dot", no_poly_dot)
     for ring, A, want in cases:
         assert poly_det(A, ring) == want, (ring, A)
+
+
+# the rings of the elimination oracle: Z/9, Z/27, Z/5 and three
+# degree-2 rings, one of them split mod l
+BAREISS_RINGS = [Z9, Z27, CoeffRing(5, 1), GAUSS9, CoeffRing(3, 1, [2, 0, 1]),
+                 CoeffRing(5, 2, [2, 0, 1])]
+
+
+def _bareiss_cases(rng, ring):
+    """Square Poly matrices of sizes 0-12 with entries of T-degree 0-3
+    (and zeros): random ones, ones whose leading minors vanish so that
+    elimination must swap rows at every step in turn, the last one
+    included, singular ones, block-diagonal ones under a permutation,
+    and I minus the cyclic block matrix of block_reduction_check."""
+    zero = Poly.zero(ring)
+
+    def draw(n, nonzero=1.0):
+        return [[Poly(ring, [_rand_elem(rng, ring)
+                             for _ in range(rng.randrange(5))])
+                 if rng.random() < nonzero else zero
+                 for _ in range(n)] for _ in range(n)]
+
+    def minus(M):
+        return [[-p for p in row] for row in M]
+
+    for n in range(13):
+        # past size 8 the degree-2 rings take a sparser draw, to keep
+        # the oracle's packed integers small
+        yield draw(n, 1.0 if n <= 8 or ring.deg == 1 else 0.5)
+    for n in range(2, 9):
+        for k in range(n - 1):
+            # column k is zero in rows 0..k: the leading (k + 1)-minor
+            # vanishes, so step k finds a zero pivot
+            A = draw(n)
+            for i in range(k + 1):
+                A[i][k] = zero
+            A[rng.randrange(k + 1, n)][k] = Poly(ring, [ring.one, ring.one])
+            yield A
+        A = draw(n)
+        A[rng.randrange(1, n)] = list(A[0])
+        yield A
+        A = draw(n)
+        A[rng.randrange(n)] = [zero] * n
+        yield A
+        A = draw(n)
+        j = rng.randrange(n)
+        for row in A:
+            row[j] = zero
+        yield A
+        cut = rng.randrange(1, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        B = draw(n)
+        yield [[B[perm[i]][perm[j]]
+                if (perm[i] < cut) == (perm[j] < cut) else zero
+                for j in range(n)] for i in range(n)]
+    ops = PolyOps(ring)
+    for n, b in ((1, 2), (2, 3), (3, 4), (2, 6)):
+        ident = mat_identity(ops, n)
+        grid = [[ident if i == j else minus(ident) if i == j + 1 else
+                 [[zero] * n for _ in range(n)]
+                 for j in range(b)] for i in range(b)]
+        grid[0][b - 1] = minus(draw(n))
+        yield block_matrix(grid)
+
+
+def test_poly_det_matches_packed_berkowitz_oracle():
+    """poly_det's elimination against Berkowitz on the same packed
+    integers, poly_det as it was before fraction-free elimination."""
+    rng = random.Random(107)
+    for ring in BAREISS_RINGS:
+        for A in _bareiss_cases(rng, ring):
+            assert poly_det(A, ring) == berkowitz_packed_poly_det(A, ring), (
+                ring, A)
 
 
 def test_mat_pow_returns_a_new_matrix():

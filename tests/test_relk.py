@@ -349,7 +349,7 @@ def _block_reduction_oracle(ring, A, b):
     corner = E[0][b - 1]
     for i in range(n):
         for j in range(n):
-            corner[i][j] = corner[i][j] - A[i][j]
+            corner[i][j] = corner[i][j] + -A[i][j]
 
     det_before = poly_det(block_matrix(E), ring)
 
@@ -369,7 +369,7 @@ def _block_reduction_oracle(ring, A, b):
     want_last = blk_ident()
     for i in range(n):
         for j in range(n):
-            want_last[i][j] = want_last[i][j] - A[i][j]
+            want_last[i][j] = want_last[i][j] + -A[i][j]
     diagonal_ok = True
     for bi in range(b):
         for bj in range(b):
