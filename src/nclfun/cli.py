@@ -398,6 +398,9 @@ def cmd_kconnect_verify(args):
     ring = _inline_ring(args)
     records = []
     if args.phi is not None:
+        if args.alpha is not None or args.beta is not None:
+            raise InputProblem("kconnect verify takes --phi, or --alpha and"
+                               " --beta, not both")
         Phi = _omega_matrix(ring, args.phi, "--phi")
         _need_precision_floor(ring, Phi, args.precision)
         digest = _payload_digest("kconnect", ring.ell, ring.m,
@@ -412,6 +415,10 @@ def cmd_kconnect_verify(args):
                            "or --phi")
     alpha = _poly_matrix(ring, args.alpha, "--alpha")
     beta = _poly_matrix(ring, args.beta, "--beta")
+    if len(beta) != len(alpha):
+        raise InputProblem(f"--alpha is {len(alpha)} x {len(alpha)} and"
+                           f" --beta is {len(beta)} x {len(beta)}: the"
+                           " product needs one size")
     digest = _payload_digest("kconnect", ring.ell, ring.m,
                              list(ring.minpoly), args.alpha, args.beta)
     t0 = time.perf_counter()

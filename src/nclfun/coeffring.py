@@ -30,7 +30,6 @@ from .linalg import (
     mat_mul,
     mat_pow,
     power,
-    split_components,
 )
 
 
@@ -733,19 +732,17 @@ def is_in_S(a):
 
 def poly_det(mat, ring):
     """Determinant of a square matrix of Poly, by Kronecker substitution
-    into the integers, computed blockwise by fraction-free elimination.
+    into the integers and fraction-free elimination there.
 
     A 1 x 1 matrix returns its entry, which is already a reduced Poly.
-    Otherwise the symmetrised nonzero pattern is split into connected
-    components first; simultaneous row/column permutation into blocks
-    leaves the determinant fixed.  Every coefficient is lifted to
-    [0, M), and the ring map Z[x, T] -> Z sending x to 2^w and T to
-    2^(w X), with X = n (D - 1) + 1, packs each entry into one integer.
-    Bareiss elimination runs on each packed block (see _bareiss_det),
-    the block determinants are multiplied, and the product is read back
-    as balanced base-2^w digits, reduced through the powers of x and
-    mod M.  Bareiss divides, and its divisions are exact only in a
-    domain: it runs on the lifted integers, never over Omega itself.
+    Otherwise every coefficient is lifted to [0, M), and the ring map
+    Z[x, T] -> Z sending x to 2^w and T to 2^(w X), with
+    X = n (D - 1) + 1, packs each entry into one integer.  One Bareiss
+    elimination runs on the whole packed matrix (see _bareiss_det), and
+    its determinant is read back as balanced base-2^w digits, reduced
+    through the powers of x and mod M.  Bareiss divides, and its
+    divisions are exact only in a domain: it runs on the lifted
+    integers, never over Omega itself.
 
     The digits are exactly the integer coefficients of the determinant
     of the lifted matrix, because no two of its monomials share a slot
@@ -757,8 +754,10 @@ def poly_det(mat, ring):
     B = prod_i sum_j |a_ij|_1 in absolute value, where |a|_1 is the sum
     of the lifted coefficients of a.  With 2^(w - 1) > B each balanced
     digit lies in (-2^(w - 1), 2^(w - 1)) and is unique.  Intermediate
-    values of Bareiss are minors of the lifted block, exact integers of
-    any size; only the final determinant has to fit its slots.
+    values of Bareiss are minors of the lifted matrix, exact integers of
+    any size; only the final determinant has to fit its slots.  None of
+    this reads the zero pattern: a block-diagonal matrix takes the same
+    slots and the same exact elimination as a dense one.
     Reduction through the powers of x and mod M is a ring map
     Z[x, T] -> Omega[T], so it takes that determinant to the
     determinant over Omega[T].
@@ -775,9 +774,7 @@ def poly_det(mat, ring):
         bound *= sum([sum(map(sum, p.coeffs)) for p in row])
     w = bound.bit_length() + 1
     packed = [[_pack(p.coeffs, D, X, w) for p in row] for row in mat]
-    det = 1
-    for comp in split_components(n, lambda i, j: packed[i][j] != 0):
-        det *= _bareiss_det([[packed[i][j] for j in comp] for i in comp])
+    det = _bareiss_det(packed)
     # a top digit in slot s makes |det| > 2^(w s - 1), so count slots
     # hold every digit; they are padded to whole T-blocks.  Adding
     # 2^(w - 1) to every slot makes each digit nonnegative, carry free.

@@ -30,6 +30,7 @@ from .groupalg import (
     restrict_rep,
     subgroup_group_data,
 )
+from .linalg import power
 
 FORMAT_TAG = "covering-instance-v1"
 
@@ -457,9 +458,7 @@ def subcover_points(cov: CoveringSpec, U: OpenSubgroup):
                     "orbit length times degree escaped the gamma index")
             b0, k0 = base
             g0 = GElement(k0, b0)
-            sig_pow = GElement(0, 0)
-            for _ in range(s):
-                sig_pow = gd.g_mul(sig_pow, sigma)
+            sig_pow = power(sigma, s, gd.g_mul)
             u = gd.g_mul(gd.g_mul(g0, sig_pow), gd.g_inv(g0))
             if u.a != total or u.h not in amb_to_loc or u.a % c != 0:
                 raise InvariantViolation("orbit return map left the subgroup")

@@ -346,8 +346,10 @@ class Rep:
 
 
 def trivial_rep(ring, group):
+    """The identity 1 x 1 images: a representation of any group, so it
+    is not validated."""
     ident = [[ring.one]]
-    return Rep(ring, group, [ident] * group.order, ident)
+    return Rep(ring, group, [ident] * group.order, ident, check=False)
 
 
 def tensor_rep(r1: Rep, r2: Rep) -> Rep:
@@ -362,16 +364,8 @@ def tensor_rep(r1: Rep, r2: Rep) -> Rep:
     ring = r1.ring
 
     def kron(A, B):
-        ra, rb = len(A), len(B)
-        out = []
-        for i in range(ra):
-            for k in range(rb):
-                row = []
-                for j in range(ra):
-                    for t in range(rb):
-                        row.append(ring.mul(A[i][j], B[k][t]))
-                out.append(row)
-        return out
+        return block_matrix([[[[ring.mul(a, b) for b in row] for row in B]
+                              for a in arow] for arow in A])
 
     hs = [kron(a, b) for a, b in zip(r1.h_images, r2.h_images)]
     return Rep(ring, r1.group, hs, kron(r1.gamma, r2.gamma), check=False)
@@ -383,8 +377,11 @@ def theta_rho(x: CrossedLaurent, rho: Rep):
     h * gamma^a goes to transpose(rho((h gamma^a)^{-1})) * T^{-a}; the
     transpose-of-inverse composite is multiplicative, so this extends to
     a ring homomorphism into dim x dim matrices over polynomials in T.
-    Entries that keep a negative exponent of T after summation cannot be
-    represented and raise ConventionOverflow.
+    The coefficient of T^{-a} is taken entry by entry: entry (i, j) is
+    one CoeffRing.dot of the nonzero coefficients c_h of the term at
+    gamma^a with the entries (j, i) of the matrices rho((h gamma^a)^{-1}),
+    each matrix taken once.  A nonzero entry at a negative power of T
+    cannot be represented and raises ConventionOverflow.
     """
     R = rho.ring
     gd = x.group
@@ -393,38 +390,20 @@ def theta_rho(x: CrossedLaurent, rho: Rep):
     if x.ring != R:
         raise InvariantViolation("crossed element and rep over different rings")
     r = rho.dim
-    by_exp: dict[int, list] = {}
+    by_exp = {}
     for a, vec in x.terms.items():
-        exp = -a
-        mat_acc = by_exp.setdefault(exp, [[R.zero] * r for _ in range(r)])
-        for h, coeff in enumerate(vec):
-            if R.is_zero(coeff):
-                continue
-            ginv = gd.g_inv(GElement(h, a))
-            m = rho.of(ginv)
-            for i in range(r):
-                for j in range(r):
-                    # transpose while accumulating
-                    mat_acc[i][j] = R.add(mat_acc[i][j],
-                                          R.mul(coeff, m[j][i]))
-    exps = sorted(by_exp)
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            coeffs = {}
-            for e in exps:
-                v = by_exp[e][i][j]
-                if not R.is_zero(v):
-                    coeffs[e] = v
-            if coeffs and min(coeffs) < 0:
-                raise ConventionOverflow(
-                    "entry has a surviving negative power of T")
-            top = max(coeffs) if coeffs else -1
-            row.append(Poly(R, [coeffs.get(k, R.zero)
-                                for k in range(top + 1)]))
-        out.append(row)
-    return out
+        hs = [h for h, c in enumerate(vec) if not R.is_zero(c)]
+        cs = [vec[h] for h in hs]
+        ims = [rho.of(gd.g_inv(GElement(h, a))) for h in hs]
+        by_exp[-a] = [[R.dot(cs, [m[j][i] for m in ims]) for j in range(r)]
+                      for i in range(r)]
+    if any(not R.is_zero(v) for e, mat in by_exp.items() if e < 0
+           for row in mat for v in row):
+        raise ConventionOverflow("entry has a surviving negative power of T")
+    zero = [[R.zero] * r] * r
+    top = max(by_exp, default=-1)
+    return [[Poly(R, [by_exp.get(e, zero)[i][j] for e in range(top + 1)])
+             for j in range(r)] for i in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +544,7 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
             if u.h not in amb_to_loc:
                 raise InvariantViolation("little element escaped the subgroup")
             lu = amb_to_loc[u.h]
-            grid[j][i] = mat_mul(R, rho_sub.h_images[lu], rho_sub.gamma_pow(k))
+            grid[j][i] = rho_sub.of(GElement(lu, k))
         return block_matrix(grid)
 
     hs = [act_matrix(GElement(h, 0)) for h in range(amb.order)]

@@ -49,12 +49,15 @@ def euler_product(cov, rho, prec):
 
 def det_one_minus_matrix(ring, Phi):
     """det(I - T*Phi) as a Poly, split along the connectivity pattern of
-    Phi first so direct sums cost what their blocks cost, and each
-    component's I - T*Phi_c taken by poly_det (fraction-free
-    elimination): the local factors of euler_product come from
-    Berkowitz, so the two routes share no determinant routine.  One
-    poly_det of the whole matrix would widen every slot to the bound
-    over all its rows."""
+    Phi first, and each component's I - T*Phi_c taken by poly_det
+    (fraction-free elimination): the local factors of euler_product
+    come from Berkowitz, so the two routes share no determinant routine.
+
+    This is the one block split in the package.  The trace route's
+    matrices are the big direct sums of cohomology_from_points, one
+    block per point; one poly_det of the whole matrix would widen every
+    slot to the bound over all its rows, so a direct sum costs what its
+    blocks cost only when it is split first."""
     n = len(Phi)
     if n == 0:
         return Poly.one(ring)
@@ -108,13 +111,9 @@ def cohomology_from_points(cov, rho):
         blocks.append(block_matrix(
             [[A if (u, v) == (0, d - 1) else one if u == v + 1 else zero
               for v in range(d)] for u in range(d)]))
-    total = sum(len(B) for B in blocks)
-    big = []
-    off = 0
-    for B in blocks:
-        pad = [ring.zero] * (total - off - len(B))
-        big += [[ring.zero] * off + row + pad for row in B]
-        off += len(B)
+    big = block_matrix([[B if k == t else [[ring.zero] * len(C)] * len(B)
+                         for t, C in enumerate(blocks)]
+                        for k, B in enumerate(blocks)])
     return CohomologySpec(ring, [0], [big])
 
 

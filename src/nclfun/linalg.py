@@ -33,9 +33,10 @@ enough for the unreduced entry (see ZMod), and forms each row of the
 product as one integer sum.
 
 block_matrix(grid) is the matrix whose block (i, j) is grid[i][j]:
-evaluated crossed matrices, cyclic and induced representations and the
-block reductions of relk are all assembled by it, over any ring, since
-it only moves entries.
+evaluated crossed matrices, cyclic blocks and their direct sums,
+Kronecker products of representations (block (i, j) is a_ij B),
+induced representations and the block reductions of relk are all
+assembled by it, over any ring, since it only moves entries.
 
 An Omega-linear map is also a Z/M-linear map of the flattened
 coordinates.  limits works the coinvariant tower there: the flat map

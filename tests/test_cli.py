@@ -132,6 +132,28 @@ def test_kconnect_exit_codes(capsys):
     assert "needs --alpha and --beta" in err
 
 
+def test_kconnect_verify_refuses_phi_beside_alpha_and_beta(capsys):
+    """--phi and --alpha/--beta select two different checks; given
+    together, neither is silently dropped."""
+    code, out, err = _run(capsys, [
+        "kconnect", "verify", "--ell", "3", "--m", "2", "--phi", "[[4]]",
+        "--alpha", "[[[1,5]]]", "--beta", "garbage"])
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in ("--phi", "--alpha", "--beta"))
+
+
+def test_kconnect_verify_refuses_alpha_and_beta_of_two_sizes(capsys):
+    """beta alpha needs one size: a 1 x 1 alpha against a 2 x 2 beta is
+    unusable input, not a refused computation."""
+    code, out, err = _run(capsys, [
+        "kconnect", "verify", "--ell", "3", "--m", "2",
+        "--alpha", "[[[1]]]", "--beta", "[[[1],[0]],[[0],[1]]]"])
+    assert code == 2
+    assert out == ""
+    assert "--alpha is 1 x 1" in err and "--beta is 2 x 2" in err
+
+
 def test_input_error_exits_two(capsys):
     code, _, err = _run(capsys, [
         "lfun", "euler", "--fixture", "no/such/file.inst"])

@@ -30,7 +30,13 @@ from nclfun.groupalg import (
     theta_rho,
     trivial_rep,
 )
-from nclfun.randcases import random_group, random_rep, random_ring
+from nclfun.randcases import (
+    group_catalog,
+    random_group,
+    random_rep,
+    random_ring,
+)
+from rep_oracle import kron_oracle, theta_rho_oracle
 
 Z9 = CoeffRing(3, 2)
 
@@ -533,3 +539,138 @@ def test_constructed_reps_pass_full_validation():
     assert all(kinds[k] == {1, 2} for k in (
         "tensor", "restrict", "induce", "tensor-induce", "push")), kinds
     assert len(cases) > 500, len(cases)
+
+
+# ---------------------------------------------------------------------------
+# theta_rho and tensor_rep against the loops they replaced
+# ---------------------------------------------------------------------------
+
+GAUSS9 = CoeffRing(3, 2, [1, 0, 1])
+
+
+def _sparse_crossed(rng, ring, gd, exps):
+    """A crossed element with a term at each gamma exponent in exps,
+    about half of each term's coefficients zero, the rest any element
+    of the ring (not only integers)."""
+    terms = {}
+    for a in exps:
+        terms[a] = [ring.element([rng.randrange(ring.modulus)
+                                  for _ in range(ring.deg)])
+                    if rng.random() < 0.5 else ring.zero
+                    for _ in range(gd.order)]
+    return CrossedLaurent(ring, gd, terms)
+
+
+def _theta_outcome(theta, x, rho):
+    try:
+        return theta(x, rho)
+    except ConventionOverflow:
+        return ConventionOverflow
+
+
+def _oracle_reps(rng, ring):
+    """Representations of dimension 1-4 over ring: two seeded draws
+    per group of group_catalog(3), their tensor product, and the reps
+    induced from their restrictions to open subgroups."""
+    out = []
+    for entry in group_catalog(3):
+        gd = entry.build()
+        reps = [random_rep(rng, ring, gd, entry, max_rank=2)
+                for _ in range(2)]
+        out += reps + [tensor_rep(*reps)]
+        for U in _subgroups(gd, 3):
+            for rho in reps:
+                res = restrict_rep(rho, U)
+                if U.index * res.dim <= 4:
+                    out.append(induce_rep(U, res))
+    if ring == Z9:
+        gd = _s3()
+        out += [_s3_std2(gd), tensor_rep(_s3_std2(gd), _s3_sign(gd))]
+    return out
+
+
+@pytest.mark.parametrize("ring", [Z9, GAUSS9], ids=["Z/9", "Z/9[x]/(x^2+1)"])
+def test_theta_rho_matches_the_accumulating_oracle(ring):
+    """theta_rho takes each entry as one dot; the oracle transposes
+    while it adds up products, term by term.  They agree on every
+    seeded element, raising ConventionOverflow on the same ones."""
+    rng = random.Random(2311)
+    reps = _oracle_reps(rng, ring)
+    assert {rho.dim for rho in reps} == {1, 2, 3, 4}
+    raised = kept = 0
+    for rho in reps:
+        for _ in range(4):
+            exps = rng.sample(range(-3, 2), rng.randrange(0, 4))
+            x = _sparse_crossed(rng, ring, rho.group, exps)
+            want = _theta_outcome(theta_rho_oracle, x, rho)
+            assert _theta_outcome(theta_rho, x, rho) == want
+            if want is ConventionOverflow:
+                raised += 1
+            else:
+                kept += 1
+    assert raised > 20 and kept > 100, (raised, kept)
+
+
+def test_theta_positive_gamma_terms_that_cancel_do_not_raise():
+    """(h1 - h0) gamma of S3 goes to T^{-1} (rho(h1 gamma)^{-1} -
+    rho(gamma)^{-1}), transposed.  At the trivial and sign reps the two
+    images agree and the T^{-1} term cancels, so theta is the image of
+    the rest; at std2 it survives and raises."""
+    gd = _s3()
+    std = _s3_std2(gd)
+    rng = random.Random(2333)
+    for ring, reps in ((Z9, [trivial_rep(Z9, gd), _s3_sign(gd)]),
+                       (GAUSS9, [trivial_rep(GAUSS9, gd)])):
+        for _ in range(6):
+            rest = _sparse_crossed(rng, ring, gd, [-2, 0])
+            x = rest + CrossedLaurent(ring, gd, {1: [
+                ring.int_embed(-1), ring.one] + [ring.zero] * 4})
+            assert 1 in x.terms
+            for rho in reps:
+                got = theta_rho(x, rho)
+                assert got == theta_rho_oracle(x, rho)
+                assert got == theta_rho(rest, rho)
+            if ring == Z9:
+                for theta in (theta_rho, theta_rho_oracle):
+                    with pytest.raises(ConventionOverflow):
+                        theta(x, std)
+
+
+@pytest.mark.parametrize("ring", [Z9, GAUSS9], ids=["Z/9", "Z/9[x]/(x^2+1)"])
+def test_tensor_rep_matches_the_index_loop_kron(ring):
+    """Every image of tensor_rep is the Kronecker product of the index
+    loop: row (i, k), column (j, t) holds a_ij b_kt."""
+    rng = random.Random(2339)
+    reps = _oracle_reps(rng, ring)
+    pairs = 0
+    for i, a in enumerate(reps):
+        for b in reps[i:i + 3]:
+            if a.group != b.group:
+                continue
+            tens = tensor_rep(a, b)
+            want = [kron_oracle(ring, x, y)
+                    for x, y in zip(a.h_images, b.h_images)]
+            assert [list(map(list, m)) for m in tens.h_images] == want
+            assert list(map(list, tens.gamma)) == kron_oracle(
+                ring, a.gamma, b.gamma)
+            pairs += 1
+    assert pairs > 50, pairs
+
+
+def test_trivial_rep_is_a_representation():
+    """trivial_rep is built without validation; on every catalog group
+    and every fixture group the full check passes on its data."""
+    cases = []
+    for ell in (3, 5):
+        rings = [CoeffRing(ell, 2),
+                 CoeffRing(ell, 2, {3: [1, 0, 1], 5: [1, 1, 1]}[ell])]
+        cases += [(ring, entry.build()) for entry in group_catalog(ell)
+                  for ring in rings]
+    for path in sorted(FIXTURES.glob("*.inst")):
+        cov = parse_instance(path.read_text()).covering
+        cases.append((cov.ring, cov.group))
+    assert len(cases) > 30
+    for ring, gd in cases:
+        triv = trivial_rep(ring, gd)
+        checked = Rep(ring, gd, triv.h_images, triv.gamma, check=True)
+        assert checked == triv
