@@ -333,6 +333,25 @@ class CoeffRing:
         return self.flatten_vec(
             [self._shift_reduce(a) for a in self.unflatten_vec(flat)])
 
+    def flat_map(self, A):
+        """The flat map of a square Omega matrix A.  An Omega-linear map
+        is also a Z/M-linear map of the flattened coordinates; this is
+        its integer matrix, whose row j D + u is x^u times column j of
+        A, flattened, so a flat vector v goes to A v as the row vector v
+        times it.  The flat map of A B is then the flat map of B times
+        that of A, in that order, the flat map of A^-1 is the inverse of
+        that of A, and every power, sum and product of Omega matrices is
+        a ZMod(M) matrix product of flat maps."""
+        return self.omega_rows_to_int_rows(list(zip(*A)))
+
+    def omega_matrix(self, F):
+        """The Omega matrix whose flat map is F: column j is read off
+        row j D, the image of e_j."""
+        D = self.deg
+        s = len(F) // D
+        return tuple(tuple(tuple(F[j * D][i * D:(i + 1) * D])
+                           for j in range(s)) for i in range(s))
+
 
 # ---------------------------------------------------------------------------
 # Omega matrices
@@ -346,22 +365,22 @@ mat_pow_omega = mat_pow
 
 
 def mat_inverse_omega(ring, A):
-    """Inverse of a square Omega matrix, or None if not invertible.
+    """Inverse of a square Omega matrix as a list of lists, or None if
+    not invertible.
 
-    One Howell form of [F | I], F the flat rows of A (row i D + u is x^u
-    times row i): F is the map w -> w A on flat row vectors, and it is
-    invertible exactly when A is.  Then the form is [I | F^-1], and row
-    i D of F^-1, the image of e_i under w -> w A^-1, is row i of A^-1
-    flattened.  The product X A is checked against the identity."""
+    One Howell form of [F | I], F the flat map of A, which is
+    invertible exactly when A is.  Then the form is [I | F^-1], and
+    F^-1 is the flat map of A^-1, which omega_matrix reads back.  The
+    product X A is checked against the identity."""
     n = len(A)
     N = n * ring.deg
-    flat = ring.omega_rows_to_int_rows(A)
     H = howell_form([row + [int(i == j) for j in range(N)]
-                     for i, row in enumerate(flat)], 2 * N, ring.modulus)
+                     for i, row in enumerate(ring.flat_map(A))],
+                    2 * N, ring.modulus)
     ident = [[int(i == j) for j in range(N)] for i in range(N)]
     if [row[:N] for row in H] != ident:
         return None
-    X = [ring.unflatten_vec(H[i * ring.deg][N:]) for i in range(n)]
+    X = [list(r) for r in ring.omega_matrix([row[N:] for row in H])]
     if mat_mul(ring, X, A) != mat_identity(ring, n):
         return None
     return X

@@ -58,10 +58,8 @@ def det_one_minus_matrix(ring, Phi):
     block per point; one poly_det of the whole matrix would widen every
     slot to the bound over all its rows, so a direct sum costs what its
     blocks cost only when it is split first."""
-    n = len(Phi)
-    if n == 0:
-        return Poly.one(ring)
-    comps = split_components(n, lambda i, j: not ring.is_zero(Phi[i][j]))
+    comps = split_components(
+        len(Phi), lambda i, j: not ring.is_zero(Phi[i][j]))
     out = Poly.one(ring)
     for comp in comps:
         sub = [[Phi[i][j] for j in comp] for i in comp]

@@ -7,14 +7,14 @@ comparisons run at two precisions so that a truncation artifact raises
 instead of leaking through as a wrong boolean.
 
 The tower and the kernel chain are Z/M-linear, so they run on flat
-maps: an Omega matrix A becomes the integer matrix whose row j D + u is
-x^u times column j of A, flattened, and a flat vector v goes to A v as
-the row vector v times it.  The flat map of A B is then the flat map of
-B times that of A.  Phi is flattened once; its powers, every I - P,
-the trace sums and their composites are ZMod(M) matrices (linalg's ops
-object of Z/M), and only the limit module's gamma_inv is read back as
-an Omega matrix.  GammaModule's check runs on flat maps too, and a
-limit module hands it the tower's Howell rows.
+maps (CoeffRing.flat_map states the convention).  Phi is flattened
+once; its powers, every I - P, the trace sums and their composites are
+ZMod(M) matrices (linalg's ops object of Z/M).  A GammaModule takes
+the flat maps of gamma and gamma^-1 and the Howell rows of its
+relations, and its check runs on them as given; a limit module hands
+it the tower's flat map of Phi, that map's power ell^n0 - 1 and the
+Howell rows at n0.  gamma and gamma^-1 are both read back as Omega
+matrices, for the Fitting ideal.
 
 The Y side works on coefficient lists of Omega[Y], not on Poly
 products: the Fitting elimination updates each entry by one unreduced
@@ -46,7 +46,6 @@ from .linalg import (
     left_kernel,
     mat_mul,
     mat_pow,
-    reduce_vector,
     span_size,
 )
 
@@ -79,38 +78,35 @@ class GammaModule:
     """Quotient of Omega^s by the span of relation rows, carrying an
     invertible action of gamma given on coordinates.
 
-    gamma_inv is stored explicitly; for limit modules it is a literal
-    power of the same matrix, which is the whole point of working at a
-    stabilized level.  basis is the Howell form over Z/M of the
-    flattened relations and their multiples by x^u, taken once by
-    whoever builds the module; limit_module has it from the tower.  The
-    check, run on every module, and size() read it."""
+    It is built from F and G, the flat maps of gamma and gamma_inv
+    (see CoeffRing.flat_map), and basis, the Howell form over Z/M of
+    the flattened relations and their multiples by x^u; limit_module
+    has all three from the tower.  rank, gamma, gamma_inv and
+    relations, the basis rows unflattened, are read off them.
+    gamma_inv need only invert gamma on the quotient; for limit modules
+    it is a literal power of gamma, which is the whole point of working
+    at a stabilized level.  The check runs on every module."""
 
-    def __init__(self, ring, rank, relations, gamma, gamma_inv, basis):
+    def __init__(self, ring, F, G, basis):
+        N = len(F)
+        if N % ring.deg or len(G) != N or any(
+                len(r) != N for r in (*F, *G, *basis)):
+            raise InvariantViolation("flat maps or basis of wrong size")
         self.ring = ring
-        self.rank = rank
-        self.relations = tuple(tuple(r) for r in relations)
-        self.gamma = tuple(tuple(r) for r in gamma)
-        self.gamma_inv = tuple(tuple(r) for r in gamma_inv)
-        for r in self.relations:
-            if len(r) != rank:
-                raise InvariantViolation("relation row of wrong length")
-        if len(gamma) != rank or len(gamma_inv) != rank:
-            raise InvariantViolation("gamma matrix of wrong size")
+        self.rank = N // ring.deg
         self.basis = basis
-        self._check()
+        self.relations = tuple(tuple(ring.unflatten_vec(r)) for r in basis)
+        self.gamma = ring.omega_matrix(F)
+        self.gamma_inv = ring.omega_matrix(G)
+        self._check(F, G)
 
-    def _check(self):
-        """On flat maps over Z/M, with F that of gamma and G that of
-        gamma_inv: the rows of I - G F, the defect of gamma gamma_inv,
+    def _check(self, F, G):
+        """Over Z/M: the rows of I - G F, the defect of gamma gamma_inv,
         and the basis rows times F, gamma applied to the relations and
         their multiples by x^u, must lie in the span of the basis."""
-        R = self.ring
-        M = R.modulus
+        M = self.ring.modulus
         zm = ZMod(M)
         basis = self.basis
-        F = _flat_map(R, self.gamma)
-        G = _flat_map(R, self.gamma_inv)
         # gamma_inv only needs to invert gamma on the quotient
         if not all(in_span(r, basis, M)
                    for r in _one_minus(mat_mul(zm, G, F), M)):
@@ -141,23 +137,6 @@ TowerReport = namedtuple(
     ["layers", "stable_from", "repeat_at", "period", "powers"])
 
 
-def _flat_map(ring, A):
-    """The flat map of a square Omega matrix A: the integer matrix whose
-    row j D + u is x^u times column j of A, flattened.  A flat column
-    vector v goes to A v as the row vector v times it, so the flat map
-    of A B is the flat map of B times that of A."""
-    return ring.omega_rows_to_int_rows(list(zip(*A)))
-
-
-def _omega_matrix(F, s):
-    """The Omega matrix of size s whose flat map is F: column j is read
-    off row j D, the image of e_j."""
-    D = len(F) // s if s else 0
-    cols = [[tuple(F[j * D][i * D:(i + 1) * D]) for i in range(s)]
-            for j in range(s)]
-    return tuple(zip(*cols))
-
-
 def _one_minus(F, M):
     """I - F over Z/M, for a square integer matrix F."""
     return [[(int(i == j) - a) % M for j, a in enumerate(row)]
@@ -184,7 +163,7 @@ def coker_tower(ring, Phi):
     zm = ZMod(M)
     powers = []
     seen = {}
-    F = _flat_map(ring, Phi)
+    F = ring.flat_map(Phi)
     repeat_at = period = None
     n = 0
     while n <= TOWER_LEVELS:
@@ -229,22 +208,22 @@ def _power_index(tower, n):
 
 def limit_module(ring, Phi, tower=None):
     """The limit of the coinvariant tower, presented at its stabilized
-    level: relations are the canonical image rows there, gamma acts by
-    Phi, and the inverse of gamma is the explicit power
+    level n0: relations are the canonical image rows there, gamma acts
+    by Phi, and the inverse of gamma is the explicit power
     Phi^(ell^n0 - 1), which is inverse because gamma^(ell^n0) is the
     identity on the quotient.
 
-    The relation rows are the tower's Howell rows at n0 and gamma_inv
-    is read back from its flat map, so the module's check runs on
-    them with no Howell form of its own."""
+    The module is built from the tower alone: gamma's flat map is
+    tower.powers[0], gamma_inv's is its power over Z/M, and the basis
+    is the tower's Howell rows at n0, so the module's check runs on
+    them with no Howell form of its own.  Phi is read only to build
+    the tower when none is given."""
     if tower is None:
         tower = coker_tower(ring, Phi)
     n0 = tower.stable_from
-    rows = tower.layers[n0].image_rows
-    s = len(Phi)
-    G = mat_pow(ZMod(ring.modulus), tower.powers[0], ring.ell ** n0 - 1)
-    relations = [ring.unflatten_vec(list(r)) for r in rows]
-    return GammaModule(ring, s, relations, Phi, _omega_matrix(G, s), rows)
+    F = tower.powers[0]
+    G = mat_pow(ZMod(ring.modulus), F, ring.ell ** n0 - 1)
+    return GammaModule(ring, F, G, tower.layers[n0].image_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +235,6 @@ KernelLayer = namedtuple("KernelLayer", ["kernel_rows", "size"])
 KernelChainReport = namedtuple(
     "KernelChainReport",
     ["layers", "stable_from", "trace_is_mult_by_ell", "vanishing_certified"])
-
-
-def _kernel_rows(F, M):
-    """Canonical rows spanning {v : P v = v}, F the flat map of P: the
-    left kernel of I - F over Z/M, in its Howell form."""
-    return left_kernel(_one_minus(F, M), M)
 
 
 def kernel_chain_report(ring, Phi, tower=None):
@@ -287,7 +260,9 @@ def kernel_chain_report(ring, Phi, tower=None):
     n_top = tower.stable_from + ring.m + 1
     # idx[n] indexes Phi^(ell^n) in tower.powers
     idx = [_power_index(tower, n) for n in range(n_top + 1)]
-    kernel_of = {i: _kernel_rows(tower.powers[i], M)
+    # the kernel of I - P, canonical rows spanning {v : P v = v}, is
+    # the left kernel of I - F, F the flat map of P
+    kernel_of = {i: left_kernel(_one_minus(tower.powers[i], M), M)
                  for i in dict.fromkeys(idx)}
     kernels = [kernel_of[i] for i in idx]
     layers = [KernelLayer(rows, span_size(rows, M)) for rows in kernels]
@@ -400,7 +375,7 @@ def ideal_canonical_form(ring, gens, prec):
         howell_form(rows, width, ring.modulus), D, b)
     for r in basis:
         for cand in ((0,) * D + r[:-D], ring.x_shift_int_row(r)):
-            if any(reduce_vector(cand, basis, ring.modulus)):
+            if not in_span(cand, basis, ring.modulus):
                 raise InvariantViolation(
                     "ideal basis is not closed under T and x")
     return j0, basis

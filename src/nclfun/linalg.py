@@ -37,14 +37,6 @@ evaluated crossed matrices, cyclic blocks and their direct sums,
 Kronecker products of representations (block (i, j) is a_ij B),
 induced representations and the block reductions of relk are all
 assembled by it, over any ring, since it only moves entries.
-
-An Omega-linear map is also a Z/M-linear map of the flattened
-coordinates.  limits works the coinvariant tower there: the flat map
-of an Omega matrix A is the integer matrix whose row j D + u is x^u
-times column j of A, flattened, so a flat vector v goes to v times
-that matrix (a row vector on the left).  The flat map of A B is then
-the flat map of B times that of A, in that order, and every power,
-sum and product of the tower is a ZMod(M) matrix product.
 """
 
 from __future__ import annotations

@@ -34,8 +34,6 @@ from nclfun.limits import (
     GammaModule,
     IdealClass,
     TowerLayer,
-    _flat_map,
-    _omega_matrix,
     _power_index,
     _truncate_form,
     char_element,
@@ -67,7 +65,8 @@ def _hand_module(ring, rank, relations, gamma, gamma_inv):
     flattened relations as basis."""
     basis = howell_form(ring.omega_rows_to_int_rows(relations),
                         rank * ring.deg, ring.modulus)
-    return GammaModule(ring, rank, relations, gamma, gamma_inv, basis)
+    return GammaModule(ring, ring.flat_map(gamma), ring.flat_map(gamma_inv),
+                       basis)
 
 
 def _rand_elt(ring, rng):
@@ -84,8 +83,8 @@ def _rand_mat(ring, rng, s):
 
 def test_gamma_module_validation():
     with pytest.raises(InvariantViolation):
-        GammaModule(Z9, 2, [(Z9.one,)], _mat(Z9, [[1, 0], [0, 1]]),
-                    _mat(Z9, [[1, 0], [0, 1]]), [])
+        GammaModule(Z9, Z9.flat_map(_mat(Z9, [[1, 0], [0, 1]])),
+                    Z9.flat_map(_mat(Z9, [[1, 0], [0, 1]])), [[1]])
     with pytest.raises(InvariantViolation):
         _hand_module(Z9, 1, [], _mat(Z9, [[2]]), _mat(Z9, [[2]]))
     # swap action does not preserve the span of e1
@@ -260,6 +259,35 @@ def test_limit_module_reuses_the_tower_basis(monkeypatch):
         assert size == hand.size() == t.layers[t.stable_from].coker_size
         assert mod.gamma_inv == tuple(map(tuple, mat_pow(
             ring, Phi, ring.ell ** t.stable_from - 1)))
+
+
+def test_limit_module_states_each_fact_once():
+    """A module's relations are its basis rows and its gamma is the map
+    the tower flattened: nothing it holds is given twice."""
+    rng = random.Random(79)
+    for ring, Phi in _tower_cases(rng):
+        t = coker_tower(ring, Phi)
+        mod = limit_module(ring, Phi, tower=t)
+        assert [ring.flatten_vec(r) for r in mod.relations] == mod.basis
+        assert ring.flat_map(mod.gamma) == [list(r) for r in t.powers[0]]
+        assert mod.rank == len(Phi)
+    # Z/9 modulo 3 is Z/3, whose Fitting ideal is (3, Y), not (Y)
+    one = Z9.flat_map(_mat(Z9, [[1]]))
+    mod = GammaModule(Z9, one, one, howell_form([[3]], 1, 9))
+    assert mod.relations == (((3,),),)
+    assert mod.size() == 3
+    y = Poly.from_ints(Z9, [0, 1])
+    assert ideal_classes_equal(
+        fitting_ideal(mod), IdealClass(Z9, [Poly.from_ints(Z9, [3]), y]), 6)
+    # a basis row of the wrong width, and flat maps of two sizes or of
+    # a width the degree does not divide
+    ident = GAUSS9.flat_map(mat_identity(GAUSS9, 2))
+    with pytest.raises(InvariantViolation):
+        GammaModule(GAUSS9, ident, ident, [[1, 0, 0]])
+    with pytest.raises(InvariantViolation):
+        GammaModule(GAUSS9, ident, ident[:2], [])
+    with pytest.raises(InvariantViolation):
+        GammaModule(GAUSS9, [[1, 0, 0]] * 3, [[1, 0, 0]] * 3, [])
 
 
 def _off_by_one_power(ops, A, e):
@@ -441,26 +469,33 @@ CUBIC25 = CoeffRing(5, 2, (2, 0, 0, 1))
 
 def test_flat_map_algebra():
     """The flat map T sends products to products in reverse order,
-    differences to differences and I to I, and the Omega matrix reads
-    back off it."""
+    differences to differences, I to I and inverses to inverses, and
+    the Omega matrix reads back off it."""
     rng = random.Random(61)
+    invertible = 0
     for ring in (Z9, Z25, GAUSS9, SPLIT3, CoeffRing(3, 3), CUBIC25):
         zm = ZMod(ring.modulus)
         for s in range(1, 5):
             A, B = _rand_mat(ring, rng, s), _rand_mat(ring, rng, s)
-            TA, TB = _flat_map(ring, A), _flat_map(ring, B)
-            assert _flat_map(ring, mat_mul(ring, A, B)) == mat_mul(zm, TB, TA)
+            TA, TB = ring.flat_map(A), ring.flat_map(B)
+            assert ring.flat_map(mat_mul(ring, A, B)) == mat_mul(zm, TB, TA)
             diff = [[ring.sub(a, b) for a, b in zip(ra, rb)]
                     for ra, rb in zip(A, B)]
-            assert _flat_map(ring, diff) == [
+            assert ring.flat_map(diff) == [
                 [(a - b) % ring.modulus for a, b in zip(ra, rb)]
                 for ra, rb in zip(TA, TB)]
-            assert _flat_map(ring, mat_identity(ring, s)) == mat_identity(
+            assert ring.flat_map(mat_identity(ring, s)) == mat_identity(
                 zm, s * ring.deg)
-            assert _omega_matrix(TA, s) == tuple(map(tuple, A))
+            assert ring.omega_matrix(TA) == tuple(map(tuple, A))
             v = [_rand_elt(ring, rng) for _ in range(s)]
             assert mat_mul(zm, [ring.flatten_vec(v)], TA) == [
                 ring.flatten_vec(mat_vec(ring, A, v))]
+            X = mat_inverse_omega(ring, A)
+            if X is not None:
+                invertible += 1
+                assert mat_mul(zm, ring.flat_map(X), TA) == mat_identity(
+                    zm, s * ring.deg)
+    assert invertible >= 12, invertible
 
 
 def test_tower_matches_omega_oracle():
@@ -474,7 +509,7 @@ def test_tower_matches_omega_oracle():
         t = coker_tower(ring, Phi)
         want = _coker_tower_oracle(ring, Phi)
         assert tuple(t)[:-1] == want[:-1], (ring, Phi)
-        assert [_omega_matrix(F, len(Phi)) for F in t.powers] == want[-1]
+        assert [ring.omega_matrix(F) for F in t.powers] == want[-1]
 
 
 def test_tower_power_lookup_equals_mat_pow():
@@ -486,7 +521,7 @@ def test_tower_power_lookup_equals_mat_pow():
         assert len(t.powers) == t.repeat_at + t.period
         for n in range(t.repeat_at + 3 * t.period + 1):
             want = mat_pow(ring, Phi, ring.ell ** n)
-            got = _omega_matrix(t.powers[_power_index(t, n)], len(Phi))
+            got = ring.omega_matrix(t.powers[_power_index(t, n)])
             assert [list(r) for r in got] == want
     assert periods[0] == (0, 2)
     assert sum(1 for _, period in periods if period == 1) >= 10
@@ -496,7 +531,6 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
     """No mat_pow, one kernel per distinct stored power, and no dot
     over Omega: the chain runs on the tower's flat maps over Z/M."""
     import nclfun.limits as limits_mod
-    from nclfun.limits import _kernel_rows
     rng = random.Random(59)
     calls, kernel_calls = [], []
 
@@ -507,12 +541,12 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
         calls.append(args)
         return mat_pow(*args)
 
-    def counting_kernel_rows(*args):
+    def counting_left_kernel(*args):
         kernel_calls.append(args)
-        return _kernel_rows(*args)
+        return left_kernel(*args)
 
     monkeypatch.setattr(limits_mod, "mat_pow", counting_mat_pow)
-    monkeypatch.setattr(limits_mod, "_kernel_rows", counting_kernel_rows)
+    monkeypatch.setattr(limits_mod, "left_kernel", counting_left_kernel)
     repeated = 0
     for ring, Phi in _tower_cases(rng):
         t = coker_tower(ring, Phi)
