@@ -8,7 +8,6 @@ themselves were unusable.
 """
 
 import argparse
-import ast
 import hashlib
 import json
 import random
@@ -17,7 +16,7 @@ import time
 from collections import namedtuple
 
 from .coeffring import CoeffRing, Poly, render_poly_terms
-from .covering import instance_digest, parse_instance
+from .covering import instance_digest, parse_instance, parse_literal
 from .errors import (
     ConventionOverflow,
     InvalidGroup,
@@ -134,11 +133,7 @@ def _inline_ring(args):
         raise InputProblem("--ell is required for inline inputs")
     minpoly = None
     if args.minpoly:
-        try:
-            minpoly = ast.literal_eval(args.minpoly)
-        except (ValueError, SyntaxError, TypeError) as exc:
-            raise InputProblem(
-                f"--minpoly: cannot parse {args.minpoly!r}: {exc}")
+        minpoly = parse_literal(args.minpoly, "--minpoly")
         if not isinstance(minpoly, list) or any(
                 type(c) is not int for c in minpoly):
             raise InputProblem(
@@ -154,11 +149,9 @@ def _payload_digest(*parts):
 
 
 def _square_literal(raw, problem):
-    """The square list-of-lists literal in raw, else InputProblem(problem)."""
-    try:
-        data = ast.literal_eval(raw)
-    except (ValueError, SyntaxError, TypeError) as exc:
-        raise InputProblem(f"{problem}: {exc}")
+    """The square list-of-lists literal in raw, read as instance values
+    are; else InputProblem(problem), or ParseError naming the problem."""
+    data = parse_literal(raw, problem)
     if (not isinstance(data, list) or not data
             or any(not isinstance(r, list) or len(r) != len(data)
                    for r in data)):

@@ -3,17 +3,20 @@ finite field, its closed points, the coefficient sheaf, and optional
 named representations, open subgroups and cohomology presentations.
 
 The on-disk grammar is line based: `key = value` with `#` comments and
-blank lines permitted, values either a decimal integer or a nested
-bracket list of integers.  Every matrix of an instance is over the one
-ring that omega.minpoly names.  Entries over an extension ring are
-coefficient lists (ascending powers of x); over a degree-1 ring they
-are bare integers.  The canonical rendering fixes section order,
-sorts named sections, drops comments, and reduces every residue, so
-equal instances render to byte-identical text.
+blank lines permitted.  A value is a decimal integer or a nested
+bracket list of such values, with commas and whitespace between them:
+the integer-and-array subset of JSON, which is all render_instance
+writes.  parse_literal reads it, for instance files and for the
+command line's inline literals alike.  Every matrix of an instance is
+over the one ring that omega.minpoly names.  Entries over an extension
+ring are coefficient lists (ascending powers of x); over a degree-1
+ring they are bare integers.  The canonical rendering fixes section
+order, sorts named sections, drops comments, and reduces every
+residue, so equal instances render to byte-identical text.
 """
 
-import ast
 import hashlib
+import json
 from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
@@ -124,22 +127,27 @@ class Instance:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_value(key, raw, lineno):
-    raw = raw.strip()
+def parse_literal(raw, where):
+    """The value of raw: a decimal integer, or a bracket list of values.
+
+    raw is decoded as JSON, and one iterative walk then checks that
+    every item is an int or a list (bool is a subclass of int, but true
+    is no integer entry).  So the grammar is the integer-and-array
+    subset of JSON: no `0x10`, `1_000`, `+5`, `- 5`, `00`, `(5)` or
+    trailing comma.  Whatever is not in it, nesting too deep for the
+    decoder included, raises ParseError naming where."""
     try:
-        val = ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        raise ParseError(f"line {lineno}: cannot parse value {raw!r}")
-    def ok(v):
-        # bool is a subclass of int, but True is no integer entry
-        if type(v) is int:
-            return True
-        if isinstance(v, list):
-            return all(ok(x) for x in v)
-        return False
-    if not ok(val):
-        raise ParseError(
-            f"line {lineno}: {key}: only integers and bracket lists allowed")
+        val = json.loads(raw)
+    except (ValueError, RecursionError):
+        val = None            # refused by the walk, as any non-int is
+    stack = [[val]]
+    while stack:
+        for v in stack.pop():
+            if type(v) is list:
+                stack.append(v)
+            elif type(v) is not int:
+                raise ParseError(f"{where}: only integers and bracket "
+                                 f"lists allowed; cannot parse value {raw!r}")
     return val
 
 
@@ -160,7 +168,8 @@ def _collect(text):
         if key == "format":
             out[key] = (lineno, raw.strip())
         else:
-            out[key] = (lineno, _parse_value(key, raw, lineno))
+            out[key] = (lineno,
+                        parse_literal(raw.strip(), f"line {lineno}: {key}"))
     return out
 
 
@@ -255,22 +264,29 @@ def parse_instance(text):
     pts_raw = _take(fields, "points")
     if not isinstance(pts_raw, list):
         raise ParseError("points must be a list of [degree, h, gamma_exp]")
+    # each distinct triple is checked once and becomes one Point, which
+    # its repeats share
     points = []
+    made = {}
     for i, trip in enumerate(pts_raw):
         if (not isinstance(trip, list) or len(trip) != 3
                 or not all(isinstance(x, int) for x in trip)):
             raise ParseError(
                 f"points[{i}]: expected a [degree, h, gamma_exp] triple")
-        d, h, a = trip
-        if d < 1:
-            raise ParseError(f"points[{i}]: degree must be positive")
-        if a != d:
-            raise ParseError(
-                f"points[{i}]: gamma exponent {a} violates admissibility; "
-                f"it must equal the degree {d}")
-        if not 0 <= h < group.order:
-            raise ParseError(f"points[{i}]: H-part {h} out of range")
-        points.append(Point(d, h, a))
+        key = tuple(trip)
+        point = made.get(key)
+        if point is None:
+            d, h, a = trip
+            if d < 1:
+                raise ParseError(f"points[{i}]: degree must be positive")
+            if a != d:
+                raise ParseError(
+                    f"points[{i}]: gamma exponent {a} violates "
+                    f"admissibility; it must equal the degree {d}")
+            if not 0 <= h < group.order:
+                raise ParseError(f"points[{i}]: H-part {h} out of range")
+            point = made[key] = Point(d, h, a)
+        points.append(point)
     complete = _take(fields, "points.complete_through", required=False)
     if complete is not None and (not isinstance(complete, int)
                                  or complete < 1):

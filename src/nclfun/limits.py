@@ -44,6 +44,7 @@ from .linalg import (
     howell_form,
     in_span,
     left_kernel,
+    mat_identity,
     mat_mul,
     mat_pow,
     span_size,
@@ -237,6 +238,39 @@ KernelChainReport = namedtuple(
     ["layers", "stable_from", "trace_is_mult_by_ell", "vanishing_certified"])
 
 
+def _trace_sum(zm, F, ell):
+    """The sum of F^k over k < ell, for a square matrix F over zm.
+
+    The loop adds up the powers with ell - 2 products.  Doubling along
+    the bits of ell past the leading one, S_2n = S_n + F^n S_n and then
+    S_2n+1 = I + F S_2n where the bit is set, with F^n carried beside,
+    takes two products per bit and two more per set bit.  Whichever
+    takes fewer runs: the loop for ell up to 11, where 3 and 5 take
+    1 and 3 products, and doubling from 13 on, at most 4 products per
+    bit of ell."""
+    M = zm.modulus
+    bits = bin(ell)[3:]
+    if 2 * (len(bits) + bits.count("1")) >= ell - 2:
+        acc = F
+        V = [[a + (r == c) for c, a in enumerate(row)]
+             for r, row in enumerate(F)]
+        for _ in range(ell - 2):
+            acc = mat_mul(zm, acc, F)
+            V = [[a + b for a, b in zip(v, w)] for v, w in zip(V, acc)]
+        return [[a % M for a in row] for row in V]
+
+    def plus(X, Y):
+        return [[(a + b) % M for a, b in zip(x, y)] for x, y in zip(X, Y)]
+
+    ident = mat_identity(zm, len(F))
+    S, P = ident, F                     # S_n and F^n at n = 1
+    for bit in bits:
+        S, P = plus(S, mat_mul(zm, P, S)), mat_mul(zm, P, P)
+        if bit == "1":
+            S, P = plus(ident, mat_mul(zm, F, S)), mat_mul(zm, P, F)
+    return S
+
+
 def kernel_chain_report(ring, Phi, tower=None):
     """Kernels of I - Phi^(ell^n) with the trace transition maps.
 
@@ -268,15 +302,8 @@ def kernel_chain_report(ring, Phi, tower=None):
     layers = [KernelLayer(rows, span_size(rows, M)) for rows in kernels]
     # transitions: trace from level n+1 to level n, the sum of P^k over
     # k < ell for P = Phi^(ell^n); its flat map is the sum of F^k
-    trace_of = {}
-    for i in dict.fromkeys(idx[:n_top]):
-        F = acc = tower.powers[i]
-        V = [[a + (r == c) for c, a in enumerate(row)]
-             for r, row in enumerate(F)]
-        for _ in range(ell - 2):
-            acc = mat_mul(zm, acc, F)
-            V = [[a + b for a, b in zip(v, w)] for v, w in zip(V, acc)]
-        trace_of[i] = [[a % M for a in row] for row in V]
+    trace_of = {i: _trace_sum(zm, tower.powers[i], ell)
+                for i in dict.fromkeys(idx[:n_top])}
     traces = [trace_of[i] for i in idx[:n_top]]
     for i, j in dict.fromkeys(zip(idx, idx[1:])):
         for img in mat_mul(zm, kernel_of[j], trace_of[i]):

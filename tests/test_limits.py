@@ -569,6 +569,91 @@ def test_kernel_chain_reads_the_tower_powers(monkeypatch):
     assert repeated > 0
 
 
+def _trace_loop(zm, F, ell):
+    """The sum of F^k over k < ell, one power after the other from the
+    identity."""
+    M = zm.modulus
+    acc = S = mat_identity(zm, len(F))
+    for _ in range(ell - 1):
+        acc = mat_mul(zm, acc, F)
+        S = [[(a + b) % M for a, b in zip(s, t)] for s, t in zip(S, acc)]
+    return S
+
+
+def _count_trace_products(monkeypatch):
+    """The list that each mat_mul of limits appends to."""
+    import nclfun.limits as limits_mod
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(limits_mod, "mat_mul", counting)
+    return calls
+
+
+def test_trace_sum_keeps_the_loop_at_ell_3_and_5(monkeypatch):
+    """At ell = 3 and 5, the primes the benchmark's imc cases use, a
+    trace sum takes ell - 2 products, 1 and 3, as the plain loop did."""
+    from nclfun.limits import _trace_sum
+    calls = _count_trace_products(monkeypatch)
+    rng = random.Random(83)
+    for ring in (Z9, Z25, GAUSS9, SPLIT3, CoeffRing(5, 1)):
+        zm = ZMod(ring.modulus)
+        for s in (1, 2, 3):
+            F = ring.flat_map(_rand_mat(ring, rng, s))
+            calls.clear()
+            S = _trace_sum(zm, F, ring.ell)
+            assert len(calls) == ring.ell - 2
+            assert S == _trace_loop(zm, F, ring.ell)
+
+
+@pytest.mark.parametrize("ell", [7, 11, 101, 10007])
+def test_kernel_chain_by_doubling_matches_the_loop(monkeypatch, ell):
+    """Over Z/ell and Z/ell^2 every trace sum of the tower equals the
+    loop's, and so does the whole report; doubling takes over from
+    ell = 13, so 101 and 10 007 take it."""
+    import nclfun.limits as limits_mod
+    from nclfun.limits import _trace_sum
+    rng = random.Random(ell)
+    for m in (1, 2):
+        ring = CoeffRing(ell, m)
+        zm = ZMod(ring.modulus)
+        for Phi in (_mat(ring, [[2, 1], [1, 1]]), _rand_mat(ring, rng, 2),
+                    _rand_mat(ring, rng, 3)):
+            tower = coker_tower(ring, Phi)
+            for F in tower.powers:
+                assert _trace_sum(zm, F, ell) == _trace_loop(zm, F, ell)
+            rep = kernel_chain_report(ring, Phi, tower=tower)
+            with monkeypatch.context() as patch:
+                patch.setattr(limits_mod, "_trace_sum", _trace_loop)
+                assert kernel_chain_report(ring, Phi, tower=tower) == rep
+
+
+def test_trace_sum_at_a_large_ell_takes_products_by_the_bit(monkeypatch):
+    """At ell = 1 000 003 a trace sum takes at most 4 products per bit
+    of ell, where the loop took 1 000 001; (I - F) S = I - F^ell checks
+    the sum."""
+    from nclfun.limits import _one_minus, _trace_sum
+    ell = 1000003
+    ring = CoeffRing(ell, 1)
+    zm, M = ZMod(ell), ell
+    rng = random.Random(89)
+    for Phi in (_mat(ring, [[2, 1], [1, 1]]), _rand_mat(ring, rng, 3)):
+        tower = coker_tower(ring, Phi)
+        calls = _count_trace_products(monkeypatch)
+        for F in tower.powers:
+            calls.clear()
+            S = _trace_sum(zm, F, ell)
+            assert len(calls) <= 4 * ell.bit_length()
+            lhs = mat_mul(zm, _one_minus(F, M), S)
+            assert lhs == _one_minus(mat_pow(zm, F, ell), M)
+        monkeypatch.undo()
+        rep = kernel_chain_report(ring, Phi, tower=tower)
+        assert rep.trace_is_mult_by_ell and rep.vanishing_certified
+
+
 def test_tower_howell_forms_match_pairwise_oracle():
     """The Howell forms of the tower and its kernels, [I - F | I] for
     every stored flat power F, are the pairwise oracle's rows."""
