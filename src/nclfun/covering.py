@@ -4,15 +4,15 @@ named representations, open subgroups and cohomology presentations.
 
 The on-disk grammar is line based: `key = value` with `#` comments and
 blank lines permitted.  A value is a decimal integer or a nested
-bracket list of such values, with commas and whitespace between them:
-the integer-and-array subset of JSON, which is all render_instance
-writes.  parse_literal reads it, for instance files and for the
-command line's inline literals alike.  Every matrix of an instance is
-over the one ring that omega.minpoly names.  Entries over an extension
-ring are coefficient lists (ascending powers of x); over a degree-1
-ring they are bare integers.  The canonical rendering fixes section
-order, sorts named sections, drops comments, and reduces every
-residue, so equal instances render to byte-identical text.
+bracket list of such values, at most 200 deep, with commas and
+whitespace between them: the integer-and-array subset of JSON, which
+is all render_instance writes.  parse_literal reads it, for instance
+files and for the command line's inline literals alike.  Every matrix
+of an instance is over the one ring that omega.minpoly names.  Entries
+over an extension ring are coefficient lists (ascending powers of x);
+over a degree-1 ring they are bare integers.  The canonical rendering
+fixes section order, sorts named sections, drops comments, and reduces
+every residue, so equal instances render to byte-identical text.
 """
 
 import hashlib
@@ -133,12 +133,24 @@ def parse_literal(raw, where):
     raw is decoded as JSON, and one iterative walk then checks that
     every item is an int or a list (bool is a subclass of int, but true
     is no integer entry).  So the grammar is the integer-and-array
-    subset of JSON: no `0x10`, `1_000`, `+5`, `- 5`, `00`, `(5)` or
-    trailing comma.  Whatever is not in it, nesting too deep for the
-    decoder included, raises ParseError naming where."""
+    subset of JSON, nested at most 200 deep as literal_eval allowed: no
+    `0x10`, `1_000`, `+5`, `- 5`, `00`, `(5)` or trailing comma.  The
+    depth is bounded before decoding, so what is accepted does not
+    depend on how deep the caller's stack is.  Whatever is not in the
+    grammar raises ParseError naming where and quoting at most 60
+    characters of raw."""
+    limit = 200
+    rest = ""
+    if raw.count("[") > limit:
+        # drop the digits, signs, commas and JSON whitespace; each pass
+        # then takes every innermost [], so brackets nested d deep are
+        # gone after d passes, and anything else is refused anyway
+        rest = raw.translate(dict.fromkeys(map(ord, "0123456789-, \t\n\r")))
+        for _ in range(limit):
+            rest = rest.replace("[]", "")
     try:
-        val = json.loads(raw)
-    except (ValueError, RecursionError):
+        val = None if rest else json.loads(raw)
+    except ValueError:
         val = None            # refused by the walk, as any non-int is
     stack = [[val]]
     while stack:
@@ -146,8 +158,10 @@ def parse_literal(raw, where):
             if type(v) is list:
                 stack.append(v)
             elif type(v) is not int:
+                shown = (repr(raw) if len(raw) <= 60
+                         else repr(raw[:60]) + "...")
                 raise ParseError(f"{where}: only integers and bracket "
-                                 f"lists allowed; cannot parse value {raw!r}")
+                                 f"lists allowed; cannot parse value {shown}")
     return val
 
 

@@ -44,7 +44,6 @@ from .linalg import (
     howell_form,
     in_span,
     left_kernel,
-    mat_identity,
     mat_mul,
     mat_pow,
     span_size,
@@ -239,35 +238,36 @@ KernelChainReport = namedtuple(
 
 
 def _trace_sum(zm, F, ell):
-    """The sum of F^k over k < ell, for a square matrix F over zm.
+    """The sum S_ell of F^k over k < ell, for a square matrix F over zm
+    and ell >= 2.
 
-    The loop adds up the powers with ell - 2 products.  Doubling along
-    the bits of ell past the leading one, S_2n = S_n + F^n S_n and then
-    S_2n+1 = I + F S_2n where the bit is set, with F^n carried beside,
-    takes two products per bit and two more per set bit.  Whichever
-    takes fewer runs: the loop for ell up to 11, where 3 and 5 take
-    1 and 3 products, and doubling from 13 on, at most 4 products per
-    bit of ell."""
+    It doubles along the bits of ell past the leading one:
+    S_2n = S_n + F^n S_n, then S_2n+1 = I + F S_2n where the bit is set,
+    with F^n carried beside.  The first step, S_2 = I + F, takes no
+    product, and F^n is not carried past the last bit, so ell = 3, 5
+    and 7 take 1, 3 and 5 products, as many as adding up the powers one
+    by one (ell - 2), and no ell takes more than that or more than 4
+    products per bit."""
     M = zm.modulus
-    bits = bin(ell)[3:]
-    if 2 * (len(bits) + bits.count("1")) >= ell - 2:
-        acc = F
-        V = [[a + (r == c) for c, a in enumerate(row)]
-             for r, row in enumerate(F)]
-        for _ in range(ell - 2):
-            acc = mat_mul(zm, acc, F)
-            V = [[a + b for a, b in zip(v, w)] for v, w in zip(V, acc)]
-        return [[a % M for a in row] for row in V]
 
     def plus(X, Y):
         return [[(a + b) % M for a, b in zip(x, y)] for x, y in zip(X, Y)]
 
-    ident = mat_identity(zm, len(F))
-    S, P = ident, F                     # S_n and F^n at n = 1
-    for bit in bits:
-        S, P = plus(S, mat_mul(zm, P, S)), mat_mul(zm, P, P)
+    def one_plus(X):
+        return [[(a + (r == c)) % M for c, a in enumerate(row)]
+                for r, row in enumerate(X)]
+
+    bits = bin(ell)[3:]
+    last = len(bits)
+    S, P = None, F          # S_1 = I is never read: step 1 gives S_2 = I + F
+    for i, bit in enumerate(bits, start=1):
+        S = one_plus(F) if i == 1 else plus(S, mat_mul(zm, P, S))
+        if i < last:
+            P = mat_mul(zm, P, P)
         if bit == "1":
-            S, P = plus(ident, mat_mul(zm, F, S)), mat_mul(zm, P, F)
+            S = one_plus(mat_mul(zm, F, S))
+            if i < last:
+                P = mat_mul(zm, P, F)
     return S
 
 

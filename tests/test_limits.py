@@ -593,7 +593,7 @@ def _count_trace_products(monkeypatch):
     return calls
 
 
-def test_trace_sum_keeps_the_loop_at_ell_3_and_5(monkeypatch):
+def test_trace_sum_takes_ell_minus_2_products_at_3_and_5(monkeypatch):
     """At ell = 3 and 5, the primes the benchmark's imc cases use, a
     trace sum takes ell - 2 products, 1 and 3, as the plain loop did."""
     from nclfun.limits import _trace_sum
@@ -612,8 +612,7 @@ def test_trace_sum_keeps_the_loop_at_ell_3_and_5(monkeypatch):
 @pytest.mark.parametrize("ell", [7, 11, 101, 10007])
 def test_kernel_chain_by_doubling_matches_the_loop(monkeypatch, ell):
     """Over Z/ell and Z/ell^2 every trace sum of the tower equals the
-    loop's, and so does the whole report; doubling takes over from
-    ell = 13, so 101 and 10 007 take it."""
+    loop's, and so does the whole report."""
     import nclfun.limits as limits_mod
     from nclfun.limits import _trace_sum
     rng = random.Random(ell)

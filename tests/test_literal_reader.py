@@ -135,9 +135,9 @@ def _deep(depth):
 
 
 def test_deep_nesting_is_refused_by_name():
-    """Nesting past what the JSON decoder recurses through is refused
-    as a ParseError naming the key, as literal_eval refused it past 200
-    levels, and not raised as RecursionError."""
+    """Nesting 5 000 deep, past what the JSON decoder recurses through,
+    is refused as a ParseError naming the key, as literal_eval refused
+    it past 200 levels, and not raised as RecursionError."""
     text = (FIXTURES / "trivial.inst").read_text().replace(
         "sheaf.gamma = [[1]]", f"sheaf.gamma = {_deep(5000)}")
     with pytest.raises(ParseError, match=(
@@ -155,3 +155,48 @@ def test_deep_nesting_in_a_fixture_is_an_input_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert "sheaf.gamma: only integers and bracket lists" in err
+
+
+def _parse_from_below(frames, raw):
+    """parse_literal(raw) called with frames more frames on the stack."""
+    if frames:
+        return _parse_from_below(frames - 1, raw)
+    return parse_literal(raw, "--phi")
+
+
+def test_nesting_is_bounded_at_200_for_every_caller():
+    """200 levels parse and 201 are refused, as under literal_eval,
+    whether the call sits at the top of the stack or 100 frames down;
+    900 levels, which the JSON decoder would take from the top, are
+    refused from both.  JSON whitespace between brackets does not
+    count as a level."""
+    assert parse_literal(_deep(200), "--phi") == literal_oracle(_deep(200))
+    spaced = _deep(300).replace("[", "[\r\n\t ")
+    with pytest.raises(ParseError, match=r"^--phi: only integers"):
+        parse_literal(spaced, "--phi")
+    wide = f"[{_deep(199)}, {_deep(199)}]"       # 399 brackets, 200 deep
+    assert parse_literal(wide.replace("[", "[\r\n\t "), "--phi") == (
+        literal_oracle(wide))
+    with pytest.raises(ValueError):
+        literal_oracle(_deep(201))
+    for frames in (0, 100):
+        assert _parse_from_below(frames, _deep(200)) == literal_oracle(
+            _deep(200))
+        for depth in (201, 900):
+            with pytest.raises(ParseError, match=r"^--phi: only integers"):
+                _parse_from_below(frames, _deep(depth))
+
+
+def test_refusal_quotes_a_bounded_prefix():
+    """One bad entry in ec_f5's 37 KB points line is refused with a
+    short message: the line, the key and the first 60 characters."""
+    text = (FIXTURES / "ec_f5.inst").read_text()
+    raw = dict(_value_lines("ec_f5"))["points"]
+    bad = "[[+1" + raw[len("[[1"):]
+    assert len(bad) > 30000
+    with pytest.raises(ParseError, match=(
+            r"^line \d+: points: only integers and bracket lists allowed; "
+            r"cannot parse value '\[\[\+1, ")) as exc:
+        parse_instance(text.replace(raw, bad))
+    assert len(str(exc.value)) < 200
+    assert str(exc.value).endswith(f"{bad[:60]!r}...")
