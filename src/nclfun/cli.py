@@ -16,7 +16,14 @@ import time
 from collections import namedtuple
 
 from .coeffring import CoeffRing, Poly, render_poly_terms
-from .covering import instance_digest, parse_instance, parse_literal
+from .covering import (
+    instance_digest,
+    parse_element,
+    parse_instance,
+    parse_literal,
+    parse_matrix,
+    parse_minpoly,
+)
 from .errors import (
     ConventionOverflow,
     InvalidGroup,
@@ -133,11 +140,8 @@ def _inline_ring(args):
         raise InputProblem("--ell is required for inline inputs")
     minpoly = None
     if args.minpoly:
-        minpoly = parse_literal(args.minpoly, "--minpoly")
-        if not isinstance(minpoly, list) or any(
-                type(c) is not int for c in minpoly):
-            raise InputProblem(
-                f"--minpoly must be a list of ints, not {args.minpoly}")
+        minpoly = parse_minpoly(parse_literal(args.minpoly, "--minpoly"),
+                                "--minpoly")
     try:
         return CoeffRing(args.ell, args.m, minpoly)
     except InvariantViolation as exc:
@@ -146,6 +150,13 @@ def _inline_ring(args):
 
 def _payload_digest(*parts):
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()
+
+
+def _inline_digest(kind, ring, *literals):
+    """The digest of an inline payload: the command group, the ring's
+    ell, m and minpoly, and the matrix literals as typed."""
+    return _payload_digest(kind, ring.ell, ring.m, list(ring.minpoly),
+                           *literals)
 
 
 def _square_literal(raw, problem):
@@ -159,21 +170,9 @@ def _square_literal(raw, problem):
     return data
 
 
-def _entry(ring, c, flag):
-    """A ring element from an int or a list of exactly deg ints; bool is
-    a subclass of int, but True is no ring element."""
-    if type(c) is int:
-        return ring.int_embed(c)
-    if (isinstance(c, list) and len(c) == ring.deg
-            and all(type(t) is int for t in c)):
-        return ring.element(c)
-    raise InputProblem(f"{flag}: each ring element is an int or a list of"
-                       f" {ring.deg} ints, not {c!r}")
-
-
 def _omega_matrix(ring, raw, flag):
     data = _square_literal(raw, f"{flag} must be a square matrix literal")
-    return [[_entry(ring, c, flag) for c in row] for row in data]
+    return parse_matrix(ring, data, len(data), flag)
 
 
 def _poly_matrix(ring, raw, flag):
@@ -186,7 +185,7 @@ def _poly_matrix(ring, raw, flag):
             if not isinstance(entry, list):
                 raise InputProblem(f"{flag}: each entry is a list of"
                                    " coefficients")
-            coeffs = [_entry(ring, c, flag) for c in entry]
+            coeffs = [parse_element(ring, c, flag) for c in entry]
             prow.append(Poly(ring, coeffs or [ring.zero]))
         out.append(prow)
     return out
@@ -309,8 +308,7 @@ def cmd_ncl_verify(args):
 def cmd_imc_limit(args):
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
-    digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
-                             args.phi)
+    digest = _inline_digest("imc", ring, args.phi)
     t0 = time.perf_counter()
     tower = coker_tower(ring, Phi)
     sizes = [layer.coker_size for layer in tower.layers[:tower.stable_from + 2]]
@@ -328,8 +326,7 @@ def cmd_imc_limit(args):
 def cmd_imc_fitting(args):
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
-    digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
-                             args.phi)
+    digest = _inline_digest("imc", ring, args.phi)
     t0 = time.perf_counter()
     fit = fitting_ideal(limit_module(ring, Phi))
     gens = [render_poly_terms(ring, g.coeffs, var="Y")
@@ -355,8 +352,7 @@ def cmd_imc_verify(args):
     ring = _inline_ring(args)
     Phi = _omega_matrix(ring, args.phi, "--phi")
     _need_precision_floor(ring, Phi, args.precision)
-    digest = _payload_digest("imc", ring.ell, ring.m, list(ring.minpoly),
-                             args.phi)
+    digest = _inline_digest("imc", ring, args.phi)
     t0 = time.perf_counter()
     tower = coker_tower(ring, Phi)
     out = verify_mc_commutative(ring, Phi, prec=args.precision, tower=tower)
@@ -379,8 +375,7 @@ def cmd_imc_verify(args):
 def cmd_kconnect_d(args):
     ring = _inline_ring(args)
     alpha = _poly_matrix(ring, args.alpha, "--alpha")
-    digest = _payload_digest("kconnect", ring.ell, ring.m,
-                             list(ring.minpoly), args.alpha)
+    digest = _inline_digest("kconnect", ring, args.alpha)
     t0 = time.perf_counter()
     cls = d_connecting(ring, alpha)
     return [_record("kconnect.d", digest, "connecting-class",
@@ -396,8 +391,7 @@ def cmd_kconnect_verify(args):
                                " --beta, not both")
         Phi = _omega_matrix(ring, args.phi, "--phi")
         _need_precision_floor(ring, Phi, args.precision)
-        digest = _payload_digest("kconnect", ring.ell, ring.m,
-                                 list(ring.minpoly), args.phi)
+        digest = _inline_digest("kconnect", ring, args.phi)
         t0 = time.perf_counter()
         out = verify_d_fitting_consistency(ring, Phi, args.precision)
         records.append(_record("kconnect.verify", digest, out["check"],
@@ -412,8 +406,7 @@ def cmd_kconnect_verify(args):
         raise InputProblem(f"--alpha is {len(alpha)} x {len(alpha)} and"
                            f" --beta is {len(beta)} x {len(beta)}: the"
                            " product needs one size")
-    digest = _payload_digest("kconnect", ring.ell, ring.m,
-                             list(ring.minpoly), args.alpha, args.beta)
+    digest = _inline_digest("kconnect", ring, args.alpha, args.beta)
     t0 = time.perf_counter()
     out = verify_d_multiplicative(ring, alpha, beta, args.precision)
     records.append(_record("kconnect.verify", digest, out["check"],

@@ -8,11 +8,13 @@ bracket list of such values, at most 200 deep, with commas and
 whitespace between them: the integer-and-array subset of JSON, which
 is all render_instance writes.  parse_literal reads it, for instance
 files and for the command line's inline literals alike.  Every matrix
-of an instance is over the one ring that omega.minpoly names.  Entries
-over an extension ring are coefficient lists (ascending powers of x);
-over a degree-1 ring they are bare integers.  The canonical rendering
-fixes section order, sorts named sections, drops comments, and reduces
-every residue, so equal instances render to byte-identical text.
+of an instance is over the one ring that omega.minpoly names.  A ring
+element is an int, or a list of at most D ints (ascending powers of x,
+zero-padded), read by parse_element for both; render_instance writes
+bare integers over a degree-1 ring and coefficient lists otherwise.
+The canonical rendering fixes section order, sorts named sections,
+drops comments, and reduces every residue, so equal instances render
+to byte-identical text.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from .groupalg import (
     GroupData,
     OpenSubgroup,
     Rep,
+    coset_keys,
     group_validate,
     quotient_by_normal,
     restrict_rep,
@@ -195,23 +198,33 @@ def _take(fields, key, required=True, default=None):
     return default
 
 
-def _entry_to_elem(ring, v, context):
-    if ring.deg == 1:
-        if type(v) is not int:
-            raise ParseError(f"{context}: expected a bare integer entry")
+def parse_element(ring, v, where):
+    """The ring element v writes: an int, or a list of at most D ints,
+    the coordinates in ascending powers of x, zero-padded; bool is a
+    subclass of int, but true is no ring element."""
+    if type(v) is int:
         return ring.int_embed(v)
-    if not isinstance(v, list) or not all(type(c) is int for c in v):
-        raise ParseError(f"{context}: expected a coefficient list entry")
-    if len(v) > ring.deg:
-        raise ParseError(f"{context}: entry has more than {ring.deg} coefficients")
+    if (type(v) is not list or len(v) > ring.deg
+            or any(type(c) is not int for c in v)):
+        raise ParseError(f"{where}: each ring element is an int or a list"
+                         f" of at most {ring.deg} ints")
     return ring.element(v + [0] * (ring.deg - len(v)))
 
 
-def _matrix(ring, v, size, context):
+def parse_matrix(ring, v, size, where):
+    """The size x size matrix over ring that v writes, entry by entry."""
     if (not isinstance(v, list) or len(v) != size
             or any(not isinstance(row, list) or len(row) != size for row in v)):
-        raise ParseError(f"{context}: expected a {size}x{size} matrix")
-    return [[_entry_to_elem(ring, c, context) for c in row] for row in v]
+        raise ParseError(f"{where}: expected a {size}x{size} matrix")
+    return [[parse_element(ring, c, where) for c in row] for row in v]
+
+
+def parse_minpoly(v, where):
+    """The minimal polynomial v writes: a list of ints, ascending powers
+    of x; CoeffRing checks that it is monic and square free."""
+    if type(v) is not list or any(type(c) is not int for c in v):
+        raise ParseError(f"{where}: expected a list of integer coefficients")
+    return v
 
 
 def _build_rep(fields, prefix, ring, group):
@@ -222,10 +235,10 @@ def _build_rep(fields, prefix, ring, group):
     if not isinstance(h_raw, list) or len(h_raw) != group.order:
         raise ParseError(
             f"{prefix}.h_images: expected one matrix per group element")
-    hs = [_matrix(ring, mat, rank, f"{prefix}.h_images[{i}]")
+    hs = [parse_matrix(ring, mat, rank, f"{prefix}.h_images[{i}]")
           for i, mat in enumerate(h_raw)]
-    gam = _matrix(ring, _take(fields, f"{prefix}.gamma"), rank,
-                  f"{prefix}.gamma")
+    gam = parse_matrix(ring, _take(fields, f"{prefix}.gamma"), rank,
+                       f"{prefix}.gamma")
     return Rep(ring, group, hs, gam)
 
 
@@ -254,7 +267,7 @@ def parse_instance(text):
         if not isinstance(v, int):
             raise ParseError(f"{name} must be an integer")
     minpoly = _take(fields, "omega.minpoly", required=False, default=[0, 1])
-    ring = CoeffRing(ell, m, minpoly)
+    ring = CoeffRing(ell, m, parse_minpoly(minpoly, "omega.minpoly"))
 
     order = _take(fields, "group.order")
     table = _take(fields, "group.table")
@@ -325,7 +338,7 @@ def parse_instance(text):
                                                  for r in mraw):
                 raise ParseError(f"cohomology matrix for degree {d} malformed")
             size = len(mraw)
-            mats.append(_matrix(ring, mraw, size, f"cohomology[{d}]"))
+            mats.append(parse_matrix(ring, mraw, size, f"cohomology[{d}]"))
         coh = CohomologySpec(ring, degs, mats)
 
     rep_names = sorted({k.split(".", 2)[1] for k in fields
@@ -431,6 +444,10 @@ def subcover_points(cov: CoveringSpec, U: OpenSubgroup):
     one point of the subcovering, of local degree s*d/c, whose local
     Frobenius is the return map of the orbit read in U-coordinates.
 
+    A point of local degree e lies over base points of degree at most
+    c*e, so when the covering is complete through N the subcovering is
+    complete through N // c (None when that is below 1).
+
     Returns the new CoveringSpec (base field enlarged to q^c, local
     group data) together with the local-to-ambient H index map.
     """
@@ -438,19 +455,8 @@ def subcover_points(cov: CoveringSpec, U: OpenSubgroup):
     sub_gd, loc_to_amb = subgroup_group_data(U)
     amb_to_loc = {h: i for i, h in enumerate(loc_to_amb)}
     c = U.c
-    members = set(U.h_members)
-
-    def coset_min(h):
-        return min(gd.table[u][h] for u in members)
-
-    labels = []
-    for b in range(c):
-        seen = set()
-        for h in range(gd.order):
-            k = coset_min(h)
-            if k not in seen:
-                seen.add(k)
-                labels.append((b, k))
+    keys = coset_keys(gd, U.h_members, right=True)
+    labels = [(b, k) for b in range(c) for k in sorted(set(keys))]
     if len(labels) != U.index:
         raise InvariantViolation("coset census disagrees with the index")
 
@@ -461,7 +467,7 @@ def subcover_points(cov: CoveringSpec, U: OpenSubgroup):
         # H-part of the moved coset: alpha^{b2-a2}(k * alpha^{b}(h_sigma))
         moved = gd.table[k][gd.act(b, sigma.h)]
         moved = gd.act(b2 - a2, moved)
-        return (b2, coset_min(moved))
+        return (b2, keys[moved])
 
     new_points = []
     for pt in cov.points:
@@ -495,7 +501,9 @@ def subcover_points(cov: CoveringSpec, U: OpenSubgroup):
             local_deg = total // c
             new_points.append(Point(local_deg, amb_to_loc[u.h], local_deg))
 
-    sub_cov = CoveringSpec(cov.q ** c, cov.ring, sub_gd, new_points)
+    n = cov.complete_through
+    complete = None if n is None or n // c < 1 else n // c
+    sub_cov = CoveringSpec(cov.q ** c, cov.ring, sub_gd, new_points, complete)
     return sub_cov, loc_to_amb
 
 
@@ -505,8 +513,8 @@ def restrict_sheaf(sheaf: SheafSpec, U: OpenSubgroup) -> SheafSpec:
 
 def push_covering_quotient(cov: CoveringSpec, members):
     """Covering data for the quotient group chop: same points, H-parts
-    projected along the quotient map."""
+    projected along the quotient map, so as complete as before."""
     qd, proj = quotient_by_normal(cov.group, members)
     pts = [Point(p.degree, proj[p.h], p.gamma_exp) for p in cov.points]
-    out = CoveringSpec(cov.q, cov.ring, qd, pts)
+    out = CoveringSpec(cov.q, cov.ring, qd, pts, cov.complete_through)
     return out, proj

@@ -34,6 +34,7 @@ __all__ = [
     "OpenSubgroup",
     "subgroup_group_data",
     "restrict_rep",
+    "coset_keys",
     "induce_rep",
     "quotient_by_normal",
     "push_rep_through_quotient",
@@ -486,6 +487,17 @@ def restrict_rep(rho: Rep, U: OpenSubgroup) -> Rep:
     return Rep(rho.ring, sub_gd, hs, rho.gamma_pow(U.c), check=False)
 
 
+def coset_keys(gd: GroupData, members, right=False):
+    """key[h]: the smallest index in the coset h*S of the member set S,
+    or in S*h when right is set.  A coset is named by its key.  The key
+    of a coset first appears at h = key, so the sorted distinct keys
+    list the cosets in the order a walk over h = 0, 1, ... meets them."""
+    t = gd.table
+    if right:
+        return [min(t[u][h] for u in members) for h in range(gd.order)]
+    return [min(map(row.__getitem__, members)) for row in t]
+
+
 def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
     """Induction from an open subgroup, on the left coset space.
 
@@ -509,22 +521,11 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
     R = rho_sub.ring
     w = rho_sub.dim
 
-    def coset_key(b, h):
-        # smallest index in h * alpha^b(H_U)
-        shifted = {amb.table[h][amb.act(b, u)] for u in U.h_members}
-        return min(shifted)
-
-    transversal = []
-    index_of = {}
-    for b in range(c):
-        seen = set()
-        for h in range(amb.order):
-            key = coset_key(b, h)
-            if key not in seen:
-                seen.add(key)
-                index_of[(b, key)] = len(transversal)
-                transversal.append(GElement(key, b))
-
+    keys = [coset_keys(amb, [amb.act(b, u) for u in U.h_members])
+            for b in range(c)]
+    transversal = [GElement(key, b)
+                   for b in range(c) for key in sorted(set(keys[b]))]
+    index_of = {(g.a, g.h): i for i, g in enumerate(transversal)}
     n = len(transversal)
 
     zero = [[R.zero] * w for _ in range(w)]
@@ -534,8 +535,7 @@ def induce_rep(U: OpenSubgroup, rho_sub: Rep) -> Rep:
         for i, gi in enumerate(transversal):
             prod = amb.g_mul(g, gi)
             b2 = prod.a % c
-            key = coset_key(b2, prod.h)
-            j = index_of[(b2, key)]
+            j = index_of[(b2, keys[b2][prod.h])]
             gj = transversal[j]
             u = amb.g_mul(amb.g_inv(gj), prod)
             if u.a % c != 0:
@@ -556,30 +556,22 @@ def quotient_by_normal(gd: GroupData, members):
     """Quotient of H by a normal, action-stable subgroup.
 
     Returns (GroupData of the quotient, projection list H -> cosets).
-    Cosets are named by their smallest member, the identity coset first.
+    Cosets are named by their keys, the identity coset first.  N is
+    normal exactly when hN = Nh for every h, that is, when the left and
+    the right keys agree.
     """
     mem = _member_set(gd, members)
-    mset = set(mem)
+    keys = coset_keys(gd, mem)
+    right_keys = coset_keys(gd, mem, right=True)
     for h in range(gd.order):
-        conj = {gd.table[gd.table[h][k]][gd.inv[h]] for k in mem}
-        if conj != mset:
+        if keys[h] != right_keys[h]:
             raise NotNormal(f"conjugation by h{h} moves the subgroup")
-    if {gd.action[h] for h in mem} != mset:
+    if {gd.action[h] for h in mem} != set(mem):
         raise NotNormal("subgroup is not stable under the action; "
                         "the quotient carries no induced action")
-    # cosets by smallest member
-    coset_of = [None] * gd.order
-    names = []
-    for h in range(gd.order):
-        if coset_of[h] is not None:
-            continue
-        block = sorted(gd.table[h][k] for k in mem)
-        for x in block:
-            coset_of[x] = block[0]
-        names.append(block[0])
-    names.sort()      # the identity coset names itself 0, hence comes first
+    names = sorted(set(keys))   # the identity coset names itself 0
     name_to_idx = {nm: i for i, nm in enumerate(names)}
-    proj = [name_to_idx[coset_of[h]] for h in range(gd.order)]
+    proj = [name_to_idx[k] for k in keys]
     nq = len(names)
     table = [[proj[gd.table[names[i]][names[j]]] for j in range(nq)]
              for i in range(nq)]

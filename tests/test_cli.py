@@ -6,6 +6,7 @@ import pytest
 
 from nclfun import cli
 from nclfun.cli import main
+from nclfun.coeffring import CoeffRing
 from nclfun.covering import parse_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -180,8 +181,8 @@ def test_input_error_exits_two(capsys):
     ["kconnect", "d", "--alpha", "[[[1]]"],
 ])
 def test_malformed_inline_entries_are_input_errors(capsys, argv):
-    """A literal that does not evaluate, or an entry that is not an int
-    or a list of exactly D ints, is unusable input: exit 2, nothing on
+    """A literal that does not decode, or an entry that is not an int
+    or a list of at most D ints, is unusable input: exit 2, nothing on
     stdout, the flag named."""
     code, out, err = _run(capsys, argv + [
         "--ell", "3", "--m", "2", "--minpoly", "[1,0,1]"])
@@ -212,6 +213,75 @@ def test_unparsable_minpoly_names_the_flag(capsys, minpoly):
     assert code == 2
     assert out == ""
     assert "--minpoly" in err
+
+
+@pytest.mark.parametrize("bad", ["5", "[[1], 1]", "[1, [0], 1]"])
+def test_minpoly_that_is_no_list_of_ints_is_an_input_error(
+        tmp_path, capsys, bad):
+    """omega.minpoly and --minpoly go through one check: a value that
+    decodes but is not a list of ints exits 2, naming the key or the
+    flag, with no traceback."""
+    path = tmp_path / "minpoly.inst"
+    path.write_text(ONE_POINT_INSTANCE.replace(
+        "m = 2\n", f"m = 2\nomega.minpoly = {bad}\n"))
+    code, out, err = _run(capsys, [
+        "lfun", "euler", "--fixture", str(path), "--precision", "4"])
+    assert (code, out) == (2, "")
+    assert "omega.minpoly: expected a list of integer coefficients" in err
+    code, out, err = _run(capsys, [
+        "imc", "limit", "--ell", "3", "--minpoly", bad, "--phi", "[[1]]"])
+    assert (code, out) == (2, "")
+    assert "--minpoly: expected a list of integer coefficients" in err
+
+
+# each literal as a ring element over Z/9 and over Z/9[x]/(x^2 + 1),
+# or None where it is refused
+ELEMENT_TABLE = [
+    ("4", (4,), (4, 0)),
+    ("-1", (8,), (8, 0)),
+    ("[4]", (4,), (4, 0)),
+    ("[4, 1]", None, (4, 1)),
+    ("[4, 1, 0]", None, None),
+    ("[]", (0,), (0, 0)),
+    ("true", None, None),
+    ("[true]", None, None),
+]
+
+
+@pytest.mark.parametrize("minpoly", [None, [1, 0, 1]],
+                         ids=["Z/9", "Z/9[x]/(x^2+1)"])
+@pytest.mark.parametrize("literal, over_z9, over_quadratic", ELEMENT_TABLE,
+                         ids=[row[0] for row in ELEMENT_TABLE])
+def test_fixtures_and_flags_read_one_element_grammar(
+        tmp_path, capsys, minpoly, literal, over_z9, over_quadratic):
+    """A ring element is an int, or a list of at most D ints,
+    zero-padded, and a bool is none.  The same literal in a fixture's
+    sheaf.gamma and in --phi gives the same element, or both exit 2,
+    naming the key and the flag.  The literal sits above the diagonal of
+    a unitriangular matrix, so every element makes a valid sheaf."""
+    expect = over_z9 if minpoly is None else over_quadratic
+    matrix = f"[[1, {literal}], [0, 1]]"
+    text = ONE_POINT_INSTANCE.replace(
+        "sheaf.rank = 1\nsheaf.h_images = [[[1]]]\nsheaf.gamma = [[1]]",
+        f"sheaf.rank = 2\nsheaf.h_images = [[[1, 0], [0, 1]]]\n"
+        f"sheaf.gamma = {matrix}")
+    flags = ["--ell", "3", "--m", "2", "--phi", matrix]
+    if minpoly is not None:
+        text = text.replace("m = 2\n", f"m = 2\nomega.minpoly = {minpoly}\n")
+        flags += ["--minpoly", str(minpoly)]
+    path = tmp_path / "element.inst"
+    path.write_text(text)
+    fixture_run = _run(capsys, [
+        "lfun", "euler", "--fixture", str(path), "--precision", "3"])
+    flag_run = _run(capsys, ["imc", "limit"] + flags)
+    if expect is None:
+        assert fixture_run[:2] == (2, "") and "sheaf.gamma" in fixture_run[2]
+        assert flag_run[:2] == (2, "") and "--phi" in flag_run[2]
+        return
+    assert fixture_run[0] == flag_run[0] == 0
+    ring = CoeffRing(3, 2, minpoly)
+    assert parse_instance(text).sheaf.rep.gamma[0][1] == expect
+    assert cli._omega_matrix(ring, matrix, "--phi")[0][1] == expect
 
 
 def test_a_fault_inside_the_ring_is_no_input_error(monkeypatch):

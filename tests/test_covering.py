@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from nclfun.cli import main
@@ -18,7 +20,15 @@ from nclfun.errors import (
     NotASubgroup,
     ParseError,
 )
-from nclfun.groupalg import GroupData, OpenSubgroup
+from nclfun.groupalg import (
+    GroupData,
+    OpenSubgroup,
+    subgroup_group_data,
+    trivial_rep,
+)
+from nclfun.ncl import verify_artin_induction
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 GOOD = """\
 # a small covering instance used by the parser tests
@@ -106,6 +116,11 @@ def test_parse_error_catalogue():
                        match=r"subgroup\.whole\.c must be positive"):
         parse_instance(GOOD.replace("subgroup.whole.c = 3",
                                     "subgroup.whole.c = 0"))
+    for bad in ("5", "[[1], 1]"):
+        with pytest.raises(ParseError,
+                           match=r"omega\.minpoly: expected a list of int"):
+            parse_instance(GOOD.replace(
+                "m = 2\n", f"m = 2\nomega.minpoly = {bad}\n"))
 
 
 @pytest.mark.parametrize("line, bad", [
@@ -317,6 +332,37 @@ def test_push_covering_quotient():
     pushed, proj = push_covering_quotient(cov, [0, 1, 2])
     assert pushed.group.order == 2
     assert [(p.degree, p.h) for p in pushed.points] == [(1, 0), (2, 1)]
+
+
+def test_subcoverings_and_quotients_keep_complete_through():
+    """A point of local degree e over F_(q^c) lies over base points of
+    degree at most c*e, so a covering complete through N gives
+    subcoverings complete through N // c, None below 1; a quotient keeps
+    the points and N.  On ec_f5 (N = 6) that is 3 at c = 2, and 3 is
+    tight: no point of local degree 4 is listed, since one would need
+    base degree 8.  The artin check at precision 7 reads the
+    subcoverings at precision 4 and 3 and passes."""
+    inst = parse_instance((FIXTURES / "ec_f5.inst").read_text())
+    cov = inst.covering
+    assert cov.complete_through == 6
+    for c, expect in ((1, 6), (2, 3), (3, 2), (6, 1), (7, None)):
+        sub, _ = subcover_points(cov, OpenSubgroup(cov.group, [0], c))
+        assert sub.complete_through == expect, c
+    sub, _ = subcover_points(cov, OpenSubgroup(cov.group, [0], 2))
+    degrees = {p.degree for p in sub.points}
+    assert 3 in degrees and 4 not in degrees
+    for c in (2, 3):
+        U = OpenSubgroup(cov.group, [0], c)
+        sub_gd, _ = subgroup_group_data(U)
+        out = verify_artin_induction(cov, inst.sheaf, U,
+                                     trivial_rep(cov.ring, sub_gd), 7)
+        assert out["ok"], c
+    pushed, _ = push_covering_quotient(cov, [0])
+    assert pushed.complete_through == 6
+    unstated = CoveringSpec(cov.q, cov.ring, cov.group, cov.points[:3])
+    sub, _ = subcover_points(unstated, OpenSubgroup(cov.group, [0], 2))
+    assert sub.complete_through is None
+    assert push_covering_quotient(unstated, [0])[0].complete_through is None
 
 
 def test_cohomology_spec_validation():

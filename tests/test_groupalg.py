@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 from math import lcm
 
 import pytest
@@ -20,6 +21,7 @@ from nclfun.groupalg import (
     OpenSubgroup,
     Rep,
     _perm_order,
+    coset_keys,
     group_validate,
     induce_rep,
     push_rep_through_quotient,
@@ -341,13 +343,16 @@ def test_restrict_rep_std_to_a3():
     assert res.gamma == std.gamma
 
 
-def _coset_transversal_bruteforce(U):
-    # BFS over (h, b) pairs under right multiplication by U generators;
-    # deliberately different bookkeeping from the library routine
+def _coset_transversal_bruteforce(U, right=False):
+    # BFS over (h, b) pairs under right multiplication by U generators,
+    # or left multiplication when right is set; deliberately different
+    # bookkeeping from the library routine.  Returns (first element met,
+    # coset as a set of (h, a mod period)) per coset in the order met
     gd = U.group
+    period = U.c * gd.action_order * 12
     gens = [GElement(h, 0) for h in U.h_members] + [GElement(0, U.c)]
-    seen = {}
-    reps = []
+    seen = set()
+    out = []
     for b in range(U.c):
         for h in range(gd.order):
             g = GElement(h, b)
@@ -355,20 +360,19 @@ def _coset_transversal_bruteforce(U):
             frontier = [g]
             while frontier:
                 x = frontier.pop()
-                key = (x.h, x.a % (U.c * gd.action_order * 12))
+                key = (x.h, x.a % period)
                 if key in coset:
                     continue
                 coset.add(key)
                 for u in gens:
-                    y = gd.g_mul(x, u)
-                    yk = (y.h, y.a % (U.c * gd.action_order * 12))
-                    if yk not in coset:
+                    y = gd.g_mul(u, x) if right else gd.g_mul(x, u)
+                    if (y.h, y.a % period) not in coset:
                         frontier.append(y)
             tag = min(coset)
             if tag not in seen:
-                seen[tag] = g
-                reps.append(g)
-    return reps
+                seen.add(tag)
+                out.append((g, coset))
+    return out
 
 
 def test_induce_rep_character_oracle():
@@ -384,7 +388,7 @@ def test_induce_rep_character_oracle():
         rho_sub = trivial_rep(Z9, sub)
         ind = induce_rep(U, rho_sub)
         assert ind.dim == U.index
-        reps = _coset_transversal_bruteforce(U)
+        reps = [g for g, _ in _coset_transversal_bruteforce(U)]
         assert len(reps) == U.index
         for _ in range(25):
             g = GElement(rng.randrange(gd.order), rng.randrange(-3, 4))
@@ -394,6 +398,95 @@ def test_induce_rep_character_oracle():
                 if contains(U, u):
                     expect = Z9.add(expect, Z9.one)   # trivial character
             assert character(ind, g) == expect
+
+
+def _member_sets(gd):
+    """Every subgroup of H as a sorted member list: the closure of each
+    pair of elements, which reaches every subgroup of the catalog
+    groups."""
+    out = set()
+    for a in range(gd.order):
+        for b in range(a, gd.order):
+            mem = {0}
+            frontier = [0]
+            while frontier:
+                x = frontier.pop()
+                for y in (gd.table[x][a], gd.table[x][b]):
+                    if y not in mem:
+                        mem.add(y)
+                        frontier.append(y)
+            out.add(tuple(sorted(mem)))
+    return sorted(out)
+
+
+def test_coset_keys_match_bruteforce_cosets():
+    """coset_keys against the cosets the brute force walks out, left and
+    right, for every subgroup of every catalog group that is stable
+    under alpha^c, c = 1, 2, 3.  The cosets of U met at exponent b have
+    H-parts h * alpha^b(H_U) on the left and H_U * h on the right; each
+    is the set of h with one key, named by its smallest member, and the
+    keys come in the order the walk over b, then h, meets them.  S3's
+    order-2 subgroups, stable only under alpha^3, are where the left
+    and the right cosets differ."""
+    differ = 0
+    for ell in (3, 5):
+        for entry in group_catalog(ell):
+            gd = entry.build()
+            for mem in _member_sets(gd):
+                left = coset_keys(gd, mem)
+                right = coset_keys(gd, mem, right=True)
+                differ += left != right
+                for c in (1, 2, 3):
+                    if {gd.act(c, h) for h in mem} != set(mem):
+                        continue
+                    U = OpenSubgroup(gd, mem, c)
+                    for side in (False, True):
+                        found = _coset_transversal_bruteforce(U, side)
+                        assert len(found) == U.index, (entry.name, mem, c)
+                        keys = [right if side else coset_keys(
+                            gd, [gd.act(b, u) for u in mem])
+                            for b in range(c)]
+                        assert [(g.a, g.h) for g, _ in found] == [
+                            (b, k) for b in range(c)
+                            for k in sorted(set(keys[b]))]
+                        for g, coset in found:
+                            block = {h for h, a in coset if a == g.a}
+                            assert block == {h for h in range(gd.order)
+                                             if keys[g.a][h] == g.h}
+    assert differ
+
+
+def test_quotient_normality_is_conjugation():
+    """quotient_by_normal refuses exactly the member sets that some
+    conjugation moves, naming an h that does, then those the action
+    moves; on the rest its projection is the coset map."""
+    for ell in (3, 5):
+        for entry in group_catalog(ell):
+            gd = entry.build()
+            n = gd.order
+            for mem in _member_sets(gd):
+                mset = set(mem)
+
+                def moves(h):
+                    return {gd.table[gd.table[h][k]][gd.inv[h]]
+                            for k in mem} != mset
+
+                if any(moves(h) for h in range(n)):
+                    with pytest.raises(NotNormal, match="conjugation") as exc:
+                        quotient_by_normal(gd, mem)
+                    named = re.search(r"by h(\d+) ", str(exc.value))
+                    assert moves(int(named.group(1)))
+                elif {gd.action[h] for h in mem} != mset:
+                    with pytest.raises(NotNormal, match="stable"):
+                        quotient_by_normal(gd, mem)
+                else:
+                    qd, proj = quotient_by_normal(gd, mem)
+                    assert qd.order * len(mem) == n
+                    assert proj[0] == 0
+                    for x in range(n):
+                        for y in range(n):
+                            same = gd.table[gd.inv[x]][y] in mset
+                            assert (proj[x] == proj[y]) == same
 
 
 def test_induce_sign_character_through_gamma_index():
